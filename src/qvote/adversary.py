@@ -28,7 +28,7 @@ from .ballots import (
     voting_qudit_state,
 )
 from .errors import ConfigurationError
-from .protocols import RunResult, run_secure_vote, run_tb_vote
+from .protocols import RunResult, _parse_votes, _phase_round, run_secure_vote, run_tb_vote
 from .qstate import (
     INVALID,
     LocalUnitary,
@@ -163,12 +163,10 @@ def multi_vote_plain(config: BallotConfig, votes, cheater: int, extra: int,
         raise ConfigurationError(f"extra must be >= 0, got {extra}")
     if rng is None:
         rng = np.random.default_rng(0)  # decode is deterministic on this path
-    choices = [Vote.parse(v) for v in votes]
-    state = prepare_db_ballot(config.d, config.N)
-    for t, choice in enumerate(choices):
-        state = cast_vote_db(state, t, choice)
-    state = cast_vote_db(state, cheater, Vote.YES, repeat=int(extra))
-    m = decode_db(state, config.d, config.N, rng)
+    choices = _parse_votes(config, votes)
+    exponents = [int(c is Vote.YES) for c in choices]
+    exponents[cheater] += int(extra)
+    m = _phase_round(config, exponents, [c.value for c in choices], rng)
     tally = sum(1 for c in choices if c is Vote.YES)
     return RunResult("DB", m, [m],
                      statistics={"cheater": int(cheater), "extra": int(extra),

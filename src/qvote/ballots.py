@@ -31,6 +31,7 @@ from .qstate import (
     PureState,
     apply_local,
     _sample,
+    _sample_with_invalid,
 )
 
 CHEAT_DETECTED = "CHEAT_DETECTED"
@@ -266,22 +267,21 @@ def _correlated_overlaps(state: PureState) -> np.ndarray:
 
 
 def _phase_basis_probs(corr: np.ndarray) -> np.ndarray:
-    """|<omega_p|psi>|^2 for omega_p = (1/sqrt d) sum_k e^{i 2 pi p k/d}|k..k>."""
-    d = len(corr)
-    p = np.arange(d)
-    overlaps = (np.exp(-2j * np.pi * np.outer(p, np.arange(d)) / d) @ corr) / math.sqrt(d)
-    return np.abs(overlaps) ** 2
+    """|<omega_p|psi>|^2 for omega_p = (1/sqrt d) sum_k e^{i 2 pi p k/d}|k..k>, by FFT."""
+    return np.abs(np.fft.fft(corr) / math.sqrt(len(corr))) ** 2
+
+
+def decode_phase(corr: np.ndarray, rng: np.random.Generator):
+    """Measure correlated amplitudes in the omega_p basis; INVALID is the complement."""
+    p, _ = _sample_with_invalid(_phase_basis_probs(corr), rng)
+    return INVALID if p == len(corr) else int(p)
 
 
 def decode_db(state: PureState, d: int, N: int, rng: np.random.Generator):
     """Project onto the tally states; INVALID covers the complement."""
     if state.dims != (d,) * N:
         raise ConfigurationError(f"expected {N} sites of dimension {d}, got {state.dims}")
-    probs = _phase_basis_probs(_correlated_overlaps(state))
-    p_invalid = max(0.0, 1.0 - probs.sum())
-    full = np.append(np.clip(probs, 0.0, None), p_invalid)
-    m = _sample(full / full.sum(), rng)
-    return INVALID if m == d else int(m)
+    return decode_phase(_correlated_overlaps(state), rng)
 
 
 def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
@@ -304,25 +304,24 @@ def solve_tally(p: int, config: BallotConfig):
     return (p // g) * pow(dl // g, -1, d // g) % (d // g)
 
 
-def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generator):
+def secure_tally(corr: np.ndarray, config: BallotConfig, rng: np.random.Generator):
     """Compensate the known no-phase, read p, and map it to a tally.
 
     Returns (m, p) where m is the tally or CHEAT_DETECTED and p is the
     raw phase index or INVALID. The authority knows N, l_n and delta, so
     it removes e^{i k N theta_n} before projecting onto the p-states.
     """
+    p = decode_phase(corr * np.exp(-1j * np.arange(config.d) * config.N * config.theta_no), rng)
+    if p == INVALID:
+        return CHEAT_DETECTED, INVALID
+    return solve_tally(p, config), p
+
+
+def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generator):
+    """Decode the returned 2N-qudit state; see ``secure_tally``."""
     if config.scheme is not Scheme.SECURE:
         raise ConfigurationError(f"decode_secure needs a SECURE config, got {config.scheme}")
     if state.dims != (config.d,) * (2 * config.N):
         raise ConfigurationError(
             f"expected {2 * config.N} sites of dimension {config.d}, got {state.dims}")
-    d = config.d
-    corr = _correlated_overlaps(state)
-    corr = corr * np.exp(-1j * np.arange(d) * config.N * config.theta_no)
-    probs = _phase_basis_probs(corr)
-    p_invalid = max(0.0, 1.0 - probs.sum())
-    full = np.append(np.clip(probs, 0.0, None), p_invalid)
-    p = _sample(full / full.sum(), rng)
-    if p == d:
-        return CHEAT_DETECTED, INVALID
-    return solve_tally(int(p), config), int(p)
+    return secure_tally(_correlated_overlaps(state), config, rng)

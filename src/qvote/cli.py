@@ -271,7 +271,6 @@ def cmd_run(args) -> int:
 
     transcript_path = out_dir / f"{run_id}.transcript.jsonl"
     result_path = out_dir / f"{run_id}.result.json"
-    transcript.result = result_payload
     transcript.write(transcript_path)
     result_path.write_text(json.dumps(result_payload, sort_keys=True, indent=2) + "\n",
                            encoding="utf-8")

@@ -8,7 +8,6 @@ is derived from the master seed and is not serialized.
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,16 +19,14 @@ from .ballots import (
     Scheme,
     TWO_VOTER_TB_LABELS,
     Vote,
-    cast_vote_db,
-    decode_db,
+    decode_phase,
     decode_tb,
-    prepare_db_ballot,
     prepare_tb_ballot,
+    secure_tally,
     shift_unitary,
-    solve_tally,
 )
 from .errors import ConfigurationError
-from .qstate import INVALID, CorrelatedState, apply_local, _sample
+from .qstate import CorrelatedState, apply_local, _sample
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
 
@@ -42,7 +39,6 @@ class Transcript:
     master_seed: int
     config: dict
     events: list[dict] = field(default_factory=list)
-    result: dict | None = None
 
     def __post_init__(self):
         self._salt = rngmod.stream(self.master_seed, rngmod.COMMITMENT).bytes(16)
@@ -129,30 +125,43 @@ def _parse_votes(config: BallotConfig, votes) -> list[Vote]:
     return parsed
 
 
+def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.Generator,
+                 transcript: Transcript | None = None, stage_hook=None):
+    """One DB or SURVEY round in the correlated basis; returns the decoded tally.
+
+    Voter i applies the yes operator ``exponents[i]`` times: c_k *= e^{i 2 pi k e_i / d}.
+    This costs O(d) per voter at any N; ``stage_hook`` receives the dense form.
+    """
+    d, scheme = config.d, config.scheme.value
+    state = CorrelatedState.uniform(d, config.N)
+    if transcript:
+        transcript.event(0, "PREPARE", payload={"scheme": scheme, "d": d, "N": config.N})
+        transcript.event(0, "DISTRIBUTE")
+    if stage_hook:
+        stage_hook("prepared", state.to_pure())
+    for i, (exponent, value) in enumerate(zip(exponents, commit_values)):
+        state = state.apply_site_phase(2 * np.pi * (exponent % d) / d)
+        if transcript:
+            transcript.event(0, "VOTE", site=i,
+                             payload={"commitment": transcript.commit(0, i, value)})
+        if stage_hook:
+            stage_hook(f"after_vote_{i}", state.to_pure())
+    if transcript:
+        transcript.event(0, "RETURN")
+    m = decode_phase(state.c, rng)
+    if transcript:
+        transcript.event(0, "MEASURE", outcome=m)
+    return m
+
+
 def run_db_vote(config: BallotConfig, votes, rng: np.random.Generator,
                 transcript: Transcript | None = None, stage_hook=None) -> RunResult:
     """Distributed-ballot round: the tally is the number of yes votes."""
     if config.scheme is not Scheme.DB:
         raise ConfigurationError(f"run_db_vote needs a DB config, got {config.scheme}")
     choices = _parse_votes(config, votes)
-    state = prepare_db_ballot(config.d, config.N)
-    if transcript:
-        transcript.event(0, "PREPARE", payload={"scheme": "DB", "d": config.d, "N": config.N})
-        transcript.event(0, "DISTRIBUTE")
-    if stage_hook:
-        stage_hook("prepared", state)
-    for i, choice in enumerate(choices):
-        state = cast_vote_db(state, i, choice)
-        if transcript:
-            transcript.event(0, "VOTE", site=i,
-                             payload={"commitment": transcript.commit(0, i, choice.value)})
-        if stage_hook:
-            stage_hook(f"after_vote_{i}", state)
-    if transcript:
-        transcript.event(0, "RETURN")
-    m = decode_db(state, config.d, config.N, rng)
-    if transcript:
-        transcript.event(0, "MEASURE", outcome=m)
+    m = _phase_round(config, [int(c is Vote.YES) for c in choices],
+                     [c.value for c in choices], rng, transcript, stage_hook)
     return RunResult("DB", m, [m])
 
 
@@ -218,15 +227,7 @@ def _secure_round(config: BallotConfig, choices, rep_rng, per_voter_thetas=None,
         state = state.with_sites(state.sites + 1)
         if extra_phases and i in extra_phases:
             state = state.apply_site_phase(float(extra_phases[i]))
-    state = state.apply_site_phase(-config.N * config.theta_no)
-    k = np.arange(d)
-    overlaps = (np.exp(-2j * np.pi * np.outer(k, k) / d) @ state.c) / math.sqrt(d)
-    probs = np.clip(np.abs(overlaps) ** 2, 0.0, None)
-    full = np.append(probs, max(0.0, 1.0 - probs.sum()))
-    p = _sample(full / full.sum(), rep_rng)
-    if p == d:
-        return CHEAT_DETECTED, INVALID, rs
-    return solve_tally(int(p), config), int(p), rs
+    return (*secure_tally(state.c, config, rep_rng), rs)
 
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
@@ -283,21 +284,7 @@ def run_survey(config: BallotConfig, euros, rng: np.random.Generator,
         raise ConfigurationError(f"total {total} would alias modulo d={config.d}")
     if total > config.max_total:
         raise ConfigurationError(f"total {total} exceeds the declared max {config.max_total}")
-    state = prepare_db_ballot(config.d, config.N)
-    if transcript:
-        transcript.event(0, "PREPARE",
-                         payload={"scheme": "SURVEY", "d": config.d, "N": config.N})
-        transcript.event(0, "DISTRIBUTE")
-    for i, amount in enumerate(amounts):
-        state = cast_vote_db(state, i, amount)
-        if transcript:
-            transcript.event(0, "VOTE", site=i,
-                             payload={"commitment": transcript.commit(0, i, amount)})
-    if transcript:
-        transcript.event(0, "RETURN")
-    m = decode_db(state, config.d, config.N, rng)
-    if transcript:
-        transcript.event(0, "MEASURE", outcome=m)
+    m = _phase_round(config, amounts, amounts, rng, transcript)
     return RunResult("SURVEY", m, [m], statistics={"total": m})
 
 

@@ -195,13 +195,19 @@ def reduced_density(state: PureState, keep_sites) -> DensityMatrix:
 
 def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
     """One inverse-CDF draw; index order fixes the sampling convention."""
-    u = rng.random()
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return k
-    return len(probs) - 1
+    k = int(probs.cumsum().searchsorted(rng.random(), side="right"))
+    return min(k, len(probs) - 1)
+
+
+def _sample_with_invalid(probs: np.ndarray, rng: np.random.Generator):
+    """Draw from ``probs`` plus the complement 1 - sum(probs) as index len(probs).
+
+    Returns (index, probability). This is the one place INVALID gets its weight.
+    """
+    probs = np.maximum(probs, 0.0)
+    full = np.concatenate((probs, [max(0.0, 1.0 - probs.sum())]))
+    k = _sample(full / full.sum(), rng)
+    return k, float(full[k])
 
 
 def measure_projective(state: PureState, proj: ProjectorSet,
@@ -214,16 +220,11 @@ def measure_projective(state: PureState, proj: ProjectorSet,
     if proj.dim != state.dim:
         raise ConfigurationError(f"projector dim {proj.dim} != state dim {state.dim}")
     probs = np.array([np.vdot(state.amps, p @ state.amps).real for p in proj.projectors])
-    probs = np.clip(probs, 0.0, None)
-    p_invalid = max(0.0, 1.0 - probs.sum())
-    full = np.append(probs, p_invalid)
-    k = _sample(full / full.sum(), rng)
+    k, prob = _sample_with_invalid(probs, rng)
     if k == len(proj.projectors):
         residual = state.amps - sum(p @ state.amps for p in proj.projectors)
-        post = PureState.from_amplitudes(state.dims, residual)
-        return INVALID, post, float(p_invalid)
-    post = PureState.from_amplitudes(state.dims, proj.projectors[k] @ state.amps)
-    return k, post, float(probs[k])
+        return INVALID, PureState.from_amplitudes(state.dims, residual), prob
+    return k, PureState.from_amplitudes(state.dims, proj.projectors[k] @ state.amps), prob
 
 
 def measure_computational(state: PureState, site: int, rng: np.random.Generator):

@@ -24,7 +24,3 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators."""
-    return rng.spawn(n)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .ballots import prepare_tb_ballot, shift_unitary
+from .ballots import phase_vote_unitary, prepare_tb_ballot, shift_unitary
 from .errors import ConfigurationError
-from .qstate import PureState, apply_local, inner, reduced_density
+from .qstate import CorrelatedState, PureState, apply_local, inner, reduced_density
 
 SIGMA = np.array([
     [[0, 1], [1, 0]],
@@ -89,25 +89,32 @@ class PrivacyReport:
         }
 
 
-def _db_post_vote_vector(d: int, weight: int) -> np.ndarray:
-    """Correlated-basis amplitudes of the DB state after ``weight`` yes votes."""
-    k = np.arange(d)
-    return np.exp(2j * np.pi * k * weight / d) / math.sqrt(d)
+def _vote_patterns(initial, vote, N: int):
+    """Yield (yes count, state) for all 2^N patterns; each yes voter applies ``vote``.
 
-
-def _tb_post_vote_state(d: int, weight: int) -> PureState:
-    state = prepare_tb_ballot(d)
-    return apply_local(state, 1, shift_unitary(d).power(weight))
+    Depth-first, so patterns share their prefix's states: 2^N - 1 applications.
+    """
+    stack = [(0, 0, initial)]
+    while stack:
+        voter, weight, state = stack.pop()
+        if voter == N:
+            yield weight, state
+        else:
+            stack.append((voter + 1, weight + 1, vote(state)))
+            stack.append((voter + 1, weight, state))
 
 
 def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> PrivacyReport:
     """Exhaustively test the overlap conditions over all 2^N vote vectors.
 
-    States of equal tally must coincide up to phase (checked against a
-    class representative, which is equivalent for unit-modulus overlaps)
-    and states of different tally must be orthogonal. The tally map is
-    the plain yes count, so undersized d is reported as a failure, not
-    an error: aliased tallies produce unit cross-tally overlaps.
+    Each yes voter applies the real vote operator: the diagonal of
+    ``phase_vote_unitary`` on the correlated DB amplitudes, or
+    ``shift_unitary`` on site 1 of the TB pair. States of equal tally
+    must coincide up to phase (checked against a class representative,
+    which is equivalent for unit-modulus overlaps) and states of
+    different tally must be orthogonal. The tally map is the plain yes
+    count, so undersized d is reported as a failure, not an error:
+    aliased tallies produce unit cross-tally overlaps.
     """
     scheme = str(scheme).upper()
     if scheme not in ("DB", "TB"):
@@ -119,34 +126,32 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
         raise ConfigurationError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
 
     if scheme == "DB":
-        def build(weight):
-            return _db_post_vote_vector(d, weight)
+        phases = np.diag(phase_vote_unitary(d).mat)
+        initial, overlap = CorrelatedState.uniform(d, N).c, np.vdot
 
-        def overlap(a, b):
-            return complex(np.vdot(a, b))
+        def vote(c):
+            return c * phases
     else:
-        def build(weight):
-            return _tb_post_vote_state(d, weight)
+        shift = shift_unitary(d)
+        initial, overlap = prepare_tb_ballot(d), inner
 
-        def overlap(a, b):
-            return inner(a, b)
+        def vote(state):
+            return apply_local(state, 1, shift)
 
-    # All vote vectors of one weight produce the same state, so each
-    # weight class is checked member-against-representative; a unit
-    # modulus there makes every within-class pair unit by transitivity.
-    reps = {w: build(w) for w in range(N + 1)}
+    # Each weight class is checked member-against-representative (its
+    # first pattern); a unit modulus there makes every pair unit.
+    reps = {}
     worst_same, same_pairs = 0.0, 0
-    for pattern in range(2 ** N):
-        weight = bin(pattern).count("1")
-        state = build(weight)
-        worst_same = max(worst_same, abs(1 - abs(overlap(reps[weight], state))))
+    for weight, state in _vote_patterns(initial, vote, N):
+        rep = reps.setdefault(weight, state)
+        worst_same = max(worst_same, abs(1 - abs(overlap(rep, state))))
         same_pairs += 1
     worst_cross, cross_pairs = 0.0, 0
     for w1 in range(N + 1):
         for w2 in range(w1 + 1, N + 1):
             worst_cross = max(worst_cross, abs(overlap(reps[w1], reps[w2])))
             cross_pairs += 1
-    passed = worst_same <= tolerance and worst_cross <= tolerance
+    passed = bool(worst_same <= tolerance and worst_cross <= tolerance)
     return PrivacyReport(scheme, d, N, tolerance, passed, float(worst_same),
                          float(worst_cross), same_pairs, cross_pairs)
 

@@ -102,6 +102,10 @@ class TestMultiVotePlain:
         config = BallotConfig(5, 3, Scheme.DB)
         assert multi_vote_plain(config, "YYN", 2, 5).m == 2
 
+    def test_wrong_vote_count_rejected(self):
+        with pytest.raises(ConfigurationError):
+            multi_vote_plain(BallotConfig(5, 3, Scheme.DB), "YYNY", 0, 1)
+
     def test_exhaustive_modular_arithmetic(self):
         config = BallotConfig(5, 3, Scheme.DB)
         for votes in product("YN", repeat=3):

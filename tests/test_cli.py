@@ -83,6 +83,16 @@ class TestCmdRun:
         result = json.loads((outdir / "secure-d11-n3-seed77.result.json").read_text())
         assert result["m"] in list(range(4))
 
+    def test_db_beyond_dense_budget_runs(self, outdir):
+        # 13**6 amplitudes exceed the 2M dense budget; honest DB runs
+        # stay in the correlated form and never build the dense state.
+        code = run_cli("run", "--config", SCENARIOS / "db_honest.json", "--out", outdir,
+                       "--override", "d=13", "--override", "n=6",
+                       "--override", 'votes=["Y","Y","N","Y","N","Y"]')
+        assert code == 0
+        result = json.loads((outdir / "db-d13-n6-seed42.result.json").read_text())
+        assert result["m"] == 4
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

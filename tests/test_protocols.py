@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvote.ballots import CHEAT_DETECTED, BallotConfig, Scheme, SecureSecrets, Vote
+from qvote.ballots import (
+    CHEAT_DETECTED,
+    BallotConfig,
+    Scheme,
+    SecureSecrets,
+    Vote,
+    cast_vote_db,
+    decode_db,
+    prepare_db_ballot,
+)
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
     DiningResult,
@@ -124,6 +133,68 @@ class TestRunSurvey:
         config = BallotConfig(7, 2, Scheme.SURVEY, max_total=6)
         with pytest.raises(ConfigurationError):
             run_survey(config, [3, -1], rngmod.stream(12, 1))
+
+
+DENSE_BUDGET = 2_000_000
+
+
+@st.composite
+def dense_sized_config(draw):
+    """(d, N) with N < d and d**N within the dense budget."""
+    d = draw(st.integers(2, 16))
+    n_max = max(n for n in range(1, d) if d ** n <= DENSE_BUDGET)
+    return d, draw(st.integers(1, n_max))
+
+
+class TestCorrelatedMatchesDense:
+    """Honest DB and SURVEY runs against the dense cast_vote_db reference."""
+
+    @given(dense_sized_config(), st.data(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_db_stages_and_tally(self, dn, data, seed):
+        d, n = dn
+        votes = data.draw(st.lists(st.sampled_from([Vote.YES, Vote.NO]),
+                                   min_size=n, max_size=n))
+        ref, deviations = {}, []
+
+        def hook(label, state):
+            # Advance the dense chain alongside, holding one state at a time.
+            if label == "prepared":
+                ref["state"] = prepare_db_ballot(d, n)
+            else:
+                i = int(label.rsplit("_", 1)[1])
+                ref["state"] = cast_vote_db(ref["state"], i, votes[i])
+            assert state.dims == ref["state"].dims
+            deviations.append(float(np.max(np.abs(state.amps - ref["state"].amps))))
+
+        result = run_db_vote(BallotConfig(d, n, Scheme.DB), votes, rngmod.stream(seed, 1),
+                             stage_hook=hook)
+        assert len(deviations) == n + 1
+        assert max(deviations) <= 1e-12
+        assert result.m == decode_db(ref["state"], d, n, rngmod.stream(seed, 1))
+        assert result.m == weight(votes)
+
+    @given(dense_sized_config(), st.data(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_survey_tally(self, dn, data, seed):
+        d, n = dn
+        amounts = data.draw(st.lists(st.integers(0, (d - 1) // n), min_size=n, max_size=n))
+        config = BallotConfig(d, n, Scheme.SURVEY, max_total=d - 1)
+        state = prepare_db_ballot(d, n)
+        for i, amount in enumerate(amounts):
+            state = cast_vote_db(state, i, amount)
+        result = run_survey(config, amounts, rngmod.stream(seed, 1))
+        assert result.m == decode_db(state, d, n, rngmod.stream(seed, 1))
+        assert result.m == sum(amounts)
+
+    def test_runs_beyond_the_dense_budget(self):
+        # 13**12 amplitudes could never be held densely.
+        votes = "YNYYNYNNYYYN"
+        result = run_db_vote(BallotConfig(13, 12, Scheme.DB), votes, rngmod.stream(4, 1))
+        assert result.m == weight(votes)
+        config = BallotConfig(13, 12, Scheme.SURVEY, max_total=12)
+        amounts = [1, 0, 2, 0, 0, 3, 1, 0, 0, 2, 1, 0]
+        assert run_survey(config, amounts, rngmod.stream(5, 1)).m == 10
 
 
 class TestOutcomePermutationInvariance:

@@ -19,6 +19,8 @@ from qvote.qstate import (
     measure_projective,
     reduced_density,
     tensor,
+    _sample,
+    _sample_with_invalid,
 )
 from qvote.ballots import phase_vote_unitary, shift_unitary, voting_qudit_state
 
@@ -233,6 +235,34 @@ class TestMeasureProjective:
         with pytest.raises(ConfigurationError):
             measure_projective(ghz(2, 2), computational_projectors(2),
                                np.random.default_rng(0))
+
+
+def _sample_loop(probs, rng):
+    """Reference inverse-CDF draw: the first k whose running sum exceeds u."""
+    u = rng.random()
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return k
+    return len(probs) - 1
+
+
+class TestSample:
+    def test_matches_loop_reference(self):
+        gen = np.random.default_rng(2024)
+        for trial in range(2000):
+            probs = gen.random(int(gen.integers(1, 40))) ** 4
+            # Every third distribution sums below one, so some draws fall
+            # past the last bucket and must clamp to the last index.
+            probs /= probs.sum() * (1.02 if trial % 3 else 1.0)
+            rng_a, rng_b = np.random.default_rng(trial), np.random.default_rng(trial)
+            assert _sample(probs, rng_a) == _sample_loop(probs, rng_b)
+            assert rng_a.random() == rng_b.random()  # one draw each
+
+    def test_invalid_complement_is_the_last_index(self):
+        k, prob = _sample_with_invalid(np.array([0.0, -1e-17]), np.random.default_rng(0))
+        assert (k, prob) == (2, 1.0)
 
 
 class TestMeasureComputational:

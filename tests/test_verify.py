@@ -6,7 +6,8 @@ import pytest
 
 from qvote.ballots import Vote, cast_vote_db, prepare_db_ballot
 from qvote.errors import ConfigurationError
-from qvote.qstate import PureState, inner, reduced_density
+from qvote.qstate import LocalUnitary, PureState, inner, reduced_density
+from qvote import verify
 from qvote.verify import (
     AnsatzResult,
     QubitSchemeParams,
@@ -42,6 +43,22 @@ class TestCheckPrivacy:
     def test_undersized_dimension_aliases_tallies(self):
         report = check_privacy("DB", 3, 3)
         assert not report.passed
+        assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
+
+    def test_wrong_db_vote_operator_fails(self, monkeypatch):
+        # Half the yes phase: equal tallies still agree, but neighbouring
+        # tallies are no longer orthogonal.
+        monkeypatch.setattr(verify, "phase_vote_unitary", lambda d: LocalUnitary(
+            d, np.diag(np.exp(1j * np.pi * np.arange(d) / d))))
+        report = check_privacy("DB", 5, 3)
+        assert report.passed is False
+        assert report.worst_cross_tally_overlap > 0.1
+
+    def test_wrong_tb_vote_operator_fails(self, monkeypatch):
+        # A yes vote that leaves the travelling qudit where it was.
+        monkeypatch.setattr(verify, "shift_unitary", lambda d: LocalUnitary(d, np.eye(d)))
+        report = check_privacy("TB", 5, 3)
+        assert report.passed is False
         assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
 
     def test_enumeration_guard(self):
