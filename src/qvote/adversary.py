@@ -8,9 +8,13 @@ Conventions fixed here:
 * The multi-vote forger estimates the secret yes/no phase difference
   and applies it directly; the estimate carries a uniform error of
   half-width pi * scale / d, the single-copy estimation floor.
+
+SECURE forgeries run in the correlated form; dense states carry only the
+TB collusion and product-ballot attacks. The swap test draws from its
+closed-form weights (1 +- |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
+(2001)), and the phase-basis readout is an orthonormal FFT on one site.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +35,10 @@ from .errors import ConfigurationError
 from .protocols import RunResult, _parse_votes, _phase_round, run_secure_vote, run_tb_vote
 from .qstate import (
     INVALID,
-    LocalUnitary,
-    ProjectorSet,
     PureState,
+    _sample_with_invalid,
     apply_local,
     measure_computational,
-    measure_projective,
     tensor,
 )
 
@@ -218,13 +220,13 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
 
 
 def _phase_basis_measure(state: PureState, site: int, rng: np.random.Generator):
-    """Measure one site in the {|psi(2 pi l / d)>} basis; returns (l, post)."""
-    d = state.dims[site]
-    # Columns of F are the basis states, so F^dagger rotates them onto
-    # the computational basis.
-    f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
-    rotated = apply_local(state, site, LocalUnitary(d, f.conj().T))
-    return measure_computational(rotated, site, rng)
+    """Measure one site in the {|psi(2 pi l / d)>} basis; returns (l, post).
+
+    <psi(2 pi l / d)|k> = e^{-i 2 pi k l / d} / sqrt(d), so an orthonormal
+    FFT along the site rotates the basis onto the computational one.
+    """
+    rotated = np.fft.fft(state.shaped(), axis=site, norm="ortho")
+    return measure_computational(PureState(state.dims, rotated.reshape(-1)), site, rng)
 
 
 def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generator,
@@ -324,15 +326,6 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     )
 
 
-def _swap_projectors(d: int) -> ProjectorSet:
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            swap[b * d + a, a * d + b] = 1.0
-    eye = np.eye(d * d)
-    return ProjectorSet(d * d, ((eye + swap) / 2, (eye - swap) / 2))
-
-
 def detect_symmetry(sampled_states, rng: np.random.Generator,
                     comparisons: int = 7) -> str:
     """Swap-test a pool of voting states that claim to be identical.
@@ -350,11 +343,10 @@ def detect_symmetry(sampled_states, rng: np.random.Generator,
     for s in states:
         if s.num_sites != 1 or s.dims[0] != d:
             raise ConfigurationError("symmetry test compares single qudits of equal dimension")
-    proj = _swap_projectors(d)
     for t in range(int(comparisons)):
         other = states[1 + t % (len(states) - 1)]
-        pair = tensor(states[0], other)
-        outcome, _, _ = measure_projective(pair, proj, rng)
+        f2 = abs(np.vdot(states[0].amps, other.amps)) ** 2
+        outcome, _ = _sample_with_invalid(np.array([(1 + f2) / 2, (1 - f2) / 2]), rng)
         if outcome == 1:
             return CHEATING
     return CLEAN

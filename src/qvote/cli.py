@@ -120,6 +120,8 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
         target, parts = cfg, key.split(".")
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ConfigurationError(f"override {key!r}: {part!r} is not an object")
         target[parts[-1]] = _coerce(raw)
     return cfg
 
@@ -154,7 +156,10 @@ def _resolve_votes(cfg: dict, n: int, scheme: Scheme):
         if len(votes) != n:
             raise ConfigurationError(f"votes has length {len(votes)}, expected {n}")
         if scheme is Scheme.SURVEY:
-            return [int(v) for v in votes]
+            try:
+                return [int(v) for v in votes]
+            except ValueError:
+                raise ConfigurationError(f"SURVEY amounts must be integers, got {votes}")
         return [Vote.parse(v) for v in votes]
     if scheme is Scheme.SURVEY:
         raise ConfigurationError("SURVEY scenarios require explicit amounts in 'votes'")
@@ -280,6 +285,13 @@ def cmd_run(args) -> int:
     return EXIT_CHEATING if detected else EXIT_CLEAN
 
 
+def _floats(name: str, text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"--{name} needs comma-separated numbers, got {text!r}")
+
+
 def cmd_verify(args) -> int:
     try:
         if args.target == "privacy":
@@ -312,9 +324,9 @@ def cmd_verify(args) -> int:
             return EXIT_CLEAN if ok else EXIT_CHEATING
         if args.target == "ansatz":
             d = args.d
-            etas = ([float(x) for x in args.etas.split(",")] if args.etas
+            etas = (_floats("etas", args.etas) if args.etas
                     else [2 * np.pi * j / d for j in range(d)])
-            alphas = ([float(x) for x in args.alphas.split(",")] if args.alphas
+            alphas = (_floats("alphas", args.alphas) if args.alphas
                       else [1 / math.sqrt(d)] * d)
             result = ansatz_check(d, etas, alphas, tolerance=args.tolerance)
             print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
@@ -336,10 +348,13 @@ def cmd_report(args) -> int:
     if not outcomes:
         return _fail_config("transcript holds no MEASURE events")
 
-    def tally_of(outcome):
-        return outcome.get("m") if isinstance(outcome, dict) else outcome
+    def tallies_of(outcome):
+        # A list outcome holds one attack trial's repetition tallies.
+        if isinstance(outcome, list):
+            return outcome
+        return [outcome.get("m") if isinstance(outcome, dict) else outcome]
 
-    tallies = [tally_of(o) for o in outcomes]
+    tallies = [t for o in outcomes for t in tallies_of(o)]
     histogram: dict = {}
     for t in tallies:
         histogram[str(t)] = histogram.get(str(t), 0) + 1

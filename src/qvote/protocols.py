@@ -210,23 +210,24 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
 
 def _secure_round(config: BallotConfig, choices, rep_rng, per_voter_thetas=None,
                   extra_phases=None):
-    """One anti-reuse execution in the correlated basis; returns (m, p, rs)."""
+    """One anti-reuse execution in the correlated basis; returns (m, p, rs).
+
+    Voter i's pairing outcome r_i is uniform for any ballot state and only
+    multiplies the state by the global phase e^{-i r_i theta_i}, so r_i is
+    drawn and logged but leaves c untouched: the cast is c_k *= e^{ik theta_i}.
+    """
     d = config.d
-    state = CorrelatedState.uniform(d, config.N)
+    state = CorrelatedState.uniform(d, 2 * config.N)
     rs = []
     for i, choice in enumerate(choices):
         if per_voter_thetas is not None:
             theta = per_voter_thetas[i][0 if choice is Vote.YES else 1]
         else:
             theta = config.theta_yes if choice is Vote.YES else config.theta_no
-        # The pairing measurement is uniform over r for any ballot state.
-        probs = np.full(d, float(np.sum(np.abs(state.c) ** 2)) / d)
-        r = _sample(probs / probs.sum(), rep_rng)
-        rs.append(int(r))
-        state = state.apply_site_phase(theta).scaled(np.exp(-1j * r * theta))
-        state = state.with_sites(state.sites + 1)
         if extra_phases and i in extra_phases:
-            state = state.apply_site_phase(float(extra_phases[i]))
+            theta += float(extra_phases[i])
+        rs.append(_sample(np.full(d, 1 / d), rep_rng))
+        state = state.apply_site_phase(theta)
     return (*secure_tally(state.c, config, rep_rng), rs)
 
 

@@ -95,9 +95,6 @@ class LocalUnitary:
     def power(self, k: int) -> "LocalUnitary":
         return LocalUnitary(self.dim, np.linalg.matrix_power(self.mat, int(k)))
 
-    def dagger(self) -> "LocalUnitary":
-        return LocalUnitary(self.dim, self.mat.conj().T)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -267,12 +264,6 @@ class CorrelatedState:
         """diag(e^{ik theta}) on any one site acts as c_k *= e^{ik theta}."""
         k = np.arange(self.d)
         return CorrelatedState(self.d, self.sites, self.c * np.exp(1j * k * theta))
-
-    def with_sites(self, sites: int) -> "CorrelatedState":
-        return CorrelatedState(self.d, int(sites), self.c)
-
-    def scaled(self, phase: complex) -> "CorrelatedState":
-        return CorrelatedState(self.d, self.sites, self.c * (phase / abs(phase)))
 
     def to_pure(self) -> PureState:
         total = self.d ** self.sites

@@ -9,6 +9,7 @@ from qvote.adversary import (
     CLEAN,
     INCONCLUSIVE,
     AttackReport,
+    _phase_basis_measure,
     authority_product_ballot,
     collusion_attack_tb,
     detect_inconsistent_results,
@@ -29,8 +30,19 @@ from qvote.ballots import (
 )
 from qvote.errors import ConfigurationError
 from qvote.protocols import run_secure_vote
-from qvote.qstate import INVALID, inner, tensor
+from qvote.qstate import (
+    INVALID,
+    LocalUnitary,
+    ProjectorSet,
+    apply_local,
+    inner,
+    measure_computational,
+    measure_projective,
+    tensor,
+)
 from qvote import rng as rngmod
+
+from conftest import random_state
 
 
 def product_ballot(d, n):
@@ -174,6 +186,22 @@ class TestAuthorityProductBallot:
         for acc in report.inferred_secrets["per_voter_accuracy"]:
             assert abs(acc - 1 / 5) < 0.06
 
+    @pytest.mark.parametrize("dims,site", [((5,), 0), ((3, 4), 1), ((4, 2, 3), 0),
+                                           ((2, 3, 5), 2)])
+    def test_phase_basis_measure_matches_dft_unitary(self, dims, site):
+        # Reference: rotate with the explicit DFT's adjoint, then measure.
+        d = dims[site]
+        f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+        states_rng = np.random.default_rng(len(dims) * 10 + site)
+        for seed in range(50):
+            state = random_state(dims, states_rng)
+            l, post = _phase_basis_measure(state, site, np.random.default_rng(seed))
+            rotated = apply_local(state, site, LocalUnitary(d, f.conj().T))
+            ref_l, ref_post = measure_computational(rotated, site,
+                                                    np.random.default_rng(seed))
+            assert l == ref_l
+            assert np.max(np.abs(post.amps - ref_post.amps)) <= 1e-12
+
     def test_single_voter_is_identified_either_way(self):
         config = BallotConfig(5, 1, Scheme.DB)
         for honest in (False, True):
@@ -245,6 +273,23 @@ class TestDetectSymmetry:
     def test_needs_two_states(self):
         with pytest.raises(ConfigurationError):
             detect_symmetry([voting_qudit_state(5, 0.1)], rngmod.stream(0, 2))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_swap_projector_measurement(self, d):
+        # Reference: measure (I +- SWAP)/2 on the dense pair |a>|b>.
+        swap = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                swap[j * d + i, i * d + j] = 1.0
+        eye = np.eye(d * d)
+        proj = ProjectorSet(d * d, ((eye + swap) / 2, (eye - swap) / 2))
+        states_rng = np.random.default_rng(d)
+        for seed in range(200):
+            a, b = random_state((d,), states_rng), random_state((d,), states_rng)
+            outcome, _, _ = measure_projective(tensor(a, b), proj,
+                                               np.random.default_rng(seed))
+            verdict = detect_symmetry([a, b], np.random.default_rng(seed), comparisons=1)
+            assert verdict == (CHEATING if outcome == 1 else CLEAN)
 
 
 class TestDetectSubsetCorrelation:

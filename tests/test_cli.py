@@ -6,6 +6,8 @@ import pytest
 from qvote.cli import main
 
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+GOLDEN_RUNS = json.loads((GOLDEN / "runs.json").read_text())
 
 
 def run_cli(*argv):
@@ -105,6 +107,19 @@ class TestCmdRun:
                 == (out2 / f"{name}.result.json").read_bytes())
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", SCENARIOS / "survey_euros.json",
+     "--override", 'votes=["Y","N","Y"]'],
+    ["run", "--config", SCENARIOS / "db_honest.json", "--override", "d.x=1"],
+    ["verify", "ansatz", "--d", 3, "--etas", "a,b,c"],
+    ["verify", "ansatz", "--d", 2, "--alphas", "0.7,x"],
+], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas"])
+def test_malformed_input_exits_two(argv, capsys):
+    # Exit 1 means cheating detected; bad input must not read as that.
+    assert run_cli(*argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 class TestCmdVerify:
     def test_privacy_pass(self, capsys):
         assert run_cli("verify", "privacy", "--scheme", "db", "--d", 5, "--n", 4) == 0
@@ -177,3 +192,14 @@ class TestCmdReport:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("report", tmp_path / "nope.jsonl") == 2
+
+    @pytest.mark.parametrize("entry", GOLDEN_RUNS,
+                             ids=[f"{e['scenario']}{'+override' if e['override'] else ''}"
+                                  for e in GOLDEN_RUNS])
+    def test_golden_transcript_exit_matches_run(self, entry, tmp_path):
+        # Rerun only to learn the transcript's name, then report the committed copy.
+        overrides = [arg for item in entry["override"] for arg in ("--override", item)]
+        run_cli("run", "--config", SCENARIOS / entry["scenario"], "--out", tmp_path,
+                *overrides)
+        name = next(tmp_path.glob("*.transcript.jsonl")).name
+        assert run_cli("report", GOLDEN / name) == entry["exit"]

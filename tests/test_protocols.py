@@ -13,14 +13,18 @@ from qvote.ballots import (
     SecureSecrets,
     Vote,
     cast_vote_db,
+    cast_vote_secure,
     decode_db,
+    decode_secure,
     prepare_db_ballot,
+    voting_qudit_state,
 )
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
     DiningResult,
     RunResult,
     Transcript,
+    _secure_round,
     classical_dining,
     classical_modular_vote,
     dining_announcements,
@@ -30,6 +34,7 @@ from qvote.protocols import (
     run_survey,
     run_tb_vote,
 )
+from qvote.qstate import LocalUnitary, apply_local
 from qvote import rng as rngmod
 
 
@@ -146,8 +151,19 @@ def dense_sized_config(draw):
     return d, draw(st.integers(1, n_max))
 
 
+@st.composite
+def dense_sized_secure_config(draw):
+    """A valid SECURE config whose 2N-qudit dense state fits the dense budget."""
+    d = draw(st.integers(2, 16))
+    n = draw(st.integers(1, max(n for n in range(1, d) if d ** (2 * n) <= DENSE_BUDGET)))
+    l_n = draw(st.integers(0, d - 1))
+    l_y = draw(st.sampled_from([l for l in range(d) if l != l_n and abs(l - l_n) * n < d]))
+    delta = draw(st.floats(0, 2 * np.pi / d, exclude_max=True))
+    return BallotConfig(d, n, Scheme.SECURE, secrets=SecureSecrets(l_y, l_n, delta))
+
+
 class TestCorrelatedMatchesDense:
-    """Honest DB and SURVEY runs against the dense cast_vote_db reference."""
+    """Honest runs against the dense cast_vote_db and cast_vote_secure references."""
 
     @given(dense_sized_config(), st.data(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -186,6 +202,32 @@ class TestCorrelatedMatchesDense:
         result = run_survey(config, amounts, rngmod.stream(seed, 1))
         assert result.m == decode_db(state, d, n, rngmod.stream(seed, 1))
         assert result.m == sum(amounts)
+
+    @given(dense_sized_secure_config(), st.data(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_secure_round(self, config, data, seed):
+        d, n = config.d, config.N
+        votes = data.draw(st.lists(st.sampled_from([Vote.YES, Vote.NO]),
+                                   min_size=n, max_size=n))
+        extra = data.draw(st.none() | st.tuples(st.integers(0, n - 1),
+                                                st.floats(-np.pi, np.pi)))
+        extra_phases = None if extra is None else {extra[0]: extra[1]}
+        m, p, rs = _secure_round(config, votes, np.random.default_rng(seed),
+                                 extra_phases=extra_phases)
+
+        # Dense reference: every pairing outcome r also multiplies the
+        # state by e^{-i r theta}, a global phase the correlated form drops.
+        rng = np.random.default_rng(seed)
+        state, ref_rs = prepare_db_ballot(d, n), []
+        for i, vote in enumerate(votes):
+            theta = config.theta_yes if vote is Vote.YES else config.theta_no
+            state, r = cast_vote_secure(state, i, voting_qudit_state(d, theta), rng)
+            ref_rs.append(r)
+            if extra_phases and i in extra_phases:
+                phase = np.diag(np.exp(1j * np.arange(d) * extra_phases[i]))
+                state = apply_local(state, i, LocalUnitary(d, phase))
+        assert rs == ref_rs
+        assert (m, p) == decode_secure(state, config, rng)
 
     def test_runs_beyond_the_dense_budget(self):
         # 13**12 amplitudes could never be held densely.
