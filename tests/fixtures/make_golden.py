@@ -1,7 +1,8 @@
 """Regenerate the golden `qvote run` outputs in golden/.
 
 golden/runs.json lists each run as a scenario file under scenarios/, the
-``--override`` arguments applied to it and the expected exit code. This
+``--override`` arguments applied to it, the expected exit code and, where
+two entries share a scenario with overrides, an ``id`` naming the test. This
 script runs every entry and writes its transcript and result files into
 golden/. test_golden.py reruns the same entries and compares the files
 byte for byte, so a change that alters any output fails there even when
@@ -21,6 +22,11 @@ from qvote.cli import main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
+
+
+def entry_id(entry: dict) -> str:
+    """Test id of one golden entry: its ``id`` if given, else the scenario name."""
+    return entry.get("id") or f"{entry['scenario']}{'+override' if entry['override'] else ''}"
 
 
 def run_args(entry: dict, out_dir) -> list[str]:

@@ -194,7 +194,8 @@ class TestCmdReport:
         assert run_cli("report", tmp_path / "nope.jsonl") == 2
 
     @pytest.mark.parametrize("entry", GOLDEN_RUNS,
-                             ids=[f"{e['scenario']}{'+override' if e['override'] else ''}"
+                             ids=[e.get("id") or
+                                  f"{e['scenario']}{'+override' if e['override'] else ''}"
                                   for e in GOLDEN_RUNS])
     def test_golden_transcript_exit_matches_run(self, entry, tmp_path):
         # Rerun only to learn the transcript's name, then report the committed copy.

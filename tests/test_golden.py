@@ -23,8 +23,7 @@ _spec.loader.exec_module(make_golden)
 
 
 @pytest.mark.parametrize("entry", ENTRIES,
-                         ids=[f"{e['scenario']}{'+override' if e['override'] else ''}"
-                              for e in ENTRIES])
+                         ids=[make_golden.entry_id(e) for e in ENTRIES])
 def test_run_matches_golden_bytes(entry, tmp_path):
     assert main(make_golden.run_args(entry, tmp_path)) == entry["exit"]
     written = sorted(tmp_path.iterdir())
