@@ -26,13 +26,15 @@ from .ballots import (
     Vote,
     cast_vote_db,
     decode_db,
+    decode_tb,
     phase_vote_unitary,
     prepare_db_ballot,
     prepare_tb_ballot,
+    shift_unitary,
     voting_qudit_state,
 )
 from .errors import ConfigurationError
-from .protocols import RunResult, _parse_votes, _phase_round, run_secure_vote, run_tb_vote
+from .protocols import RunResult, _parse_votes, _phase_round, honest_thetas, run_secure_vote
 from .qstate import (
     INVALID,
     PureState,
@@ -105,39 +107,31 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     i, j = int(colluders[0]), int(colluders[1])
     if not 0 <= i < j < config.N:
         raise ConfigurationError(f"colluders must satisfy 0 <= i < j < N, got {colluders}")
-    choices = [Vote.parse(v) for v in votes]
+    choices = _parse_votes(config, votes)
     expected = sum(1 for t in range(i + 1, j) if choices[t] is Vote.YES)
 
+    d = config.d
     inferred = []
     diff_hist: dict = {}
     phase_hist: dict = {}
-    phase_op = phase_vote_unitary(config.d)
+    shift_op, phase_op = shift_unitary(d), phase_vote_unitary(d)
     for trial_rng in rng.spawn(int(trials)):
-        seen = {}
-
-        def grab(label):
-            def hook(state, hook_rng):
-                digit, post = measure_computational(state, 1, hook_rng)
-                seen[label] = digit
-                return post
-            return hook
-
-        hooks = {(i, "post"): grab("first"), (j, "pre"): grab("second")}
-        result = run_tb_vote(config, choices, trial_rng, intercept_hooks=hooks)
-        inferred.append((seen["second"] - seen["first"]) % config.d)
-        _bump(diff_hist, result.m)
-
-        # Same collusion against the phase-voting variant of the
-        # travelling ballot; the collapse erases the relative phases.
-        state = prepare_tb_ballot(config.d)
-        for t, choice in enumerate(choices):
-            if (t, "pre") in hooks:
-                state = hooks[(t, "pre")](state, trial_rng)
-            if choice is Vote.YES:
-                state = apply_local(state, 1, phase_op)
-            if (t, "post") in hooks:
-                state = hooks[(t, "post")](state, trial_rng)
-        _bump(phase_hist, decode_db(state, config.d, 2, trial_rng))
+        # The travelling ballot with shift votes, then its phase-voting
+        # variant, whose relative phases the collapse erases.
+        for op in (shift_op, phase_op):
+            state = prepare_tb_ballot(d)
+            for t, choice in enumerate(choices):
+                if t == j:
+                    second, state = measure_computational(state, 1, trial_rng)
+                if choice is Vote.YES:
+                    state = apply_local(state, 1, op)
+                if t == i:
+                    first, state = measure_computational(state, 1, trial_rng)
+            if op is shift_op:
+                inferred.append((second - first) % d)
+                _bump(diff_hist, decode_tb(state, d, trial_rng))
+            else:
+                _bump(phase_hist, decode_db(state, d, 2, trial_rng))
 
     return AttackReport(
         attack="collusion_tb",
@@ -193,15 +187,17 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
         raise ConfigurationError(f"cheater index {cheater} out of range")
     if votes is None:
         votes = [Vote.NO] * config.N
-    choices = [Vote.parse(v) for v in votes]
+    choices = _parse_votes(config, votes)
     delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
     half_width = np.pi * float(estimation_error_scale) / config.d
 
     verdicts, hist, per_trial = [], {}, []
     for trial_rng in rng.spawn(int(trials)):
         eps = float(trial_rng.uniform(-half_width, half_width)) if half_width > 0 else 0.0
+        thetas = honest_thetas(config, choices)
+        thetas[int(cheater)] += float(delta_phase + eps)
         result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
-                                 extra_phases={int(cheater): delta_phase + eps})
+                                 thetas=thetas)
         detected = result.m == CHEAT_DETECTED
         verdicts.append(detected)
         per_trial.append({"eps": eps, "outcomes": result.outcomes, "p": result.p,
@@ -291,13 +287,14 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
         raise ConfigurationError(f"mismatched states need a SECURE config, got {config.scheme}")
     if len(per_voter_thetas) != config.N:
         raise ConfigurationError(f"need {config.N} theta pairs, got {len(per_voter_thetas)}")
-    choices = [Vote.parse(v) for v in votes]
+    choices = _parse_votes(config, votes)
+    thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
 
     hist: dict = {}
     results = []
     for trial_rng in rng.spawn(int(trials)):
         result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
-                                 per_voter_thetas=per_voter_thetas)
+                                 thetas=thetas)
         results.append({"m": result.m, "outcomes": result.outcomes, "p": result.p})
         _bump(hist, result.m)
 

@@ -29,7 +29,6 @@ from .qstate import (
     CorrelatedState,
     LocalUnitary,
     PureState,
-    apply_local,
     _sample,
     _sample_with_invalid,
 )
@@ -177,27 +176,28 @@ def voting_qudit_state(d: int, theta: float) -> PureState:
     return PureState((d,), amps)
 
 
-def cast_vote_db(state: PureState, voter_site: int, choice, repeat: int = 1) -> PureState:
-    """Apply the voter's phase operation at ``voter_site``.
+def cast_vote_db(state: PureState, voter_site: int, choice) -> PureState:
+    """Apply the voter's phase vote at ``voter_site`` of a dense state.
 
-    YES applies the phase operator ``repeat`` times, NO leaves the state
-    alone, and an integer survey multiplicity c applies it c * repeat
-    times. repeat > 1 models a multi-voting cheater.
+    YES applies the yes operator diag(e^{i 2 pi k / d}) once, NO leaves the
+    state alone, and an integer survey multiplicity e applies it e times:
+    the amplitudes with digit k at that site gain e^{i 2 pi e k / d}.
     """
-    if repeat < 0:
-        raise ConfigurationError(f"repeat must be >= 0, got {repeat}")
     if not 0 <= voter_site < state.num_sites:
         raise ConfigurationError(f"voter_site {voter_site} out of range")
     if isinstance(choice, (int, np.integer)) and not isinstance(choice, bool):
         if choice < 0:
             raise ConfigurationError(f"survey multiplicity must be >= 0, got {choice}")
-        exponent = int(choice) * repeat
+        exponent = int(choice)
     else:
-        exponent = repeat if Vote.parse(choice) is Vote.YES else 0
+        exponent = int(Vote.parse(choice) is Vote.YES)
     d = state.dims[voter_site]
     if exponent % d == 0:
         return state
-    return apply_local(state, voter_site, phase_vote_unitary(d).power(exponent % d))
+    axis = [1] * state.num_sites
+    axis[voter_site] = d
+    phase = np.exp(2j * np.pi * (exponent * np.arange(d) % d) / d).reshape(axis)
+    return PureState(state.dims, (state.shaped() * phase).reshape(-1))
 
 
 def _fit_phase_ladder(voting_state: PureState):

@@ -166,18 +166,15 @@ def run_db_vote(config: BallotConfig, votes, rng: np.random.Generator,
 
 
 def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
-                intercept_hooks=None, transcript: Transcript | None = None,
-                stage_hook=None) -> RunResult:
-    """Travelling-ballot round; yes votes shift the moving qudit.
+                transcript: Transcript | None = None, stage_hook=None) -> RunResult:
+    """Travelling-ballot round; yes votes shift the moving qudit (site 1).
 
-    ``intercept_hooks`` maps (voter_index, "pre"|"post") to a callable
-    (state, rng) -> state invoked before/after that voter's operation,
-    which is how the adversary module splices in measurements.
+    ``stage_hook(label, state)`` sees the dense pair after preparation and
+    after each vote. The collusion attack runs its own voter loop.
     """
     if config.scheme is not Scheme.TB:
         raise ConfigurationError(f"run_tb_vote needs a TB config, got {config.scheme}")
     choices = _parse_votes(config, votes)
-    hooks = intercept_hooks or {}
     state = prepare_tb_ballot(config.d)
     shift = shift_unitary(config.d)
     if transcript:
@@ -186,15 +183,11 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
     if stage_hook:
         stage_hook("prepared", state)
     for i, choice in enumerate(choices):
-        if (i, "pre") in hooks:
-            state = hooks[(i, "pre")](state, rng)
         if choice is Vote.YES:
             state = apply_local(state, 1, shift)
         if transcript:
             transcript.event(0, "VOTE", site=1,
                              payload={"commitment": transcript.commit(0, i, choice.value)})
-        if (i, "post") in hooks:
-            state = hooks[(i, "post")](state, rng)
         if stage_hook:
             stage_hook(f"after_vote_{i}", state)
     if transcript:
@@ -208,8 +201,12 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
     return RunResult("TB", m, [m], statistics=stats)
 
 
-def _secure_round(config: BallotConfig, choices, rep_rng, per_voter_thetas=None,
-                  extra_phases=None):
+def honest_thetas(config: BallotConfig, choices) -> list[float]:
+    """The angle each SECURE voter casts: theta_yes for a yes vote, else theta_no."""
+    return [config.theta_yes if c is Vote.YES else config.theta_no for c in choices]
+
+
+def _secure_round(config: BallotConfig, thetas, rep_rng):
     """One anti-reuse execution in the correlated basis; returns (m, p, rs).
 
     Voter i's pairing outcome r_i is uniform for any ballot state and only
@@ -219,13 +216,7 @@ def _secure_round(config: BallotConfig, choices, rep_rng, per_voter_thetas=None,
     d = config.d
     state = CorrelatedState.uniform(d, 2 * config.N)
     rs = []
-    for i, choice in enumerate(choices):
-        if per_voter_thetas is not None:
-            theta = per_voter_thetas[i][0 if choice is Vote.YES else 1]
-        else:
-            theta = config.theta_yes if choice is Vote.YES else config.theta_no
-        if extra_phases and i in extra_phases:
-            theta += float(extra_phases[i])
+    for theta in thetas:
         rs.append(_sample(np.full(d, 1 / d), rep_rng))
         state = state.apply_site_phase(theta)
     return (*secure_tally(state.c, config, rep_rng), rs)
@@ -233,20 +224,23 @@ def _secure_round(config: BallotConfig, choices, rep_rng, per_voter_thetas=None,
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
                     repetitions: int = 3, transcript: Transcript | None = None,
-                    per_voter_thetas=None, extra_phases=None) -> RunResult:
+                    thetas=None) -> RunResult:
     """Anti-reuse scheme: R independent executions must agree.
 
     Each repetition prepares a fresh ballot and fresh voting qudits from
     its own child stream. The result is the common tally when every
     repetition decodes the same valid multiple; anything else reports
-    CHEAT_DETECTED. ``per_voter_thetas`` (authority-side tampering) and
-    ``extra_phases`` (voter-side forgery) exist for the adversary module.
+    CHEAT_DETECTED. ``thetas`` lists the angle each voter casts and
+    defaults to ``honest_thetas``; attacks pass a tampered list.
     """
     if config.scheme is not Scheme.SECURE:
         raise ConfigurationError(f"run_secure_vote needs a SECURE config, got {config.scheme}")
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     choices = _parse_votes(config, votes)
+    thetas = honest_thetas(config, choices) if thetas is None else list(thetas)
+    if len(thetas) != config.N:
+        raise ConfigurationError(f"expected {config.N} voting angles, got {len(thetas)}")
     outcomes, ps = [], []
     for rep, rep_rng in enumerate(rng.spawn(repetitions)):
         if transcript:
@@ -254,7 +248,7 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
                              payload={"scheme": "SECURE", "d": config.d, "N": config.N,
                                       "repetitions": repetitions})
             transcript.event(rep, "DISTRIBUTE")
-        m, p, rs = _secure_round(config, choices, rep_rng, per_voter_thetas, extra_phases)
+        m, p, rs = _secure_round(config, thetas, rep_rng)
         if transcript:
             for i, choice in enumerate(choices):
                 transcript.event(rep, "VOTE", site=i,

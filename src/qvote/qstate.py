@@ -92,9 +92,6 @@ class LocalUnitary:
         if dev > ATOL:
             raise ConfigurationError(f"matrix is not unitary (deviation {dev})")
 
-    def power(self, k: int) -> "LocalUnitary":
-        return LocalUnitary(self.dim, np.linalg.matrix_power(self.mat, int(k)))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -147,8 +147,8 @@ class TestPhaseEstimateAttack:
         delta = 2 * np.pi / 11
         disagreements = 0
         for g in rngmod.stream(8, 2).spawn(300):
-            result = run_secure_vote(config, "NNN", g, repetitions=2,
-                                     extra_phases={0: delta + eps})
+            thetas = [config.theta_no + (delta + eps), config.theta_no, config.theta_no]
+            result = run_secure_vote(config, "NNN", g, repetitions=2, thetas=thetas)
             disagreements += result.outcomes[0] != result.outcomes[1]
         assert disagreements / 300 > 0.05
 

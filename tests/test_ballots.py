@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from qvote.ballots import (
@@ -28,6 +30,7 @@ from qvote.errors import ConfigurationError
 from qvote.qstate import (
     INVALID,
     CorrelatedState,
+    LocalUnitary,
     ProjectorSet,
     PureState,
     apply_local,
@@ -153,7 +156,8 @@ class TestVotingOperators:
         np.testing.assert_allclose(shift_unitary(2).mat, [[0, 1], [1, 0]], atol=1e-12)
 
     def test_shift_order_d(self):
-        np.testing.assert_allclose(shift_unitary(5).power(5).mat, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.matrix_power(shift_unitary(5).mat, 5), np.eye(5),
+                                   atol=1e-12)
 
 
 class TestVotingQuditState:
@@ -191,7 +195,7 @@ class TestCastVoteDb:
 
     def test_yes_repeated_d_times_wraps(self):
         state = prepare_db_ballot(3, 2)
-        out = cast_vote_db(state, 1, Vote.YES, repeat=3)
+        out = cast_vote_db(state, 1, 3)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     def test_survey_multiplicity(self):
@@ -201,6 +205,23 @@ class TestCastVoteDb:
     def test_site_out_of_range(self):
         with pytest.raises(ConfigurationError):
             cast_vote_db(prepare_db_ballot(3, 2), 2, Vote.NO)
+
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=4), st.data(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_matrix_power_on_random_states(self, dims, data, seed):
+        # A DB ballot is the same on every site, so only a random state with
+        # mixed dimensions shows a phase applied along the wrong axis.
+        site = data.draw(st.integers(0, len(dims) - 1))
+        d = dims[site]
+        choice = data.draw(st.sampled_from([Vote.YES, Vote.NO]) | st.integers(0, 3 * d))
+        g = np.random.default_rng(seed)
+        amps = g.normal(size=math.prod(dims)) + 1j * g.normal(size=math.prod(dims))
+        state = PureState.from_amplitudes(dims, amps)
+        exponent = int(choice is Vote.YES) if isinstance(choice, Vote) else choice
+        op = LocalUnitary(d, np.linalg.matrix_power(phase_vote_unitary(d).mat, exponent))
+        np.testing.assert_allclose(cast_vote_db(state, site, choice).amps,
+                                   apply_local(state, site, op).amps, rtol=0, atol=1e-12)
 
 
 def pairing_projectors(d):

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from qvote.cli import main
+from qvote.cli import CONFIG_SCHEMA, main
 
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -153,6 +154,11 @@ class TestCmdVerify:
         assert run_cli("verify", "ansatz", "--d", 2, "--etas", "0.0,3.14159") == 1
 
 
+def test_config_schema_is_valid():
+    # The validator is built once at import and no longer checks the schema.
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
 class TestCmdReport:
     def make_transcript(self, tmp_path, scenario="secure_honest.json"):
         out = tmp_path / "runout"
@@ -204,3 +210,14 @@ class TestCmdReport:
                 *overrides)
         name = next(tmp_path.glob("*.transcript.jsonl")).name
         assert run_cli("report", GOLDEN / name) == entry["exit"]
+
+    @pytest.mark.parametrize("scenario,overrides", [
+        # One trial: its lone CHEAT_DETECTED tally must still convict.
+        ("secure_honest.json", ["d=8", "secrets.l_y=2", 'attack={"name":"mismatched_thetas"}']),
+        # Per-trial hit counts differ by design and are not tallies.
+        ("product_ballot_control.json", []),
+    ], ids=["single-cheat-tally", "product-ballot-hits"])
+    def test_report_exit_matches_run(self, scenario, overrides, tmp_path, capsys):
+        args = [arg for item in overrides for arg in ("--override", item)]
+        code = run_cli("run", "--config", SCENARIOS / scenario, "--out", tmp_path, *args)
+        assert run_cli("report", next(tmp_path.glob("*.transcript.jsonl"))) == code

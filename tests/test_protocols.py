@@ -103,9 +103,15 @@ class TestRunSecureVote:
         flagged = 0
         for g in rngmod.stream(6, 1).spawn(60):
             result = run_secure_vote(config, "NN", g, repetitions=3,
-                                     extra_phases={0: 2 * np.pi / 11 + np.pi / 11})
+                                     thetas=[config.theta_no + 2 * np.pi / 11 + np.pi / 11,
+                                             config.theta_no])
             flagged += result.m == CHEAT_DETECTED
         assert flagged > 30
+
+    def test_thetas_need_one_angle_per_voter(self):
+        config = BallotConfig(11, 2, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        with pytest.raises(ConfigurationError, match="voting angles"):
+            run_secure_vote(config, "NN", rngmod.stream(6, 1), thetas=[config.theta_no])
 
     def test_no_false_cheat_detection_across_1000_seeds(self):
         config = BallotConfig(7, 2, Scheme.SECURE, secrets=SecureSecrets(2, 1, 0.1))
@@ -211,9 +217,10 @@ class TestCorrelatedMatchesDense:
                                    min_size=n, max_size=n))
         extra = data.draw(st.none() | st.tuples(st.integers(0, n - 1),
                                                 st.floats(-np.pi, np.pi)))
-        extra_phases = None if extra is None else {extra[0]: extra[1]}
-        m, p, rs = _secure_round(config, votes, np.random.default_rng(seed),
-                                 extra_phases=extra_phases)
+        thetas = [config.theta_yes if v is Vote.YES else config.theta_no for v in votes]
+        if extra is not None:
+            thetas[extra[0]] += extra[1]
+        m, p, rs = _secure_round(config, thetas, np.random.default_rng(seed))
 
         # Dense reference: every pairing outcome r also multiplies the
         # state by e^{-i r theta}, a global phase the correlated form drops.
@@ -223,8 +230,8 @@ class TestCorrelatedMatchesDense:
             theta = config.theta_yes if vote is Vote.YES else config.theta_no
             state, r = cast_vote_secure(state, i, voting_qudit_state(d, theta), rng)
             ref_rs.append(r)
-            if extra_phases and i in extra_phases:
-                phase = np.diag(np.exp(1j * np.arange(d) * extra_phases[i]))
+            if extra is not None and i == extra[0]:
+                phase = np.diag(np.exp(1j * np.arange(d) * extra[1]))
                 state = apply_local(state, i, LocalUnitary(d, phase))
         assert rs == ref_rs
         assert (m, p) == decode_secure(state, config, rng)
