@@ -25,6 +25,10 @@ SIGMA = np.array([
     [[1, 0], [0, -1]],
 ], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+# sigma_j x sigma_k for j, k = 0..3 (sigma_0 = I), row-major in (j, k), as
+# real symmetric 8x8 forms acting on (Re omega, Im omega).
+PAULI_PAIRS_REAL = np.array([np.block([[k.real, -k.imag], [k.imag, k.real]])
+                             for k in (np.kron(a, b) for a in (I2, *SIGMA) for b in (I2, *SIGMA))])
 
 ENUMERATION_GUARD = 16
 
@@ -185,28 +189,81 @@ def _unpack(x: np.ndarray) -> QubitSchemeParams:
     )
 
 
+def _tangent(direction: np.ndarray, length: float, grad: np.ndarray) -> np.ndarray:
+    """Chain a gradient in a unit vector back to the raw vector it normalizes."""
+    return (grad - direction * (direction @ grad)) / length
+
+
+def _residual_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """``qubit_residual(_unpack(x))`` in closed form, with its gradient in x.
+
+    See ``qubit_nogo_search`` for the closed form. omega is packed as the
+    real 8-vector psi = x[8:16] / |x[8:16]|, so M_jk = psi^T K_jk psi with
+    real symmetric K_jk, and dR/dM defines K_H = sum dR/dM_jk K_jk with
+    dR/dx[8:16] = 2 (K_H psi - (psi^T K_H psi) psi) / |x[8:16]|.
+    """
+    nu, theta = x[0], x[1]
+    len_m, len_n, len_w = (max(np.linalg.norm(x[k:l]), 1e-12)
+                           for k, l in ((2, 5), (5, 8), (8, 16)))
+    m_hat, n_hat, psi = x[2:5] / len_m, x[5:8] / len_n, x[8:16] / len_w
+    k_psi = PAULI_PAIRS_REAL @ psi
+    corr = (k_psi @ psi).reshape(4, 4)
+    s, t, tt = corr[1:, 0], corr[0, 1:], corr[1:, 1:]
+    u0, v0, sin_nu, sin_theta = math.cos(nu), math.cos(theta), math.sin(nu), math.sin(theta)
+    u, v = sin_nu * m_hat, sin_theta * n_hat
+    tv = tt @ v
+    p, q, r, alpha = u @ s, v @ t, u @ tv, u0 * v0
+    value = (u0 ** 2 + v0 ** 2 + p ** 2 + q ** 2 + (alpha - r) ** 2 + (1 - alpha - r) ** 2
+             + 2 * (u0 ** 2 * q ** 2 + v0 ** 2 * p ** 2))
+    d_p, d_q = 2 * p * (1 + 2 * v0 ** 2), 2 * q * (1 + 2 * u0 ** 2)
+    d_alpha, d_r = 2 * (2 * alpha - 1), 2 * (2 * r - 1)
+    d_u0 = 2 * u0 * (1 + 2 * q ** 2) + d_alpha * v0
+    d_v0 = 2 * v0 * (1 + 2 * p ** 2) + d_alpha * u0
+    d_u = d_p * s + d_r * tv
+    d_v = d_q * t + d_r * (u @ tt)
+    d_corr = np.zeros((4, 4))
+    d_corr[1:, 0], d_corr[0, 1:], d_corr[1:, 1:] = d_p * u, d_q * v, d_r * np.outer(u, v)
+    h_psi = d_corr.reshape(16) @ k_psi
+    grad = np.empty(16)
+    grad[0] = u0 * (m_hat @ d_u) - sin_nu * d_u0
+    grad[1] = v0 * (n_hat @ d_v) - sin_theta * d_v0
+    grad[2:5] = _tangent(m_hat, len_m, sin_nu * d_u)
+    grad[5:8] = _tangent(n_hat, len_n, sin_theta * d_v)
+    grad[8:16] = _tangent(psi, len_w, 2 * h_psi)
+    return float(value), grad
+
+
 def qubit_nogo_search(restarts: int = 200, iterations: int = 500,
                       rng: np.random.Generator | None = None) -> tuple[float, QubitSchemeParams]:
     """Multi-start local descent over all two-qubit voting schemes.
 
     The residual cannot reach zero for qubits; the returned minimum is
-    the numerical witness. Gradients are finite-difference, restarts
-    draw independent starting points from ``rng``.
+    the numerical witness. Restarts draw independent starting points
+    from ``rng``; L-BFGS-B gets the residual and its exact gradient from
+    one closed-form evaluation.
+
+    With U = u0 I + i u.sigma (u0 = cos nu, u = sin nu m_hat), V likewise
+    (v0, v from theta and n_hat), and the real correlations
+    M_jk = <omega|sigma_j x sigma_k|omega> (sigma_0 = I), take
+    s = M[1:, 0], t = M[0, 1:], T = M[1:, 1:], p = u.s, q = v.t,
+    r = u.T.v and alpha = u0 v0. Then
+
+        R = u0^2 + v0^2 + p^2 + q^2 + (alpha - r)^2 + (1 - alpha - r)^2
+            + 2 (u0^2 q^2 + v0^2 p^2),
+
+    which equals ``qubit_residual``.
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def objective(x):
-        return qubit_residual(_unpack(x))
-
     best_val, best_x = np.inf, None
     for _ in range(int(restarts)):
         x0 = np.empty(16)
         x0[0:2] = rng.uniform(0, 2 * np.pi, 2)
         x0[2:] = rng.standard_normal(14)
-        res = minimize(objective, x0, method="L-BFGS-B",
+        res = minimize(_residual_and_grad, x0, jac=True, method="L-BFGS-B",
                        options={"maxiter": int(iterations)})
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
@@ -226,15 +283,19 @@ def qutrit_solution_check() -> float:
 
 
 def general_residual(u_mat: np.ndarray, v_mat: np.ndarray, omega: np.ndarray) -> float:
-    """privacy_residual for arbitrary equal-dimension voter operators."""
+    """privacy_residual for arbitrary equal-dimension voter operators.
+
+    Each <omega|A x B|omega> is tr(W^dagger A W B^T), with W = omega as a
+    du x dv matrix.
+    """
     u = np.asarray(u_mat, dtype=complex)
     v = np.asarray(v_mat, dtype=complex)
-    omega = np.asarray(omega, dtype=complex).reshape(-1)
-    du, dv = u.shape[0], v.shape[0]
-    a = np.vdot(omega, np.kron(u, np.eye(dv)) @ omega)
-    b = np.vdot(omega, np.kron(np.eye(du), v) @ omega)
-    c = np.vdot(omega, np.kron(u, v) @ omega)
-    e = np.vdot(omega, np.kron(u, v.conj().T) @ omega)
+    w = np.asarray(omega, dtype=complex).reshape(u.shape[0], v.shape[0])
+    uw = u @ w
+    a = np.vdot(w, uw)
+    b = np.vdot(w, w @ v.T)
+    c = np.vdot(w, uw @ v.T)
+    e = np.vdot(w, uw @ v.conj())
     return float(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(1 - e) ** 2)
 
 

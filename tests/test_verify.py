@@ -138,6 +138,27 @@ def bell_state():
     return np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
 
+def kron_residual(u, v, omega):
+    """Reference residual from the full A x B operators."""
+    du, dv = u.shape[0], v.shape[0]
+    a = np.vdot(omega, np.kron(u, np.eye(dv)) @ omega)
+    b = np.vdot(omega, np.kron(np.eye(du), v) @ omega)
+    c = np.vdot(omega, np.kron(u, v) @ omega)
+    e = np.vdot(omega, np.kron(u, v.conj().T) @ omega)
+    return float(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(1 - e) ** 2)
+
+
+def random_unitary(d, rng):
+    return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+
+def random_packed_point(rng):
+    """A search point with raw, unnormalized m, n and omega."""
+    x = rng.standard_normal(16) * rng.uniform(0.2, 3.0)
+    x[0:2] = rng.uniform(0, 2 * np.pi, 2)
+    return x
+
+
 class TestQubitNogo:
     def test_identity_operations_score_three(self):
         params = QubitSchemeParams(0.0, np.array([0, 0, 1.0]), 0.0,
@@ -173,6 +194,38 @@ class TestQubitNogo:
             assert phased == pytest.approx(base, abs=1e-12)
             assert flipped == pytest.approx(base, abs=1e-12)
 
+    def test_closed_form_matches_residual(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x = random_packed_point(rng)
+            value, _ = verify._residual_and_grad(x)
+            assert value == pytest.approx(qubit_residual(verify._unpack(x)), abs=1e-12)
+
+    def test_gradient_matches_central_differences(self):
+        # Differences of the reference residual, so the check does not
+        # share the closed form it tests.
+        rng = np.random.default_rng(12)
+        h = 1e-6
+        for _ in range(50):
+            x = random_packed_point(rng)
+            _, grad = verify._residual_and_grad(x)
+            central = np.array([
+                (qubit_residual(verify._unpack(x + h * e))
+                 - qubit_residual(verify._unpack(x - h * e))) / (2 * h)
+                for e in np.eye(16)])
+            assert np.linalg.norm(grad - central) <= 1e-5 * np.linalg.norm(central)
+
+    def test_search_calls_minimize_with_exact_gradient(self, monkeypatch):
+        real, jacs = verify.minimize, []
+
+        def spy(fun, x0, **kwargs):
+            jacs.append(kwargs.get("jac"))
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(verify, "minimize", spy)
+        qubit_nogo_search(3, 50, rngmod.stream(7, 2))
+        assert jacs == [True] * 3
+
     def test_requires_restarts(self):
         with pytest.raises(ConfigurationError):
             qubit_nogo_search(0, 10, rngmod.stream(0, 2))
@@ -181,6 +234,18 @@ class TestQubitNogo:
         with pytest.raises(ConfigurationError):
             QubitSchemeParams(0.1, np.array([0, 0, 2.0]), 0.1,
                               np.array([0, 0, 1.0]), bell_state())
+
+
+class TestGeneralResidual:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_trace_form_matches_kron_form(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            u, v = random_unitary(d, rng), random_unitary(d, rng)
+            omega = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+            omega /= np.linalg.norm(omega)
+            assert general_residual(u, v, omega) == pytest.approx(
+                kron_residual(u, v, omega), abs=1e-12)
 
 
 class TestQutritSolution:
