@@ -9,10 +9,17 @@ Conventions fixed here:
   and applies it directly; the estimate carries a uniform error of
   half-width pi * scale / d, the single-copy estimation floor.
 
-SECURE forgeries run in the correlated form; dense states carry only the
-TB collusion and product-ballot attacks. The swap test draws from its
-closed-form weights (1 +- |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
-(2001)), and the phase-basis readout is an orthonormal FFT on one site.
+No attack builds a dense state. Each Monte Carlo attack spends a fixed
+number of doubles per trial from the trial's own stream, takes them in
+one call, and maps them through closed forms: SECURE forgeries run every
+trial's repetitions through one batched ``_secure_rounds``; the TB
+collusion attack follows the pair in its d amplitudes, where only the
+first colluder's reading is random; the product-ballot readout is an
+orthonormal FFT of one voter's qudit, or uniform on the honest ballot.
+The swap test draws from its closed-form weights (1 +- |<a|b>|^2)/2
+(Buhrman et al., PRL 87, 167902 (2001)). Only ``detect_subset_correlation``
+measures a dense state, the one it is given. ``tests/reference.py`` keeps
+the dense per-trial loops these kernels must match draw for draw.
 """
 
 from dataclasses import dataclass, field
@@ -24,24 +31,31 @@ from .ballots import (
     BallotConfig,
     Scheme,
     Vote,
+    _phase_basis_probs,
+    _phase_cdf,
+    _phase_outcome,
     cast_vote_db,
-    decode_db,
-    decode_tb,
     phase_vote_unitary,
-    prepare_db_ballot,
-    prepare_tb_ballot,
-    shift_unitary,
     voting_qudit_state,
 )
 from .errors import ConfigurationError
-from .protocols import RunResult, _parse_votes, _phase_round, honest_thetas, run_secure_vote
+from .protocols import (
+    RunResult,
+    _parse_votes,
+    _phase_round,
+    _secure_result,
+    _secure_rounds,
+    honest_thetas,
+    run_secure_vote,
+)
 from .qstate import (
     INVALID,
+    CorrelatedState,
     PureState,
-    _sample_with_invalid,
-    apply_local,
+    _cdf,
+    _pick,
+    _with_invalid,
     measure_computational,
-    tensor,
 )
 
 CLEAN = "CLEAN"
@@ -91,6 +105,11 @@ def _bump(hist: dict, key):
     hist[key] = hist.get(key, 0) + 1
 
 
+def _renormalized(c: np.ndarray) -> np.ndarray:
+    """Each amplitude over its modulus, rounded as ``np.linalg.norm`` rounds a one-hot state."""
+    return c / np.sqrt(c.real * c.real + c.imag * c.imag)
+
+
 def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
                         rng: np.random.Generator) -> AttackReport:
     """Two voters bracket the others by measuring the travelling qudit.
@@ -101,6 +120,12 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     tally (collapse commutes with shifts), but the phase-decoded variant
     of the same protocol is completely randomized by the collapse. Both
     authority histograms are reported.
+
+    Each trial runs the shift-vote variant, then the phase-vote variant,
+    and spends three doubles of its stream on each: the first colluder's
+    reading, the second's and the authority's decode. The pair stays in
+    sum_k c_k |k, k + s>, so the first reading is the only random one; it
+    leaves a product state on which the rest is determined.
     """
     if config.scheme is not Scheme.TB:
         raise ConfigurationError(f"collusion attack needs a TB config, got {config.scheme}")
@@ -108,30 +133,42 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     if not 0 <= i < j < config.N:
         raise ConfigurationError(f"colluders must satisfy 0 <= i < j < N, got {colluders}")
     choices = _parse_votes(config, votes)
-    expected = sum(1 for t in range(i + 1, j) if choices[t] is Vote.YES)
+    yes = [c is Vote.YES for c in choices]
+    expected = sum(yes[i + 1:j])
 
     d = config.d
-    inferred = []
-    diff_hist: dict = {}
+    u = np.array([g.random(6) for g in rng.spawn(int(trials))]).reshape(-1, 6)
+    c = CorrelatedState.uniform(d, 2).c
+    # Shift votes only permute the pair's amplitudes, so the first reading
+    # sees the |c_k|^2 in some order. The second reading and the difference
+    # decode are determined and spend u[:, 1] and u[:, 2].
+    first = _pick(_cdf(np.abs(c) ** 2), u[:, 0])
+    second = (first + expected) % d
+    inferred = ((second - first) % d).tolist()
+    diff_hist = {sum(yes) % d: len(u)} if len(u) else {}
+
+    # Phase votes keep the pair diagonal. The first reading k leaves c_k on
+    # |k, k>, renormalized; the second reads k again (spending u[:, 4]) and
+    # renormalizes once more. The phase decode of that one-hot state spends
+    # u[:, 5]. Entry k of c follows the outcome-k branch.
+    phase = phase_vote_unitary(d).mat.diagonal()
+    for t in range(i + 1):
+        if yes[t]:
+            c = c * phase
+    first_phase = _pick(_cdf(np.abs(c) ** 2), u[:, 3])
+    c = _renormalized(c)
+    for t in range(i + 1, config.N):
+        if t == j:
+            c = _renormalized(c)
+        if yes[t]:
+            c = c * phase
+    ks = np.unique(first_phase)
+    one_hot = np.zeros((len(ks), d), dtype=complex)
+    one_hot[np.arange(len(ks)), ks] = c[ks]
+    cdfs = dict(zip(ks.tolist(), map(_phase_cdf, _phase_basis_probs(one_hot))))
     phase_hist: dict = {}
-    shift_op, phase_op = shift_unitary(d), phase_vote_unitary(d)
-    for trial_rng in rng.spawn(int(trials)):
-        # The travelling ballot with shift votes, then its phase-voting
-        # variant, whose relative phases the collapse erases.
-        for op in (shift_op, phase_op):
-            state = prepare_tb_ballot(d)
-            for t, choice in enumerate(choices):
-                if t == j:
-                    second, state = measure_computational(state, 1, trial_rng)
-                if choice is Vote.YES:
-                    state = apply_local(state, 1, op)
-                if t == i:
-                    first, state = measure_computational(state, 1, trial_rng)
-            if op is shift_op:
-                inferred.append((second - first) % d)
-                _bump(diff_hist, decode_tb(state, d, trial_rng))
-            else:
-                _bump(phase_hist, decode_db(state, d, 2, trial_rng))
+    for k, x in zip(first_phase.tolist(), u[:, 5]):
+        _bump(phase_hist, _phase_outcome(cdfs[k], x))
 
     return AttackReport(
         attack="collusion_tb",
@@ -185,19 +222,30 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
         raise ConfigurationError(f"phase attack needs a SECURE config, got {config.scheme}")
     if not 0 <= cheater < config.N:
         raise ConfigurationError(f"cheater index {cheater} out of range")
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     if votes is None:
         votes = [Vote.NO] * config.N
     choices = _parse_votes(config, votes)
     delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
     half_width = np.pi * float(estimation_error_scale) / config.d
 
-    verdicts, hist, per_trial = [], {}, []
+    # Per trial: the estimate error, then one child stream per repetition,
+    # as run_secure_vote spawns them. All trials' repetitions run as one batch.
+    honest = honest_thetas(config, choices)
+    errors, theta_rows, rep_rngs = [], [], []
     for trial_rng in rng.spawn(int(trials)):
         eps = float(trial_rng.uniform(-half_width, half_width)) if half_width > 0 else 0.0
-        thetas = honest_thetas(config, choices)
+        thetas = list(honest)
         thetas[int(cheater)] += float(delta_phase + eps)
-        result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
-                                 thetas=thetas)
+        errors.append(eps)
+        theta_rows += [thetas] * repetitions
+        rep_rngs += trial_rng.spawn(repetitions)
+    rounds = _secure_rounds(config, theta_rows, rep_rngs)
+
+    verdicts, hist, per_trial = [], {}, []
+    for t, eps in enumerate(errors):
+        result = _secure_result(rounds[t * repetitions:(t + 1) * repetitions], repetitions)
         detected = result.m == CHEAT_DETECTED
         verdicts.append(detected)
         per_trial.append({"eps": eps, "outcomes": result.outcomes, "p": result.p,
@@ -215,16 +263,6 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     )
 
 
-def _phase_basis_measure(state: PureState, site: int, rng: np.random.Generator):
-    """Measure one site in the {|psi(2 pi l / d)>} basis; returns (l, post).
-
-    <psi(2 pi l / d)|k> = e^{-i 2 pi k l / d} / sqrt(d), so an orthonormal
-    FFT along the site rotates the basis onto the computational one.
-    """
-    rotated = np.fft.fft(state.shaped(), axis=site, norm="ortho")
-    return measure_computational(PureState(state.dims, rotated.reshape(-1)), site, rng)
-
-
 def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generator,
                              trials: int = 100, honest_ballot: bool = False) -> AttackReport:
     """Malicious authority sends unentangled ballots and reads the votes.
@@ -234,34 +272,38 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
     phase-state basis identifies every vote exactly. Running the same
     measurement against the honest entangled ballot yields chance-level
     identification (the control).
+
+    The authority reads the sites in order, one double each from the
+    trial's stream. A product ballot's sites are independent, so each
+    reading is drawn from the orthonormal FFT of that voter's qudit. On
+    the honest ballot, a reading l is uniform and leaves
+    c_k e^{-i 2 pi k l / d} on the other sites, so the last site reads the
+    tally minus the earlier readings, mod d; that reading is determined
+    but still spends its double.
     """
     if config.scheme is not Scheme.DB:
         raise ConfigurationError(f"product-ballot attack needs a DB config, got {config.scheme}")
-    choices = [Vote.parse(v) for v in votes]
+    choices = _parse_votes(config, votes)
     actual = [1 if c is Vote.YES else 0 for c in choices]
 
-    correct = np.zeros(config.N, dtype=int)
-    hist: dict = {}
-    per_trial_correct = []
-    for trial_rng in rng.spawn(int(trials)):
-        if honest_ballot:
-            state = prepare_db_ballot(config.d, config.N)
-        else:
-            state = voting_qudit_state(config.d, 0.0)
-            for _ in range(config.N - 1):
-                state = tensor(state, voting_qudit_state(config.d, 0.0))
+    d = config.d
+    u = np.array([g.random(config.N) for g in rng.spawn(int(trials))]).reshape(-1, config.N)
+    if honest_ballot:
+        guesses = _pick(np.full(d, 1 / d).cumsum(), u)
+        guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
+    else:
+        qudit = voting_qudit_state(d, 0.0)
+        guesses = np.empty(u.shape, dtype=int)
         for t, choice in enumerate(choices):
-            state = cast_vote_db(state, t, choice)
-        guesses = []
-        for site in range(config.N):
-            l, state = _phase_basis_measure(state, site, trial_rng)
-            guesses.append(l)
-        hits = [g == a for g, a in zip(guesses, actual)]
-        correct += np.array(hits, dtype=int)
-        per_trial_correct.append(sum(hits))
-        _bump(hist, sum(hits))
+            readout = np.fft.fft(cast_vote_db(qudit, 0, choice).amps, norm="ortho")
+            guesses[:, t] = _pick(_cdf(np.abs(readout) ** 2), u[:, t])
+    hits = guesses == np.array(actual)
+    per_trial_correct = hits.sum(axis=1).tolist()
+    hist: dict = {}
+    for k in per_trial_correct:
+        _bump(hist, k)
 
-    accuracy = (correct / int(trials)).tolist()
+    accuracy = (hits.sum(axis=0) / int(trials)).tolist()
     return AttackReport(
         attack="authority_product_ballot",
         trials=int(trials),
@@ -340,11 +382,12 @@ def detect_symmetry(sampled_states, rng: np.random.Generator,
     for s in states:
         if s.num_sites != 1 or s.dims[0] != d:
             raise ConfigurationError("symmetry test compares single qudits of equal dimension")
-    for t in range(int(comparisons)):
-        other = states[1 + t % (len(states) - 1)]
+    cdfs = []
+    for other in states[1:1 + int(comparisons)]:
         f2 = abs(np.vdot(states[0].amps, other.amps)) ** 2
-        outcome, _ = _sample_with_invalid(np.array([(1 + f2) / 2, (1 - f2) / 2]), rng)
-        if outcome == 1:
+        cdfs.append(_cdf(_with_invalid(np.array([(1 + f2) / 2, (1 - f2) / 2]))))
+    for t in range(int(comparisons)):
+        if _pick(cdfs[t % (len(states) - 1)], rng.random()) == 1:
             return CHEATING
     return CLEAN
 

@@ -29,8 +29,10 @@ from .qstate import (
     CorrelatedState,
     LocalUnitary,
     PureState,
+    _cdf,
+    _pick,
     _sample,
-    _sample_with_invalid,
+    _with_invalid,
 )
 
 CHEAT_DETECTED = "CHEAT_DETECTED"
@@ -267,14 +269,27 @@ def _correlated_overlaps(state: PureState) -> np.ndarray:
 
 
 def _phase_basis_probs(corr: np.ndarray) -> np.ndarray:
-    """|<omega_p|psi>|^2 for omega_p = (1/sqrt d) sum_k e^{i 2 pi p k/d}|k..k>, by FFT."""
-    return np.abs(np.fft.fft(corr) / math.sqrt(len(corr))) ** 2
+    """|<omega_p|psi>|^2 for omega_p = (1/sqrt d) sum_k e^{i 2 pi p k/d}|k..k>, by FFT.
+
+    A 2-D ``corr`` holds one state per row.
+    """
+    return np.abs(np.fft.fft(corr) / math.sqrt(corr.shape[-1])) ** 2
+
+
+def _phase_cdf(probs: np.ndarray) -> np.ndarray:
+    """CDF of the omega_p reading, with the INVALID complement as the last entry."""
+    return _cdf(_with_invalid(probs))
+
+
+def _phase_outcome(cdf: np.ndarray, u: float):
+    """The omega_p reading that the uniform double ``u`` picks from ``cdf``."""
+    p = int(_pick(cdf, u))
+    return INVALID if p == len(cdf) - 1 else p
 
 
 def decode_phase(corr: np.ndarray, rng: np.random.Generator):
     """Measure correlated amplitudes in the omega_p basis; INVALID is the complement."""
-    p, _ = _sample_with_invalid(_phase_basis_probs(corr), rng)
-    return INVALID if p == len(corr) else int(p)
+    return _phase_outcome(_phase_cdf(_phase_basis_probs(corr)), rng.random())
 
 
 def decode_db(state: PureState, d: int, N: int, rng: np.random.Generator):
@@ -311,7 +326,16 @@ def secure_tally(corr: np.ndarray, config: BallotConfig, rng: np.random.Generato
     raw phase index or INVALID. The authority knows N, l_n and delta, so
     it removes e^{i k N theta_n} before projecting onto the p-states.
     """
-    p = decode_phase(corr * np.exp(-1j * np.arange(config.d) * config.N * config.theta_no), rng)
+    return _secure_outcome(decode_phase(corr * _no_phase_compensation(config), rng), config)
+
+
+def _no_phase_compensation(config: BallotConfig) -> np.ndarray:
+    """e^{-i k N theta_n}, which the authority multiplies into c before reading p."""
+    return np.exp(-1j * np.arange(config.d) * config.N * config.theta_no)
+
+
+def _secure_outcome(p, config: BallotConfig):
+    """(m, p) for the phase reading p: its tally, or CHEAT_DETECTED."""
     if p == INVALID:
         return CHEAT_DETECTED, INVALID
     return solve_tally(p, config), p

@@ -8,6 +8,7 @@ is derived from the master seed and is not serialized.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,14 +20,18 @@ from .ballots import (
     Scheme,
     TWO_VOTER_TB_LABELS,
     Vote,
+    _no_phase_compensation,
+    _phase_basis_probs,
+    _phase_cdf,
+    _phase_outcome,
+    _secure_outcome,
     decode_phase,
     decode_tb,
     prepare_tb_ballot,
-    secure_tally,
     shift_unitary,
 )
 from .errors import ConfigurationError
-from .qstate import CorrelatedState, apply_local, _sample
+from .qstate import ATOL, CorrelatedState, _pick, apply_local
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
 
@@ -206,20 +211,38 @@ def honest_thetas(config: BallotConfig, choices) -> list[float]:
     return [config.theta_yes if c is Vote.YES else config.theta_no for c in choices]
 
 
-def _secure_round(config: BallotConfig, thetas, rep_rng):
-    """One anti-reuse execution in the correlated basis; returns (m, p, rs).
+def _secure_rounds(config: BallotConfig, theta_rows, rep_rngs) -> list[tuple]:
+    """Anti-reuse executions in the correlated basis, one per row; returns (m, p, rs) each.
 
-    Voter i's pairing outcome r_i is uniform for any ballot state and only
-    multiplies the state by the global phase e^{-i r_i theta_i}, so r_i is
-    drawn and logged but leaves c untouched: the cast is c_k *= e^{ik theta_i}.
+    Row t casts the angles ``theta_rows[t]`` and draws from ``rep_rngs[t]``:
+    N + 1 doubles, the N pairing outcomes and then the tally. Voter i's
+    pairing outcome r_i is uniform for any ballot state and only multiplies
+    the state by the global phase e^{-i r_i theta_i}, so r_i is drawn and
+    logged but leaves c untouched: the cast is c_k *= e^{ik theta_i}. All
+    rows share one FFT; the draws and their lookups stay per row.
     """
-    d = config.d
-    state = CorrelatedState.uniform(d, 2 * config.N)
-    rs = []
-    for theta in thetas:
-        rs.append(_sample(np.full(d, 1 / d), rep_rng))
-        state = state.apply_site_phase(theta)
-    return (*secure_tally(state.c, config, rep_rng), rs)
+    d, n = config.d, config.N
+    thetas = np.asarray(theta_rows, dtype=float).reshape(-1, n)
+    u = np.array([g.random(n + 1) for g in rep_rngs]).reshape(len(thetas), n + 1)
+    rs = _pick(np.full(d, 1 / d).cumsum(), u[:, :n]).tolist()
+    c = np.full((len(thetas), d), 1 / math.sqrt(d), dtype=complex)
+    k = np.arange(d)
+    for i in range(n):
+        c = c * np.exp(1j * k * thetas[:, i, None])
+        if np.any(np.abs(np.linalg.norm(c, axis=1) - 1.0) > ATOL):
+            raise ConfigurationError("correlated amplitudes are not normalized")
+    probs = _phase_basis_probs(c * _no_phase_compensation(config))
+    return [(*_secure_outcome(_phase_outcome(_phase_cdf(row), u[t, n]), config), rs[t])
+            for t, row in enumerate(probs)]
+
+
+def _secure_result(rounds, repetitions: int) -> RunResult:
+    """The common tally when every repetition decodes the same valid multiple."""
+    outcomes = [m for m, _, _ in rounds]
+    agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
+    m = outcomes[0] if agree else CHEAT_DETECTED
+    return RunResult("SECURE", m, outcomes, p=[p for _, p, _ in rounds],
+                     statistics={"repetitions": repetitions, "agreement": agree})
 
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
@@ -241,27 +264,20 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
     thetas = honest_thetas(config, choices) if thetas is None else list(thetas)
     if len(thetas) != config.N:
         raise ConfigurationError(f"expected {config.N} voting angles, got {len(thetas)}")
-    outcomes, ps = [], []
-    for rep, rep_rng in enumerate(rng.spawn(repetitions)):
-        if transcript:
+    rounds = _secure_rounds(config, [thetas] * repetitions, rng.spawn(repetitions))
+    if transcript:
+        for rep, (m, p, rs) in enumerate(rounds):
             transcript.event(rep, "PREPARE",
                              payload={"scheme": "SECURE", "d": config.d, "N": config.N,
                                       "repetitions": repetitions})
             transcript.event(rep, "DISTRIBUTE")
-        m, p, rs = _secure_round(config, thetas, rep_rng)
-        if transcript:
             for i, choice in enumerate(choices):
                 transcript.event(rep, "VOTE", site=i,
                                  payload={"commitment": transcript.commit(rep, i, choice.value),
                                           "r": rs[i]})
             transcript.event(rep, "RETURN")
             transcript.event(rep, "MEASURE", outcome={"p": p, "m": m})
-        outcomes.append(m)
-        ps.append(p)
-    agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
-    m = outcomes[0] if agree else CHEAT_DETECTED
-    return RunResult("SECURE", m, outcomes, p=ps,
-                     statistics={"repetitions": repetitions, "agreement": agree})
+    return _secure_result(rounds, repetitions)
 
 
 def run_survey(config: BallotConfig, euros, rng: np.random.Generator,

@@ -2,9 +2,8 @@
 
 States are flat complex vectors indexed big-endian over the subsystem
 list: site 0 is the most significant digit, so ``amps.reshape(dims)``
-exposes one axis per site in order. All operations return new objects;
-the amplitude buffers are frozen after construction so states can be
-shared between concurrent trial runners.
+exposes one axis per site in order. All operations return new objects,
+and the amplitude buffers are frozen after construction.
 """
 
 import math
@@ -187,19 +186,38 @@ def reduced_density(state: PureState, keep_sites) -> DensityMatrix:
     return DensityMatrix(d_keep, rho)
 
 
+def _pick(cdf: np.ndarray, u):
+    """Inverse-CDF lookup of the uniform double(s) ``u``; index order fixes the convention.
+
+    A ``u`` at or past the last step (weights summing below one) picks the
+    last index. Kernels that take their draws in bulk pick exactly what
+    ``_sample`` picks from the same doubles.
+    """
+    return cdf[:-1].searchsorted(u, side="right")
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF of ``weights`` normalized by their sum."""
+    return (weights / weights.sum()).cumsum()
+
+
 def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """One inverse-CDF draw; index order fixes the sampling convention."""
-    k = int(probs.cumsum().searchsorted(rng.random(), side="right"))
-    return min(k, len(probs) - 1)
+    """One inverse-CDF draw from ``probs``."""
+    return int(_pick(probs.cumsum(), rng.random()))
+
+
+def _with_invalid(probs: np.ndarray) -> np.ndarray:
+    """``probs`` plus the complement 1 - sum(probs) as index len(probs).
+
+    This is the one place INVALID gets its weight.
+    """
+    probs = np.maximum(probs, 0.0)
+    return np.concatenate((probs, [max(0.0, 1.0 - probs.sum())]))
 
 
 def _sample_with_invalid(probs: np.ndarray, rng: np.random.Generator):
-    """Draw from ``probs`` plus the complement 1 - sum(probs) as index len(probs).
-
-    Returns (index, probability). This is the one place INVALID gets its weight.
-    """
-    probs = np.maximum(probs, 0.0)
-    full = np.concatenate((probs, [max(0.0, 1.0 - probs.sum())]))
+    """Draw from ``_with_invalid(probs)``; returns (index, probability)."""
+    full = _with_invalid(probs)
     k = _sample(full / full.sum(), rng)
     return k, float(full[k])
 

@@ -1,0 +1,160 @@
+"""Per-trial state simulations that the closed-form attack kernels replace.
+
+These are the loops the attacks ran before their kernels: the dense
+collusion and product-ballot attacks, the scalar SECURE round and the
+forgery attack that ran one ``run_secure_vote`` per trial. They make the
+same draws in the same order as the kernels, so tests require equal
+reports, draw for draw.
+"""
+
+import numpy as np
+
+from qvote.adversary import AttackReport, _bump
+from qvote.ballots import (
+    CHEAT_DETECTED,
+    BallotConfig,
+    Vote,
+    cast_vote_db,
+    decode_db,
+    decode_tb,
+    phase_vote_unitary,
+    prepare_db_ballot,
+    prepare_tb_ballot,
+    secure_tally,
+    shift_unitary,
+    voting_qudit_state,
+)
+from qvote.protocols import _parse_votes, honest_thetas, run_secure_vote
+from qvote.qstate import (
+    CorrelatedState,
+    PureState,
+    _sample,
+    apply_local,
+    measure_computational,
+    tensor,
+)
+
+
+def phase_basis_measure(state: PureState, site: int, rng: np.random.Generator):
+    """Measure one site in the {|psi(2 pi l / d)>} basis; returns (l, post).
+
+    <psi(2 pi l / d)|k> = e^{-i 2 pi k l / d} / sqrt(d), so an orthonormal
+    FFT along the site rotates the basis onto the computational one.
+    """
+    rotated = np.fft.fft(state.shaped(), axis=site, norm="ortho")
+    return measure_computational(PureState(state.dims, rotated.reshape(-1)), site, rng)
+
+
+def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
+                        rng: np.random.Generator) -> AttackReport:
+    """The TB collusion attack on the dense travelling pair, one state per variant."""
+    i, j = int(colluders[0]), int(colluders[1])
+    choices = _parse_votes(config, votes)
+    expected = sum(1 for t in range(i + 1, j) if choices[t] is Vote.YES)
+    d = config.d
+    inferred, diff_hist, phase_hist = [], {}, {}
+    shift_op, phase_op = shift_unitary(d), phase_vote_unitary(d)
+    for trial_rng in rng.spawn(int(trials)):
+        for op in (shift_op, phase_op):
+            state = prepare_tb_ballot(d)
+            for t, choice in enumerate(choices):
+                if t == j:
+                    second, state = measure_computational(state, 1, trial_rng)
+                if choice is Vote.YES:
+                    state = apply_local(state, 1, op)
+                if t == i:
+                    first, state = measure_computational(state, 1, trial_rng)
+            if op is shift_op:
+                inferred.append((second - first) % d)
+                _bump(diff_hist, decode_tb(state, d, trial_rng))
+            else:
+                _bump(phase_hist, decode_db(state, d, 2, trial_rng))
+    return AttackReport(
+        attack="collusion_tb",
+        trials=int(trials),
+        inferred_secrets={"in_between_yes_counts": inferred, "expected": expected,
+                          "colluders": [i, j]},
+        outcome_histogram=phase_hist,
+        extras={"difference_decoder_histogram": {str(k): v for k, v in diff_hist.items()},
+                "phase_decoder_histogram": {str(k): v for k, v in phase_hist.items()}},
+    )
+
+
+def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generator,
+                             trials: int = 100, honest_ballot: bool = False) -> AttackReport:
+    """The product-ballot attack on the dense N-site state, one site read at a time."""
+    choices = _parse_votes(config, votes)
+    actual = [1 if c is Vote.YES else 0 for c in choices]
+    correct = np.zeros(config.N, dtype=int)
+    hist, per_trial_correct = {}, []
+    for trial_rng in rng.spawn(int(trials)):
+        if honest_ballot:
+            state = prepare_db_ballot(config.d, config.N)
+        else:
+            state = voting_qudit_state(config.d, 0.0)
+            for _ in range(config.N - 1):
+                state = tensor(state, voting_qudit_state(config.d, 0.0))
+        for t, choice in enumerate(choices):
+            state = cast_vote_db(state, t, choice)
+        guesses = []
+        for site in range(config.N):
+            l, state = phase_basis_measure(state, site, trial_rng)
+            guesses.append(l)
+        hits = [g == a for g, a in zip(guesses, actual)]
+        correct += np.array(hits, dtype=int)
+        per_trial_correct.append(sum(hits))
+        _bump(hist, sum(hits))
+    accuracy = (correct / int(trials)).tolist()
+    return AttackReport(
+        attack="authority_product_ballot",
+        trials=int(trials),
+        inferred_secrets={"per_voter_accuracy": accuracy, "actual_votes": actual},
+        outcome_histogram=hist,
+        extras={"honest_ballot": honest_ballot,
+                "per_trial_correct": per_trial_correct,
+                "mean_accuracy": float(np.mean(accuracy))},
+    )
+
+
+def secure_round(config: BallotConfig, thetas, rep_rng):
+    """One SECURE repetition with scalar draws and a validated state per voter."""
+    d = config.d
+    state = CorrelatedState.uniform(d, 2 * config.N)
+    rs = []
+    for theta in thetas:
+        rs.append(_sample(np.full(d, 1 / d), rep_rng))
+        state = state.apply_site_phase(theta)
+    return (*secure_tally(state.c, config, rep_rng), rs)
+
+
+def phase_estimate_attack(config: BallotConfig, cheater: int,
+                          estimation_error_scale: float, trials: int,
+                          rng: np.random.Generator, votes=None,
+                          repetitions: int = 3) -> AttackReport:
+    """The forgery attack with one ``run_secure_vote`` call per trial."""
+    if votes is None:
+        votes = [Vote.NO] * config.N
+    choices = _parse_votes(config, votes)
+    delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
+    half_width = np.pi * float(estimation_error_scale) / config.d
+    verdicts, hist, per_trial = [], {}, []
+    for trial_rng in rng.spawn(int(trials)):
+        eps = float(trial_rng.uniform(-half_width, half_width)) if half_width > 0 else 0.0
+        thetas = honest_thetas(config, choices)
+        thetas[int(cheater)] += float(delta_phase + eps)
+        result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
+                                 thetas=thetas)
+        detected = result.m == CHEAT_DETECTED
+        verdicts.append(detected)
+        per_trial.append({"eps": eps, "outcomes": result.outcomes, "p": result.p,
+                          "detected": detected})
+        _bump(hist, result.m)
+    return AttackReport(
+        attack="phase_estimate",
+        trials=int(trials),
+        inferred_secrets={"delta_phase": delta_phase, "error_half_width": half_width},
+        outcome_histogram=hist,
+        detection_verdicts=verdicts,
+        extras={"per_trial": per_trial, "repetitions": repetitions,
+                "honest_tally": sum(1 for c in choices if c is Vote.YES)},
+    )

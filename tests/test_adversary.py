@@ -9,7 +9,6 @@ from qvote.adversary import (
     CLEAN,
     INCONCLUSIVE,
     AttackReport,
-    _phase_basis_measure,
     authority_product_ballot,
     collusion_attack_tb,
     detect_inconsistent_results,
@@ -43,6 +42,7 @@ from qvote.qstate import (
 from qvote import rng as rngmod
 
 from conftest import random_state
+from reference import phase_basis_measure
 
 
 def product_ballot(d, n):
@@ -195,7 +195,7 @@ class TestAuthorityProductBallot:
         states_rng = np.random.default_rng(len(dims) * 10 + site)
         for seed in range(50):
             state = random_state(dims, states_rng)
-            l, post = _phase_basis_measure(state, site, np.random.default_rng(seed))
+            l, post = phase_basis_measure(state, site, np.random.default_rng(seed))
             rotated = apply_local(state, site, LocalUnitary(d, f.conj().T))
             ref_l, ref_post = measure_computational(rotated, site,
                                                     np.random.default_rng(seed))

@@ -1,0 +1,207 @@
+"""Closed-form attack kernels against their dense references, and RNG stream use.
+
+Each kernel must return the report its per-trial reference in
+``reference.py`` returns, and each trial must advance its stream by a
+fixed number of draws: transcripts replay bit-exactly only while that
+holds. The stream tests compare ``bit_generator.state`` with a fresh
+generator that made exactly that many draws, so one extra or missing draw
+fails them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from qvote.adversary import (
+    CHEATING,
+    CLEAN,
+    authority_product_ballot,
+    collusion_attack_tb,
+    detect_symmetry,
+    phase_estimate_attack,
+)
+from qvote.ballots import BallotConfig, Scheme, SecureSecrets, voting_qudit_state
+from qvote.errors import ConfigurationError
+from qvote.protocols import _secure_rounds, run_db_vote, run_secure_vote, run_survey
+
+# Dense product-ballot references hold d**N amplitudes per trial.
+REFERENCE_BUDGET = 20_000
+
+
+class Recording:
+    """A generator that keeps the children it spawns, for stream inspection."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.children = []
+
+    def spawn(self, n):
+        kids = [Recording(g) for g in self.gen.spawn(n)]
+        self.children += kids
+        return kids
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def advanced(gen: np.random.Generator, draws: int) -> dict:
+    """The state ``gen`` reaches after ``draws`` doubles."""
+    gen.random(draws)
+    return gen.bit_generator.state
+
+
+def children(seed: int, n: int) -> list[np.random.Generator]:
+    """Fresh copies of the first n children spawned from ``default_rng(seed)``."""
+    return np.random.default_rng(seed).spawn(n)
+
+
+@st.composite
+def votes_for(draw, n):
+    return draw(st.lists(st.sampled_from("YN"), min_size=n, max_size=n))
+
+
+@st.composite
+def tb_case(draw):
+    d = draw(st.integers(3, 12))
+    n = draw(st.integers(2, d - 1))
+    i = draw(st.integers(0, n - 2))
+    j = draw(st.integers(i + 1, n - 1))
+    return BallotConfig(d, n, Scheme.TB), draw(votes_for(n)), (i, j)
+
+
+@st.composite
+def db_case(draw):
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(1, max(n for n in range(1, d) if d ** n <= REFERENCE_BUDGET)))
+    return BallotConfig(d, n, Scheme.DB), draw(votes_for(n))
+
+
+@st.composite
+def secure_config(draw):
+    d = draw(st.integers(2, 16))
+    l_n = draw(st.integers(0, d - 1))
+    l_y = draw(st.integers(0, d - 1).filter(lambda l: l != l_n))
+    n = draw(st.integers(1, (d - 1) // abs(l_y - l_n)))
+    delta = draw(st.floats(0, 2 * np.pi / d, exclude_max=True))
+    return BallotConfig(d, n, Scheme.SECURE, secrets=SecureSecrets(l_y, l_n, delta))
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class TestKernelsMatchReferences:
+    @given(tb_case(), SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_collusion(self, case, seed):
+        config, votes, colluders = case
+        got = collusion_attack_tb(config, votes, colluders, 25, np.random.default_rng(seed))
+        ref = reference.collusion_attack_tb(config, votes, colluders, 25,
+                                            np.random.default_rng(seed))
+        assert got.to_dict() == ref.to_dict()
+
+    @given(db_case(), st.booleans(), SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_product_ballot(self, case, honest, seed):
+        config, votes = case
+        got = authority_product_ballot(config, votes, np.random.default_rng(seed), trials=25,
+                                       honest_ballot=honest)
+        ref = reference.authority_product_ballot(config, votes, np.random.default_rng(seed),
+                                                 trials=25, honest_ballot=honest)
+        assert got.to_dict() == ref.to_dict()
+
+    @given(secure_config(), st.data(), SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_forgery_against_per_trial_runs(self, config, data, seed):
+        cheater = data.draw(st.integers(0, config.N - 1))
+        scale = data.draw(st.floats(0, 3))
+        repetitions = data.draw(st.integers(1, 4))
+        votes = data.draw(votes_for(config.N))
+        args = (config, cheater, scale, 15)
+        got = phase_estimate_attack(*args, np.random.default_rng(seed), votes=votes,
+                                    repetitions=repetitions)
+        ref = reference.phase_estimate_attack(*args, np.random.default_rng(seed), votes=votes,
+                                              repetitions=repetitions)
+        assert got.to_dict() == ref.to_dict()
+
+    @given(secure_config(), st.data(), SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_secure_rows_against_scalar_rounds(self, config, data, seed):
+        rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
+                                           min_size=config.N, max_size=config.N),
+                                  min_size=1, max_size=6))
+        got = _secure_rounds(config, rows, children(seed, len(rows)))
+        ref = [reference.secure_round(config, thetas, g)
+               for thetas, g in zip(rows, children(seed, len(rows)))]
+        assert got == ref
+
+
+class TestStreamConsumption:
+    def test_collusion_trial_makes_six_draws(self):
+        rng = Recording(np.random.default_rng(5))
+        collusion_attack_tb(BallotConfig(5, 4, Scheme.TB), "YNYY", (0, 3), 8, rng)
+        for got, fresh in zip(rng.children, children(5, 8), strict=True):
+            assert got.bit_generator.state == advanced(fresh, 6)
+
+    @pytest.mark.parametrize("honest", [False, True])
+    def test_product_ballot_trial_makes_n_draws(self, honest):
+        rng = Recording(np.random.default_rng(6))
+        authority_product_ballot(BallotConfig(7, 4, Scheme.DB), "YNYY", rng, trials=8,
+                                 honest_ballot=honest)
+        for got, fresh in zip(rng.children, children(6, 8), strict=True):
+            assert got.bit_generator.state == advanced(fresh, 4)
+
+    def test_forgery_trial_makes_one_draw_and_spawns_repetitions(self):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        rng = Recording(np.random.default_rng(7))
+        phase_estimate_attack(config, 0, 1.0, 6, rng, repetitions=3)
+        for got, fresh in zip(rng.children, children(7, 6), strict=True):
+            assert got.bit_generator.state == advanced(fresh, 1)
+            fresh_reps = fresh.spawn(3)
+            assert got.gen.bit_generator.seed_seq.n_children_spawned == 3
+            for rep, fresh_rep in zip(got.children, fresh_reps, strict=True):
+                assert rep.bit_generator.state == advanced(fresh_rep, config.N + 1)
+
+    def test_secure_repetition_makes_n_plus_one_draws(self):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        rng = Recording(np.random.default_rng(8))
+        run_secure_vote(config, "YNY", rng, repetitions=4)
+        assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+        for got, fresh in zip(rng.children, children(8, 4), strict=True):
+            assert got.bit_generator.state == advanced(fresh, config.N + 1)
+
+    def test_db_and_survey_runs_make_one_draw(self):
+        rng = np.random.default_rng(9)
+        run_db_vote(BallotConfig(7, 3, Scheme.DB), "YNY", rng)
+        assert rng.bit_generator.state == advanced(np.random.default_rng(9), 1)
+        rng = np.random.default_rng(9)
+        run_survey(BallotConfig(7, 3, Scheme.SURVEY, max_total=6), [1, 2, 0], rng)
+        assert rng.bit_generator.state == advanced(np.random.default_rng(9), 1)
+
+    def test_swap_test_makes_one_draw_per_comparison(self):
+        same = [voting_qudit_state(5, 0.9)] * 3
+        rng = np.random.default_rng(10)
+        assert detect_symmetry(same, rng, comparisons=7) == CLEAN
+        assert rng.bit_generator.state == advanced(np.random.default_rng(10), 7)
+
+    def test_swap_test_stops_at_the_first_antisymmetric_outcome(self):
+        pair = [voting_qudit_state(5, 0.9), voting_qudit_state(5, 0.9 + 2 * np.pi / 5)]
+        used = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            verdict = detect_symmetry(pair, rng, comparisons=7)
+            fresh = np.random.default_rng(seed)
+            states = [fresh.bit_generator.state]
+            for _ in range(7):
+                fresh.random()
+                states.append(fresh.bit_generator.state)
+            used.append(states.index(rng.bit_generator.state))
+            assert used[-1] == 7 if verdict == CLEAN else 1 <= used[-1] <= 7
+        assert min(used) < 7
+
+
+def test_product_ballot_rejects_a_wrong_vote_count():
+    with pytest.raises(ConfigurationError, match="expected 3 votes, got 2"):
+        authority_product_ballot(BallotConfig(5, 3, Scheme.DB), "YN",
+                                 np.random.default_rng(0), trials=5)

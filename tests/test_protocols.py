@@ -24,7 +24,7 @@ from qvote.protocols import (
     DiningResult,
     RunResult,
     Transcript,
-    _secure_round,
+    _secure_rounds,
     classical_dining,
     classical_modular_vote,
     dining_announcements,
@@ -220,7 +220,7 @@ class TestCorrelatedMatchesDense:
         thetas = [config.theta_yes if v is Vote.YES else config.theta_no for v in votes]
         if extra is not None:
             thetas[extra[0]] += extra[1]
-        m, p, rs = _secure_round(config, thetas, np.random.default_rng(seed))
+        [(m, p, rs)] = _secure_rounds(config, [thetas], [np.random.default_rng(seed)])
 
         # Dense reference: every pairing outcome r also multiplies the
         # state by e^{-i r theta}, a global phase the correlated form drops.
