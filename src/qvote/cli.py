@@ -207,9 +207,10 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
         outcomes = report.inferred_secrets["in_between_yes_counts"]
         detected = False
     elif name == "multi_vote":
-        result = multi_vote_plain(config, votes, attack.get("cheater", 0),
+        report = multi_vote_plain(config, votes, attack.get("cheater", 0),
                                   attack.get("extra", 1), rng)
-        return result.to_dict(), [result.m], result.m == CHEAT_DETECTED
+        outcomes = [report.m]
+        detected = report.m == CHEAT_DETECTED
     elif name == "phase_estimate":
         report = phase_estimate_attack(config, attack.get("cheater", 0),
                                        attack.get("scale", 1.0), trials, rng,
