@@ -31,10 +31,8 @@ from .ballots import (
     BallotConfig,
     Scheme,
     Vote,
-    _phase_basis_probs,
-    _phase_cdf,
-    _phase_outcome,
     cast_vote_db,
+    phase_readings,
     phase_vote_unitary,
     voting_qudit_state,
 )
@@ -105,6 +103,13 @@ def _bump(hist: dict, key):
     hist[key] = hist.get(key, 0) + 1
 
 
+def _trial_streams(rng: np.random.Generator, trials: int, least: int = 0) -> list:
+    """One child stream per trial; fewer than ``least`` trials is a configuration error."""
+    if trials < least:
+        raise ConfigurationError(f"trials must be >= {least}, got {trials}")
+    return rng.spawn(int(trials))
+
+
 def _renormalized(c: np.ndarray) -> np.ndarray:
     """Each amplitude over its modulus, rounded as ``np.linalg.norm`` rounds a one-hot state."""
     return c / np.sqrt(c.real * c.real + c.imag * c.imag)
@@ -137,7 +142,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     expected = sum(yes[i + 1:j])
 
     d = config.d
-    u = np.array([g.random(6) for g in rng.spawn(int(trials))]).reshape(-1, 6)
+    u = np.array([g.random(6) for g in _trial_streams(rng, trials)]).reshape(-1, 6)
     c = CorrelatedState.uniform(d, 2).c
     # Shift votes only permute the pair's amplitudes, so the first reading
     # sees the |c_k|^2 in some order. The second reading and the difference
@@ -162,13 +167,11 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
             c = _renormalized(c)
         if yes[t]:
             c = c * phase
-    ks = np.unique(first_phase)
-    one_hot = np.zeros((len(ks), d), dtype=complex)
-    one_hot[np.arange(len(ks)), ks] = c[ks]
-    cdfs = dict(zip(ks.tolist(), map(_phase_cdf, _phase_basis_probs(one_hot))))
+    one_hot = np.zeros((len(u), d), dtype=complex)
+    one_hot[np.arange(len(u)), first_phase] = c[first_phase]
     phase_hist: dict = {}
-    for k, x in zip(first_phase.tolist(), u[:, 5]):
-        _bump(phase_hist, _phase_outcome(cdfs[k], x))
+    for p in phase_readings(one_hot, u[:, 5]):
+        _bump(phase_hist, p)
 
     return AttackReport(
         attack="collusion_tb",
@@ -234,7 +237,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     # as run_secure_vote spawns them. All trials' repetitions run as one batch.
     honest = honest_thetas(config, choices)
     errors, theta_rows, rep_rngs = [], [], []
-    for trial_rng in rng.spawn(int(trials)):
+    for trial_rng in _trial_streams(rng, trials):
         eps = float(trial_rng.uniform(-half_width, half_width)) if half_width > 0 else 0.0
         thetas = list(honest)
         thetas[int(cheater)] += float(delta_phase + eps)
@@ -287,7 +290,8 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
     actual = [1 if c is Vote.YES else 0 for c in choices]
 
     d = config.d
-    u = np.array([g.random(config.N) for g in rng.spawn(int(trials))]).reshape(-1, config.N)
+    u = np.array([g.random(config.N) for g in _trial_streams(rng, trials, least=1)])
+    u = u.reshape(-1, config.N)
     if honest_ballot:
         guesses = _pick(np.full(d, 1 / d).cumsum(), u)
         guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
@@ -334,7 +338,7 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
 
     hist: dict = {}
     results = []
-    for trial_rng in rng.spawn(int(trials)):
+    for trial_rng in _trial_streams(rng, trials):
         result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
                                  thetas=thetas)
         results.append({"m": result.m, "outcomes": result.outcomes, "p": result.p})

@@ -14,6 +14,14 @@ the voter's pairing measurement returns r and the shift correction is
 applied, the voting qudit contributes e^{i(k-r) theta} to the k-th
 correlated component (the integer k - r, not its mod-d residue, which
 is what keeps the secret offset delta from leaking into the tally).
+
+The authority's omega_p reading has one implementation,
+``phase_readings``: one FFT and one CDF over any number of rows of
+correlated amplitudes, with INVALID as the complement. ``decode_db``,
+``secure_tally`` and the runs and attacks all read through it. The
+dense-state functions here (``prepare_*``, ``cast_vote_*``,
+``decode_tb``, ``decode_secure``) serve verification, ``stage_hook``,
+the product-ballot attack's single qudits and the tests.
 """
 
 import math
@@ -30,7 +38,6 @@ from .qstate import (
     LocalUnitary,
     PureState,
     _cdf,
-    _pick,
     _sample,
     _with_invalid,
 )
@@ -276,27 +283,24 @@ def _phase_basis_probs(corr: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.fft(corr) / math.sqrt(corr.shape[-1])) ** 2
 
 
-def _phase_cdf(probs: np.ndarray) -> np.ndarray:
-    """CDF of the omega_p reading, with the INVALID complement as the last entry."""
-    return _cdf(_with_invalid(probs))
+def phase_readings(corr_rows: np.ndarray, u) -> list:
+    """Read each row of correlated amplitudes in the omega_p basis; INVALID is the complement.
 
-
-def _phase_outcome(cdf: np.ndarray, u: float):
-    """The omega_p reading that the uniform double ``u`` picks from ``cdf``."""
-    p = int(_pick(cdf, u))
-    return INVALID if p == len(cdf) - 1 else p
-
-
-def decode_phase(corr: np.ndarray, rng: np.random.Generator):
-    """Measure correlated amplitudes in the omega_p basis; INVALID is the complement."""
-    return _phase_outcome(_phase_cdf(_phase_basis_probs(corr)), rng.random())
+    ``corr_rows`` holds one state per row, shape (rows, d), and ``u`` one
+    uniform double per row. Row t reads the p whose CDF step ``u[t]`` falls
+    in, the index ``_pick`` returns, or INVALID for the last entry.
+    """
+    cdf = _cdf(_with_invalid(_phase_basis_probs(corr_rows)))
+    picks = (cdf[:, :-1] <= np.asarray(u)[:, None]).sum(axis=1)
+    d = corr_rows.shape[-1]
+    return [INVALID if p == d else p for p in picks.tolist()]
 
 
 def decode_db(state: PureState, d: int, N: int, rng: np.random.Generator):
     """Project onto the tally states; INVALID covers the complement."""
     if state.dims != (d,) * N:
         raise ConfigurationError(f"expected {N} sites of dimension {d}, got {state.dims}")
-    return decode_phase(_correlated_overlaps(state), rng)
+    return phase_readings(_correlated_overlaps(state)[None], [rng.random()])[0]
 
 
 def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
@@ -319,26 +323,16 @@ def solve_tally(p: int, config: BallotConfig):
     return (p // g) * pow(dl // g, -1, d // g) % (d // g)
 
 
-def secure_tally(corr: np.ndarray, config: BallotConfig, rng: np.random.Generator):
-    """Compensate the known no-phase, read p, and map it to a tally.
+def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> list[tuple]:
+    """Compensate the known no-phase, read p, and map it to a tally; one (m, p) per row.
 
-    Returns (m, p) where m is the tally or CHEAT_DETECTED and p is the
-    raw phase index or INVALID. The authority knows N, l_n and delta, so
-    it removes e^{i k N theta_n} before projecting onto the p-states.
+    m is the tally or CHEAT_DETECTED and p is the raw phase index or
+    INVALID. The authority knows N, l_n and delta, so it removes
+    e^{i k N theta_n} before projecting row t onto the p-states with ``u[t]``.
     """
-    return _secure_outcome(decode_phase(corr * _no_phase_compensation(config), rng), config)
-
-
-def _no_phase_compensation(config: BallotConfig) -> np.ndarray:
-    """e^{-i k N theta_n}, which the authority multiplies into c before reading p."""
-    return np.exp(-1j * np.arange(config.d) * config.N * config.theta_no)
-
-
-def _secure_outcome(p, config: BallotConfig):
-    """(m, p) for the phase reading p: its tally, or CHEAT_DETECTED."""
-    if p == INVALID:
-        return CHEAT_DETECTED, INVALID
-    return solve_tally(p, config), p
+    compensation = np.exp(-1j * np.arange(config.d) * config.N * config.theta_no)
+    return [(CHEAT_DETECTED, p) if p == INVALID else (solve_tally(p, config), p)
+            for p in phase_readings(corr_rows * compensation, u)]
 
 
 def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generator):
@@ -348,4 +342,4 @@ def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generat
     if state.dims != (config.d,) * (2 * config.N):
         raise ConfigurationError(
             f"expected {2 * config.N} sites of dimension {config.d}, got {state.dims}")
-    return secure_tally(_correlated_overlaps(state), config, rng)
+    return secure_tally(_correlated_overlaps(state)[None], config, [rng.random()])[0]

@@ -4,6 +4,13 @@ A run consumes a seeded generator and optionally appends events to a
 Transcript. Events never contain plaintext choices, only salted
 commitments, so a persisted transcript does not reveal votes; the salt
 is derived from the master seed and is not serialized.
+
+All four honest runs share one engine. DB, SURVEY and SECURE hold the
+ballot as its d correlated amplitudes: ``_cast`` applies every voter's
+phase, one row per round, and ``ballots.phase_readings`` makes the
+authority's reading. A TB run needs no state at all, because the pair
+always decodes to the yes count mod d. ``_log_round`` writes every
+round's PREPARE ... MEASURE events.
 """
 
 import hashlib
@@ -20,14 +27,9 @@ from .ballots import (
     Scheme,
     TWO_VOTER_TB_LABELS,
     Vote,
-    _no_phase_compensation,
-    _phase_basis_probs,
-    _phase_cdf,
-    _phase_outcome,
-    _secure_outcome,
-    decode_phase,
-    decode_tb,
+    phase_readings,
     prepare_tb_ballot,
+    secure_tally,
     shift_unitary,
 )
 from .errors import ConfigurationError
@@ -130,6 +132,35 @@ def _parse_votes(config: BallotConfig, votes) -> list[Vote]:
     return parsed
 
 
+def _cast(d: int, thetas) -> np.ndarray:
+    """Correlated amplitudes after voter i multiplies c_k by e^{ik thetas[..., i]}, in order.
+
+    ``thetas`` holds one angle per voter in its last axis: one row gives d
+    amplitudes, a (rows, N) array gives one row of d per round. Every
+    voter's cast must keep each row normalized within ATOL.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
+    norms = np.empty(thetas.shape)
+    ik = 1j * np.arange(d)
+    for i in range(thetas.shape[-1]):
+        c = c * np.exp(ik * thetas[..., i, None])
+        norms[..., i] = np.linalg.norm(c, axis=-1)
+    if (np.abs(norms - 1.0) > ATOL).any():
+        raise ConfigurationError("correlated amplitudes are not normalized")
+    return c
+
+
+def _log_round(transcript: Transcript, rep: int, prepare: dict, votes, outcome):
+    """Append one round's PREPARE ... MEASURE events; ``votes`` lists (site, payload) per voter."""
+    transcript.event(rep, "PREPARE", payload=prepare)
+    transcript.event(rep, "DISTRIBUTE")
+    for site, payload in votes:
+        transcript.event(rep, "VOTE", site=site, payload=payload)
+    transcript.event(rep, "RETURN")
+    transcript.event(rep, "MEASURE", outcome=outcome)
+
+
 def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.Generator,
                  transcript: Transcript | None = None, stage_hook=None):
     """One DB or SURVEY round in the correlated basis; returns the decoded tally.
@@ -137,25 +168,17 @@ def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.
     Voter i applies the yes operator ``exponents[i]`` times: c_k *= e^{i 2 pi k e_i / d}.
     This costs O(d) per voter at any N; ``stage_hook`` receives the dense form.
     """
-    d, scheme = config.d, config.scheme.value
-    state = CorrelatedState.uniform(d, config.N)
-    if transcript:
-        transcript.event(0, "PREPARE", payload={"scheme": scheme, "d": d, "N": config.N})
-        transcript.event(0, "DISTRIBUTE")
+    d = config.d
+    thetas = [2 * np.pi * (exponent % d) / d for exponent in exponents]
     if stage_hook:
-        stage_hook("prepared", state.to_pure())
-    for i, (exponent, value) in enumerate(zip(exponents, commit_values)):
-        state = state.apply_site_phase(2 * np.pi * (exponent % d) / d)
-        if transcript:
-            transcript.event(0, "VOTE", site=i,
-                             payload={"commitment": transcript.commit(0, i, value)})
-        if stage_hook:
-            stage_hook(f"after_vote_{i}", state.to_pure())
+        for i in range(len(thetas) + 1):
+            stage_hook("prepared" if i == 0 else f"after_vote_{i - 1}",
+                       CorrelatedState(d, config.N, _cast(d, thetas[:i])).to_pure())
+    m = phase_readings(_cast(d, thetas)[None], [rng.random()])[0]
     if transcript:
-        transcript.event(0, "RETURN")
-    m = decode_phase(state.c, rng)
-    if transcript:
-        transcript.event(0, "MEASURE", outcome=m)
+        _log_round(transcript, 0, {"scheme": config.scheme.value, "d": d, "N": config.N},
+                   [(i, {"commitment": transcript.commit(0, i, value)})
+                    for i, value in enumerate(commit_values)], m)
     return m
 
 
@@ -180,26 +203,21 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
     if config.scheme is not Scheme.TB:
         raise ConfigurationError(f"run_tb_vote needs a TB config, got {config.scheme}")
     choices = _parse_votes(config, votes)
-    state = prepare_tb_ballot(config.d)
-    shift = shift_unitary(config.d)
-    if transcript:
-        transcript.event(0, "PREPARE", payload={"scheme": "TB", "d": config.d, "N": config.N})
-        transcript.event(0, "DISTRIBUTE")
     if stage_hook:
+        state, shift = prepare_tb_ballot(config.d), shift_unitary(config.d)
         stage_hook("prepared", state)
-    for i, choice in enumerate(choices):
-        if choice is Vote.YES:
-            state = apply_local(state, 1, shift)
-        if transcript:
-            transcript.event(0, "VOTE", site=1,
-                             payload={"commitment": transcript.commit(0, i, choice.value)})
-        if stage_hook:
+        for i, choice in enumerate(choices):
+            if choice is Vote.YES:
+                state = apply_local(state, 1, shift)
             stage_hook(f"after_vote_{i}", state)
+    # The pair stays sum_k |k, k + s> / sqrt(d) with s the yes count mod d,
+    # so decode_tb reads s whatever its one double is.
+    rng.random()
+    m = sum(c is Vote.YES for c in choices) % config.d
     if transcript:
-        transcript.event(0, "RETURN")
-    m = decode_tb(state, config.d, rng)
-    if transcript:
-        transcript.event(0, "MEASURE", outcome=m)
+        _log_round(transcript, 0, {"scheme": "TB", "d": config.d, "N": config.N},
+                   [(1, {"commitment": transcript.commit(0, i, c.value)})
+                    for i, c in enumerate(choices)], m)
     stats = {}
     if config.N == 2 and m in TWO_VOTER_TB_LABELS:
         stats["label"] = TWO_VOTER_TB_LABELS[m]
@@ -219,21 +237,13 @@ def _secure_rounds(config: BallotConfig, theta_rows, rep_rngs) -> list[tuple]:
     pairing outcome r_i is uniform for any ballot state and only multiplies
     the state by the global phase e^{-i r_i theta_i}, so r_i is drawn and
     logged but leaves c untouched: the cast is c_k *= e^{ik theta_i}. All
-    rows share one FFT; the draws and their lookups stay per row.
+    rows share one cast and one reading.
     """
     d, n = config.d, config.N
     thetas = np.asarray(theta_rows, dtype=float).reshape(-1, n)
     u = np.array([g.random(n + 1) for g in rep_rngs]).reshape(len(thetas), n + 1)
     rs = _pick(np.full(d, 1 / d).cumsum(), u[:, :n]).tolist()
-    c = np.full((len(thetas), d), 1 / math.sqrt(d), dtype=complex)
-    k = np.arange(d)
-    for i in range(n):
-        c = c * np.exp(1j * k * thetas[:, i, None])
-        if np.any(np.abs(np.linalg.norm(c, axis=1) - 1.0) > ATOL):
-            raise ConfigurationError("correlated amplitudes are not normalized")
-    probs = _phase_basis_probs(c * _no_phase_compensation(config))
-    return [(*_secure_outcome(_phase_outcome(_phase_cdf(row), u[t, n]), config), rs[t])
-            for t, row in enumerate(probs)]
+    return [(m, p, r) for (m, p), r in zip(secure_tally(_cast(d, thetas), config, u[:, n]), rs)]
 
 
 def _secure_result(rounds, repetitions: int) -> RunResult:
@@ -267,16 +277,10 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
     rounds = _secure_rounds(config, [thetas] * repetitions, rng.spawn(repetitions))
     if transcript:
         for rep, (m, p, rs) in enumerate(rounds):
-            transcript.event(rep, "PREPARE",
-                             payload={"scheme": "SECURE", "d": config.d, "N": config.N,
-                                      "repetitions": repetitions})
-            transcript.event(rep, "DISTRIBUTE")
-            for i, choice in enumerate(choices):
-                transcript.event(rep, "VOTE", site=i,
-                                 payload={"commitment": transcript.commit(rep, i, choice.value),
-                                          "r": rs[i]})
-            transcript.event(rep, "RETURN")
-            transcript.event(rep, "MEASURE", outcome={"p": p, "m": m})
+            _log_round(transcript, rep, {"scheme": "SECURE", "d": config.d, "N": config.N,
+                                         "repetitions": repetitions},
+                       [(i, {"commitment": transcript.commit(rep, i, c.value), "r": rs[i]})
+                        for i, c in enumerate(choices)], {"p": p, "m": m})
     return _secure_result(rounds, repetitions)
 
 

@@ -197,8 +197,8 @@ def _pick(cdf: np.ndarray, u):
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:
-    """The CDF of ``weights`` normalized by their sum."""
-    return (weights / weights.sum()).cumsum()
+    """The CDF of ``weights`` normalized by their sum, along the last axis."""
+    return (weights / weights.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
 
 
 def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -207,12 +207,13 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _with_invalid(probs: np.ndarray) -> np.ndarray:
-    """``probs`` plus the complement 1 - sum(probs) as index len(probs).
+    """``probs`` plus the complement 1 - sum(probs) as last entry, along the last axis.
 
     This is the one place INVALID gets its weight.
     """
     probs = np.maximum(probs, 0.0)
-    return np.concatenate((probs, [max(0.0, 1.0 - probs.sum())]))
+    rest = np.maximum(0.0, 1.0 - probs.sum(axis=-1, keepdims=True))
+    return np.concatenate((probs, rest), axis=-1)
 
 
 def _sample_with_invalid(probs: np.ndarray, rng: np.random.Generator):
@@ -274,11 +275,6 @@ class CorrelatedState:
             raise ConfigurationError(f"need {self.d} amplitudes, got {self.c.shape}")
         if abs(np.linalg.norm(self.c) - 1.0) > ATOL:
             raise ConfigurationError("correlated amplitudes are not normalized")
-
-    def apply_site_phase(self, theta: float) -> "CorrelatedState":
-        """diag(e^{ik theta}) on any one site acts as c_k *= e^{ik theta}."""
-        k = np.arange(self.d)
-        return CorrelatedState(self.d, self.sites, self.c * np.exp(1j * k * theta))
 
     def to_pure(self) -> PureState:
         total = self.d ** self.sites

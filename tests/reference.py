@@ -1,10 +1,10 @@
-"""Per-trial state simulations that the closed-form attack kernels replace.
+"""Per-trial state simulations that the closed-form kernels and runs replace.
 
 These are the loops the attacks ran before their kernels: the dense
-collusion and product-ballot attacks, the scalar SECURE round and the
-forgery attack that ran one ``run_secure_vote`` per trial. They make the
-same draws in the same order as the kernels, so tests require equal
-reports, draw for draw.
+collusion and product-ballot attacks, the dense TB round, the scalar
+SECURE round and the forgery attack that ran one ``run_secure_vote`` per
+trial. They make the same draws in the same order as the kernels, so
+tests require equal reports, draw for draw.
 """
 
 import numpy as np
@@ -116,6 +116,20 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
     )
 
 
+def tb_vote(config: BallotConfig, votes, rng: np.random.Generator, stage_hook=None) -> int:
+    """The honest TB round on the dense pair: shift per yes vote, then ``decode_tb``."""
+    state = prepare_tb_ballot(config.d)
+    shift = shift_unitary(config.d)
+    if stage_hook:
+        stage_hook("prepared", state)
+    for i, choice in enumerate(_parse_votes(config, votes)):
+        if choice is Vote.YES:
+            state = apply_local(state, 1, shift)
+        if stage_hook:
+            stage_hook(f"after_vote_{i}", state)
+    return decode_tb(state, config.d, rng)
+
+
 def secure_round(config: BallotConfig, thetas, rep_rng):
     """One SECURE repetition with scalar draws and a validated state per voter."""
     d = config.d
@@ -123,8 +137,8 @@ def secure_round(config: BallotConfig, thetas, rep_rng):
     rs = []
     for theta in thetas:
         rs.append(_sample(np.full(d, 1 / d), rep_rng))
-        state = state.apply_site_phase(theta)
-    return (*secure_tally(state.c, config, rep_rng), rs)
+        state = CorrelatedState(d, state.sites, state.c * np.exp(1j * np.arange(d) * theta))
+    return (*secure_tally(state.c[None], config, [rep_rng.random()])[0], rs)
 
 
 def phase_estimate_attack(config: BallotConfig, cheater: int,

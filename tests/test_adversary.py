@@ -335,3 +335,51 @@ class TestAttackReport:
                               detection_verdicts=[False, True])
         data = json.loads(json.dumps(report.to_dict()))
         assert data["detection_rate"] == 0.5
+
+
+class TestTrialCounts:
+    TB = BallotConfig(5, 4, Scheme.TB)
+    SECURE = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+    DB = BallotConfig(5, 3, Scheme.DB)
+
+    def run(self, attack, trials):
+        rng = np.random.default_rng(1)
+        if attack == "collusion":
+            return collusion_attack_tb(self.TB, "YNYY", (0, 3), trials, rng)
+        if attack == "forgery":
+            return phase_estimate_attack(self.SECURE, 0, 1.0, trials, rng)
+        if attack == "mismatched":
+            thetas = [(self.SECURE.theta_yes, self.SECURE.theta_no)] * 3
+            return mismatched_voting_states(self.SECURE, thetas, "YNY", rng, trials=trials)
+        return authority_product_ballot(self.DB, "YNY", rng, trials=trials)
+
+    def test_zero_trials_give_empty_reports(self):
+        empty = {"detection_rate": None, "detection_verdicts": None, "outcome_histogram": {},
+                 "seed": None, "trials": 0}
+        assert self.run("collusion", 0).to_dict() == {
+            **empty, "attack": "collusion_tb",
+            "extras": {"difference_decoder_histogram": {}, "phase_decoder_histogram": {}},
+            "inferred_secrets": {"colluders": [0, 3], "expected": 1,
+                                 "in_between_yes_counts": []}}
+        assert self.run("forgery", 0).to_dict() == {
+            **empty, "attack": "phase_estimate", "detection_rate": 0.0,
+            "detection_verdicts": [],
+            "extras": {"honest_tally": 0, "per_trial": [], "repetitions": 3},
+            "inferred_secrets": {"delta_phase": 0.5711986642890533,
+                                 "error_half_width": 0.28559933214452665}}
+        tags = {"NNN": 0, "NNY": 1, "NYN": 1, "NYY": 2, "YNN": 1, "YNY": 2, "YYN": 2, "YYY": 3}
+        assert self.run("mismatched", 0).to_dict() == {
+            **empty, "attack": "mismatched_voting_states", "extras": {"runs": []},
+            "inferred_secrets": {"equal_weight_patterns_distinguishable":
+                                 {0: False, 1: False, 2: False, 3: False},
+                                 "phase_tags": tags}}
+
+    @pytest.mark.parametrize("attack", ["collusion", "forgery", "mismatched", "product"])
+    def test_negative_trials_rejected(self, attack):
+        with pytest.raises(ConfigurationError, match="trials must be >= "):
+            self.run(attack, -1)
+
+    def test_product_ballot_needs_a_trial(self):
+        # Its per-voter accuracy divides by the trial count.
+        with pytest.raises(ConfigurationError, match="trials must be >= 1, got 0"):
+            self.run("product", 0)

@@ -468,6 +468,7 @@ class TestCompactDenseAgreement:
 
     def test_forged_round_same_outcome_distribution_both_lanes(self):
         from qvote.ballots import _correlated_overlaps, _phase_basis_probs
+        from qvote.protocols import _cast
         from qvote.qstate import LocalUnitary
         d = 7
         config = BallotConfig(d, 2, Scheme.SECURE, secrets=SecureSecrets(2, 0, 0.15))
@@ -483,12 +484,9 @@ class TestCompactDenseAgreement:
         corr = corr * np.exp(-1j * np.arange(d) * 2 * config.theta_no)
         dense_probs = _phase_basis_probs(corr)
 
-        compact = CorrelatedState.uniform(d, 2)
-        compact = compact.apply_site_phase(config.theta_yes)
-        compact = compact.apply_site_phase(forged_angle)
-        compact = compact.apply_site_phase(config.theta_no)
-        compact = compact.apply_site_phase(-2 * config.theta_no)
-        compact_probs = _phase_basis_probs(compact.c)
+        compact = _cast(d, [config.theta_yes, forged_angle, config.theta_no,
+                            -2 * config.theta_no])
+        compact_probs = _phase_basis_probs(compact)
 
         np.testing.assert_allclose(dense_probs, compact_probs, atol=1e-12)
 

@@ -24,7 +24,13 @@ from qvote.adversary import (
 )
 from qvote.ballots import BallotConfig, Scheme, SecureSecrets, voting_qudit_state
 from qvote.errors import ConfigurationError
-from qvote.protocols import _secure_rounds, run_db_vote, run_secure_vote, run_survey
+from qvote.protocols import (
+    _secure_rounds,
+    run_db_vote,
+    run_secure_vote,
+    run_survey,
+    run_tb_vote,
+)
 
 # Dense product-ballot references hold d**N amplitudes per trial.
 REFERENCE_BUDGET = 20_000
@@ -177,6 +183,9 @@ class TestStreamConsumption:
         assert rng.bit_generator.state == advanced(np.random.default_rng(9), 1)
         rng = np.random.default_rng(9)
         run_survey(BallotConfig(7, 3, Scheme.SURVEY, max_total=6), [1, 2, 0], rng)
+        assert rng.bit_generator.state == advanced(np.random.default_rng(9), 1)
+        rng = np.random.default_rng(9)
+        run_tb_vote(BallotConfig(7, 3, Scheme.TB), "YNY", rng)
         assert rng.bit_generator.state == advanced(np.random.default_rng(9), 1)
 
     def test_swap_test_makes_one_draw_per_comparison(self):

@@ -37,6 +37,8 @@ from qvote.protocols import (
 from qvote.qstate import LocalUnitary, apply_local
 from qvote import rng as rngmod
 
+import reference
+
 
 def weight(votes):
     return sum(1 for v in votes if Vote.parse(v) is Vote.YES)
@@ -208,6 +210,27 @@ class TestCorrelatedMatchesDense:
         result = run_survey(config, amounts, rngmod.stream(seed, 1))
         assert result.m == decode_db(state, d, n, rngmod.stream(seed, 1))
         assert result.m == sum(amounts)
+
+    @given(st.integers(2, 16).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))),
+           st.data(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_tb_stages_and_tally(self, dn, data, seed):
+        d, n = dn
+        config = BallotConfig(d, n, Scheme.TB)
+        votes = data.draw(st.lists(st.sampled_from([Vote.YES, Vote.NO]),
+                                   min_size=n, max_size=n))
+        got, ref = [], []
+        rng, ref_rng = rngmod.stream(seed, 1), rngmod.stream(seed, 1)
+        result = run_tb_vote(config, votes, rng,
+                             stage_hook=lambda label, state: got.append((label, state)))
+        m = reference.tb_vote(config, votes, ref_rng,
+                              stage_hook=lambda label, state: ref.append((label, state)))
+        assert result.m == m == weight(votes) % d
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [label for label, _ in got] == [label for label, _ in ref]
+        for (_, state), (_, ref_state) in zip(got, ref, strict=True):
+            assert state.dims == ref_state.dims
+            assert np.max(np.abs(state.amps - ref_state.amps)) <= 1e-12
 
     @given(dense_sized_secure_config(), st.data(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)

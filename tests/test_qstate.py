@@ -23,6 +23,7 @@ from qvote.qstate import (
     _sample_with_invalid,
 )
 from qvote.ballots import phase_vote_unitary, shift_unitary, voting_qudit_state
+from qvote.protocols import _cast
 
 from conftest import random_state, random_unitary
 
@@ -317,12 +318,10 @@ class TestCorrelatedState:
         np.testing.assert_allclose(back.c, c.c, atol=1e-12)
 
     def test_site_phase_matches_dense_apply(self):
-        c = CorrelatedState.uniform(4, 3)
-        theta = 0.83
-        via_compact = c.apply_site_phase(theta).to_pure()
-        d = 4
+        d, theta = 4, 0.83
+        via_compact = CorrelatedState(d, 3, _cast(d, [theta])).to_pure()
         u = LocalUnitary(d, np.diag(np.exp(1j * theta * np.arange(d))))
-        via_dense = apply_local(c.to_pure(), 2, u)
+        via_dense = apply_local(CorrelatedState.uniform(d, 3).to_pure(), 2, u)
         np.testing.assert_allclose(via_compact.amps, via_dense.amps, atol=1e-12)
 
     def test_from_pure_rejects_leaky_state(self):
