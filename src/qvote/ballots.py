@@ -15,13 +15,8 @@ applied, the voting qudit contributes e^{i(k-r) theta} to the k-th
 correlated component (the integer k - r, not its mod-d residue, which
 is what keeps the secret offset delta from leaking into the tally).
 
-The authority's omega_p reading has one implementation,
-``phase_readings``: one FFT and one CDF over any number of rows of
-correlated amplitudes, with INVALID as the complement. ``decode_db``,
-``secure_tally`` and the runs and attacks all read through it. The
-dense-state functions here (``prepare_*``, ``cast_vote_*``,
-``decode_tb``, ``decode_secure``) serve verification, ``stage_hook``,
-the product-ballot attack's single qudits and the tests.
+The omega_p reading has one implementation, ``phase_readings``; the dense
+functions serve verification, ``stage_hook``, single qudits and the tests.
 """
 
 import math

@@ -5,12 +5,9 @@ Transcript. Events never contain plaintext choices, only salted
 commitments, so a persisted transcript does not reveal votes; the salt
 is derived from the master seed and is not serialized.
 
-All four honest runs share one engine. DB, SURVEY and SECURE hold the
-ballot as its d correlated amplitudes: ``_cast`` applies every voter's
-phase, one row per round, and ``ballots.phase_readings`` makes the
-authority's reading. A TB run needs no state at all, because the pair
-always decodes to the yes count mod d. ``_log_round`` writes every
-round's PREPARE ... MEASURE events.
+The honest runs share one engine: ``_cast`` applies the voters' phases to
+the d correlated amplitudes, ``ballots.phase_readings`` reads them, and
+``_log_round`` writes each round's events. A TB run is closed form.
 """
 
 import hashlib
@@ -135,9 +132,8 @@ def _parse_votes(config: BallotConfig, votes) -> list[Vote]:
 def _cast(d: int, thetas) -> np.ndarray:
     """Correlated amplitudes after voter i multiplies c_k by e^{ik thetas[..., i]}, in order.
 
-    ``thetas`` holds one angle per voter in its last axis: one row gives d
-    amplitudes, a (rows, N) array gives one row of d per round. Every
-    voter's cast must keep each row normalized within ATOL.
+    ``thetas`` is (N,) for one round or (rows, N); every voter's cast must
+    keep each row's norm within ATOL of 1.
     """
     thetas = np.asarray(thetas, dtype=float)
     c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
@@ -197,8 +193,9 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
                 transcript: Transcript | None = None, stage_hook=None) -> RunResult:
     """Travelling-ballot round; yes votes shift the moving qudit (site 1).
 
-    ``stage_hook(label, state)`` sees the dense pair after preparation and
-    after each vote. The collusion attack runs its own voter loop.
+    The pair stays sum_k |k, k + s> / sqrt(d) with s the yes count mod d, so
+    ``decode_tb`` reads s whatever its one double is. Only ``stage_hook(label,
+    state)`` sees the dense pair, after preparation and after each vote.
     """
     if config.scheme is not Scheme.TB:
         raise ConfigurationError(f"run_tb_vote needs a TB config, got {config.scheme}")
@@ -210,8 +207,6 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
             if choice is Vote.YES:
                 state = apply_local(state, 1, shift)
             stage_hook(f"after_vote_{i}", state)
-    # The pair stays sum_k |k, k + s> / sqrt(d) with s the yes count mod d,
-    # so decode_tb reads s whatever its one double is.
     rng.random()
     m = sum(c is Vote.YES for c in choices) % config.d
     if transcript:

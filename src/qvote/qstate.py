@@ -216,13 +216,6 @@ def _with_invalid(probs: np.ndarray) -> np.ndarray:
     return np.concatenate((probs, rest), axis=-1)
 
 
-def _sample_with_invalid(probs: np.ndarray, rng: np.random.Generator):
-    """Draw from ``_with_invalid(probs)``; returns (index, probability)."""
-    full = _with_invalid(probs)
-    k = _sample(full / full.sum(), rng)
-    return k, float(full[k])
-
-
 def measure_projective(state: PureState, proj: ProjectorSet,
                        rng: np.random.Generator):
     """Measure ``proj``; returns (outcome, post_state, probability).
@@ -233,7 +226,9 @@ def measure_projective(state: PureState, proj: ProjectorSet,
     if proj.dim != state.dim:
         raise ConfigurationError(f"projector dim {proj.dim} != state dim {state.dim}")
     probs = np.array([np.vdot(state.amps, p @ state.amps).real for p in proj.projectors])
-    k, prob = _sample_with_invalid(probs, rng)
+    full = _with_invalid(probs)
+    k = int(_pick(_cdf(full), rng.random()))
+    prob = float(full[k])
     if k == len(proj.projectors):
         residual = state.amps - sum(p @ state.amps for p in proj.projectors)
         return INVALID, PureState.from_amplitudes(state.dims, residual), prob

@@ -19,8 +19,10 @@ from qvote.qstate import (
     measure_projective,
     reduced_density,
     tensor,
+    _cdf,
+    _pick,
     _sample,
-    _sample_with_invalid,
+    _with_invalid,
 )
 from qvote.ballots import phase_vote_unitary, shift_unitary, voting_qudit_state
 from qvote.protocols import _cast
@@ -262,8 +264,9 @@ class TestSample:
             assert rng_a.random() == rng_b.random()  # one draw each
 
     def test_invalid_complement_is_the_last_index(self):
-        k, prob = _sample_with_invalid(np.array([0.0, -1e-17]), np.random.default_rng(0))
-        assert (k, prob) == (2, 1.0)
+        full = _with_invalid(np.array([0.0, -1e-17]))
+        assert _pick(_cdf(full), np.random.default_rng(0).random()) == 2
+        assert full[2] == 1.0
 
 
 class TestMeasureComputational:
