@@ -19,12 +19,14 @@ from qvote.ballots import (
     decode_secure,
     decode_tb,
     draw_secrets,
+    phase_readings,
     phase_vote_unitary,
     prepare_db_ballot,
     prepare_tb_ballot,
     shift_unitary,
     solve_tally,
     voting_qudit_state,
+    _phase_basis_probs,
 )
 from qvote.errors import ConfigurationError
 from qvote.qstate import (
@@ -38,6 +40,9 @@ from qvote.qstate import (
     measure_projective,
     reduced_density,
     tensor,
+    _cdf,
+    _pick,
+    _with_invalid,
 )
 
 
@@ -331,6 +336,16 @@ class TestDecodeDb:
         outcome, _, prob = measure_projective(state, proj, np.random.default_rng(8))
         assert outcome == decode_db(state, 3, 2, np.random.default_rng(9)) == 1
         assert prob == pytest.approx(1, abs=1e-12)
+
+    def test_phase_readings_break_ties_as_pick_does(self):
+        # A double equal to a CDF step reads the next outcome, as _pick does.
+        rng = np.random.default_rng(21)
+        corr = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
+        corr *= 0.999 / np.linalg.norm(corr, axis=1, keepdims=True)
+        cdf = _cdf(_with_invalid(_phase_basis_probs(corr)))
+        for steps in cdf.T:
+            picks = [int(_pick(row, u)) for row, u in zip(cdf, steps)]
+            assert phase_readings(corr, steps) == [INVALID if p == 7 else p for p in picks]
 
 
 class TestDecodeTb:
