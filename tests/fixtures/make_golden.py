@@ -1,4 +1,4 @@
-"""Regenerate the golden `qvote run` outputs in golden/.
+"""Regenerate the golden `qvote run` outputs and `qvote verify` stdouts in golden/.
 
 golden/runs.json lists each run as a scenario file under scenarios/, the
 ``--override`` arguments applied to it, the expected exit code and, where
@@ -8,12 +8,18 @@ golden/. test_golden.py reruns the same entries and compares the files
 byte for byte, so a change that alters any output fails there even when
 two runs of one build agree with each other.
 
+golden/verify.json lists ``qvote verify`` argument lists, each with an
+``id`` and its expected exit code; the script writes each one's stdout to
+golden/verify-<id>.stdout, which test_golden.py compares byte for byte too.
+
 Regenerate only when an output change is intended, and record it in
 CHANGES.md. Run from the repository root:
 
     PYTHONPATH=src python3 tests/fixtures/make_golden.py
 """
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -27,6 +33,14 @@ GOLDEN = HERE / "golden"
 def entry_id(entry: dict) -> str:
     """Test id of one golden entry: its ``id`` if given, else the scenario name."""
     return entry.get("id") or f"{entry['scenario']}{'+override' if entry['override'] else ''}"
+
+
+def verify_stdout(entry: dict) -> tuple[int, str]:
+    """Exit code and stdout of one golden ``qvote verify`` entry."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(entry["args"])
+    return code, out.getvalue()
 
 
 def run_args(entry: dict, out_dir) -> list[str]:
@@ -43,3 +57,8 @@ if __name__ == "__main__":
         code = main(run_args(entry, GOLDEN))
         if code != entry["exit"]:
             sys.exit(f"{entry['scenario']} exited {code}, expected {entry['exit']}")
+    for entry in json.loads((GOLDEN / "verify.json").read_text()):
+        code, stdout = verify_stdout(entry)
+        if code != entry["exit"]:
+            sys.exit(f"verify {entry['id']} exited {code}, expected {entry['exit']}")
+        (GOLDEN / f"verify-{entry['id']}.stdout").write_text(stdout, encoding="utf-8")
