@@ -185,7 +185,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
 
 
 def multi_vote_plain(config: BallotConfig, votes, cheater: int, extra: int,
-                     rng: np.random.Generator | None = None) -> RunResult:
+                     rng: np.random.Generator) -> RunResult:
     """Undetectable multi-voting in the plain DB scheme.
 
     The cheater applies ``extra`` additional yes operations, so the
@@ -197,8 +197,6 @@ def multi_vote_plain(config: BallotConfig, votes, cheater: int, extra: int,
         raise ConfigurationError(f"cheater index {cheater} out of range")
     if extra < 0:
         raise ConfigurationError(f"extra must be >= 0, got {extra}")
-    if rng is None:
-        rng = np.random.default_rng(0)  # decode is deterministic on this path
     choices = _parse_votes(config, votes)
     exponents = [int(c is Vote.YES) for c in choices]
     exponents[cheater] += int(extra)

@@ -16,7 +16,7 @@ correlated component (the integer k - r, not its mod-d residue, which
 is what keeps the secret offset delta from leaking into the tally).
 
 The omega_p reading has one implementation, ``phase_readings``; the dense
-functions serve verification, ``stage_hook``, single qudits and the tests.
+functions serve verification, single qudits and the tests.
 """
 
 import math
@@ -61,10 +61,6 @@ class Vote(str, Enum):
         if v in ("N", "NO", "0"):
             return Vote.NO
         raise ConfigurationError(f"cannot parse vote {value!r}")
-
-
-YES = Vote.YES
-NO = Vote.NO
 
 # Two-voter travelling-ballot outcome map: the tally is the number of
 # yes votes, and only this assignment is order-consistent.

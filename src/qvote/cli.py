@@ -188,7 +188,7 @@ def _build_config(cfg: dict) -> BallotConfig:
 def _attack_transcript(run_id: str, seed: int, scheme: str, d: int, n: int,
                        outcomes: list) -> Transcript:
     """Minimal event log for attack scenarios: one MEASURE per trial."""
-    t = Transcript(run_id, seed, {"scheme": scheme, "d": d, "N": n})
+    t = Transcript(run_id, seed)
     for trial, outcome in enumerate(outcomes):
         t.event(trial, "PREPARE", payload={"scheme": scheme, "d": d, "N": n})
         t.event(trial, "MEASURE", outcome=outcome)
@@ -258,8 +258,7 @@ def cmd_run(args) -> int:
             transcript = _attack_transcript(run_id, seed, scheme.value, config.d,
                                             config.N, outcomes)
         else:
-            transcript = Transcript(run_id, seed,
-                                    {"scheme": scheme.value, "d": config.d, "N": config.N})
+            transcript = Transcript(run_id, seed)
             run_rng = rngmod.stream(seed, rngmod.REPETITION)
             if scheme is Scheme.DB:
                 result = run_db_vote(config, votes, run_rng, transcript=transcript)

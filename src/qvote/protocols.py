@@ -25,12 +25,10 @@ from .ballots import (
     TWO_VOTER_TB_LABELS,
     Vote,
     phase_readings,
-    prepare_tb_ballot,
     secure_tally,
-    shift_unitary,
 )
 from .errors import ConfigurationError
-from .qstate import ATOL, CorrelatedState, _pick, apply_local
+from .qstate import ATOL, _pick
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
 
@@ -41,7 +39,6 @@ class Transcript:
 
     run_id: str
     master_seed: int
-    config: dict
     events: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
@@ -142,7 +139,7 @@ def _cast(d: int, thetas) -> np.ndarray:
     for i in range(thetas.shape[-1]):
         c = c * np.exp(ik * thetas[..., i, None])
         norms[..., i] = np.linalg.norm(c, axis=-1)
-    if (np.abs(norms - 1.0) > ATOL).any():
+    if not (np.abs(norms - 1.0) <= ATOL).all():
         raise ConfigurationError("correlated amplitudes are not normalized")
     return c
 
@@ -158,18 +155,14 @@ def _log_round(transcript: Transcript, rep: int, prepare: dict, votes, outcome):
 
 
 def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.Generator,
-                 transcript: Transcript | None = None, stage_hook=None):
+                 transcript: Transcript | None = None):
     """One DB or SURVEY round in the correlated basis; returns the decoded tally.
 
     Voter i applies the yes operator ``exponents[i]`` times: c_k *= e^{i 2 pi k e_i / d}.
-    This costs O(d) per voter at any N; ``stage_hook`` receives the dense form.
+    This costs O(d) per voter at any N.
     """
     d = config.d
     thetas = [2 * np.pi * (exponent % d) / d for exponent in exponents]
-    if stage_hook:
-        for i in range(len(thetas) + 1):
-            stage_hook("prepared" if i == 0 else f"after_vote_{i - 1}",
-                       CorrelatedState(d, config.N, _cast(d, thetas[:i])).to_pure())
     m = phase_readings(_cast(d, thetas)[None], [rng.random()])[0]
     if transcript:
         _log_round(transcript, 0, {"scheme": config.scheme.value, "d": d, "N": config.N},
@@ -179,34 +172,27 @@ def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.
 
 
 def run_db_vote(config: BallotConfig, votes, rng: np.random.Generator,
-                transcript: Transcript | None = None, stage_hook=None) -> RunResult:
+                transcript: Transcript | None = None) -> RunResult:
     """Distributed-ballot round: the tally is the number of yes votes."""
     if config.scheme is not Scheme.DB:
         raise ConfigurationError(f"run_db_vote needs a DB config, got {config.scheme}")
     choices = _parse_votes(config, votes)
     m = _phase_round(config, [int(c is Vote.YES) for c in choices],
-                     [c.value for c in choices], rng, transcript, stage_hook)
+                     [c.value for c in choices], rng, transcript)
     return RunResult("DB", m, [m])
 
 
 def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
-                transcript: Transcript | None = None, stage_hook=None) -> RunResult:
+                transcript: Transcript | None = None) -> RunResult:
     """Travelling-ballot round; yes votes shift the moving qudit (site 1).
 
     The pair stays sum_k |k, k + s> / sqrt(d) with s the yes count mod d, so
-    ``decode_tb`` reads s whatever its one double is. Only ``stage_hook(label,
-    state)`` sees the dense pair, after preparation and after each vote.
+    ``decode_tb`` reads s whatever its one double is; the run draws that
+    double and never builds the pair.
     """
     if config.scheme is not Scheme.TB:
         raise ConfigurationError(f"run_tb_vote needs a TB config, got {config.scheme}")
     choices = _parse_votes(config, votes)
-    if stage_hook:
-        state, shift = prepare_tb_ballot(config.d), shift_unitary(config.d)
-        stage_hook("prepared", state)
-        for i, choice in enumerate(choices):
-            if choice is Vote.YES:
-                state = apply_local(state, 1, shift)
-            stage_hook(f"after_vote_{i}", state)
     rng.random()
     m = sum(c is Vote.YES for c in choices) % config.d
     if transcript:

