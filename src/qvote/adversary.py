@@ -232,7 +232,8 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     half_width = np.pi * float(estimation_error_scale) / config.d
 
     # Per trial: the estimate error, then one child stream per repetition,
-    # as run_secure_vote spawns them. All trials' repetitions run as one batch.
+    # as run_secure_vote spawns them. All trials run as one batch, one angle
+    # row per trial shared by its repetitions.
     honest = honest_thetas(config, choices)
     errors, theta_rows, rep_rngs = [], [], []
     for trial_rng in _trial_streams(rng, trials):
@@ -240,7 +241,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
         thetas = list(honest)
         thetas[int(cheater)] += float(delta_phase + eps)
         errors.append(eps)
-        theta_rows += [thetas] * repetitions
+        theta_rows.append(thetas)
         rep_rngs += trial_rng.spawn(repetitions)
     rounds = _secure_rounds(config, theta_rows, rep_rngs)
 

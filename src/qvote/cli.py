@@ -441,8 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args returns a fresh Namespace per call and copies the
+# --override default list before appending, so calls share no state.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -211,20 +211,27 @@ def honest_thetas(config: BallotConfig, choices) -> list[float]:
 
 
 def _secure_rounds(config: BallotConfig, theta_rows, rep_rngs) -> list[tuple]:
-    """Anti-reuse executions in the correlated basis, one per row; returns (m, p, rs) each.
+    """Anti-reuse executions in the correlated basis, one per stream; returns (m, p, rs) each.
 
-    Row t casts the angles ``theta_rows[t]`` and draws from ``rep_rngs[t]``:
-    N + 1 doubles, the N pairing outcomes and then the tally. Voter i's
-    pairing outcome r_i is uniform for any ballot state and only multiplies
-    the state by the global phase e^{-i r_i theta_i}, so r_i is drawn and
-    logged but leaves c untouched: the cast is c_k *= e^{ik theta_i}. All
-    rows share one cast and one reading.
+    Each row of angles runs R = len(rep_rngs) // len(theta_rows) times:
+    row t casts ``theta_rows[t]`` once and its repetitions draw from
+    ``rep_rngs[t*R:(t+1)*R]``, N + 1 doubles each, the N pairing outcomes
+    and then the tally. Voter i's pairing outcome r_i is uniform for any
+    ballot state and only multiplies the state by the global phase
+    e^{-i r_i theta_i}, so r_i is drawn and logged but leaves c untouched:
+    the cast is c_k *= e^{ik theta_i}. All repetitions share one reading.
     """
     d, n = config.d, config.N
     thetas = np.asarray(theta_rows, dtype=float).reshape(-1, n)
-    u = np.array([g.random(n + 1) for g in rep_rngs]).reshape(len(thetas), n + 1)
+    reps = len(rep_rngs) // len(thetas) if len(thetas) else 0
+    if reps * len(thetas) != len(rep_rngs):
+        raise ConfigurationError(
+            f"{len(rep_rngs)} streams are not a whole number of repetitions "
+            f"of {len(thetas)} angle rows")
+    u = np.array([g.random(n + 1) for g in rep_rngs]).reshape(len(rep_rngs), n + 1)
     rs = _pick(np.full(d, 1 / d).cumsum(), u[:, :n]).tolist()
-    return [(m, p, r) for (m, p), r in zip(secure_tally(_cast(d, thetas), config, u[:, n]), rs)]
+    corr_rows = np.repeat(_cast(d, thetas), reps, axis=0)
+    return [(m, p, r) for (m, p), r in zip(secure_tally(corr_rows, config, u[:, n]), rs)]
 
 
 def _secure_result(rounds, repetitions: int) -> RunResult:
@@ -255,7 +262,7 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
     thetas = honest_thetas(config, choices) if thetas is None else list(thetas)
     if len(thetas) != config.N:
         raise ConfigurationError(f"expected {config.N} voting angles, got {len(thetas)}")
-    rounds = _secure_rounds(config, [thetas] * repetitions, rng.spawn(repetitions))
+    rounds = _secure_rounds(config, [thetas], rng.spawn(repetitions))
     if transcript:
         for rep, (m, p, rs) in enumerate(rounds):
             _log_round(transcript, rep, {"scheme": "SECURE", "d": config.d, "N": config.N,

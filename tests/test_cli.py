@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qvote.cli import CONFIG_SCHEMA, main
+from qvote.cli import CONFIG_SCHEMA, PARSER, main
 
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -106,6 +106,26 @@ class TestCmdRun:
                 == (out2 / f"{name}.transcript.jsonl").read_bytes())
         assert ((out1 / f"{name}.result.json").read_bytes()
                 == (out2 / f"{name}.result.json").read_bytes())
+
+    def test_shared_parser_keeps_nothing_between_calls(self, tmp_path, capsys):
+        # main parses with one module-level parser: no call may leak into the next.
+        assert run_cli("run", "--config", SCENARIOS / "db_honest.json",
+                       "--out", tmp_path / "a", "--override", "d=7") == 0
+        assert (tmp_path / "a" / "db-d7-n4-seed42.result.json").exists()
+        assert PARSER.parse_args(["run", "--config", "x.json"]).override == []
+        assert run_cli("run", "--config", SCENARIOS / "db_honest.json",
+                       "--out", tmp_path / "b") == 0
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "db-d5-n4-seed42.result.json", "db-d5-n4-seed42.transcript.jsonl"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run")
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        golden = tmp_path / "golden"
+        assert run_cli("run", "--config", SCENARIOS / "secure_honest.json",
+                       "--out", golden) == 0
+        for path in golden.iterdir():
+            assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
 
 @pytest.mark.parametrize("argv", [

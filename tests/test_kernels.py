@@ -142,6 +142,36 @@ class TestKernelsMatchReferences:
                for thetas, g in zip(rows, children(seed, len(rows)))]
         assert got == ref
 
+    @given(secure_config(), st.data(), SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_rows_against_one_cast_per_stream(self, config, data, seed):
+        # Row t casts once for its R streams; the reference casts it once per
+        # stream. T*R*d stays at most 6*4*16 elements, well under the 8192 at
+        # which a batch's size starts to reach the last bit of _cast.
+        repetitions = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
+                                           min_size=config.N, max_size=config.N),
+                                  min_size=1, max_size=6))
+        got_rngs = children(seed, len(rows) * repetitions)
+        ref_rngs = children(seed, len(rows) * repetitions)
+        got = _secure_rounds(config, rows, got_rngs)
+        ref = [rnd for t, row in enumerate(rows)
+               for rnd in _secure_rounds(config, [row] * repetitions,
+                                         ref_rngs[t * repetitions:(t + 1) * repetitions])]
+        assert got == ref
+        assert ([g.bit_generator.state for g in got_rngs]
+                == [g.bit_generator.state for g in ref_rngs])
+
+    def test_zero_rows_give_no_rounds(self):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        assert _secure_rounds(config, [], []) == []
+
+    @pytest.mark.parametrize("rows,streams", [(2, 3), (2, 1), (0, 2)])
+    def test_streams_not_a_multiple_of_rows_rejected(self, rows, streams):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        with pytest.raises(ConfigurationError, match="whole number of repetitions"):
+            _secure_rounds(config, [[0.1, 0.2, 0.3]] * rows, children(0, streams))
+
 
 class TestStreamConsumption:
     def test_collusion_trial_makes_six_draws(self):
