@@ -16,10 +16,12 @@ trial's repetitions through one batched ``_secure_rounds``; the TB
 collusion attack follows the pair in its d amplitudes, where only the
 first colluder's reading is random; the product-ballot readout is an
 orthonormal FFT of one voter's qudit, or uniform on the honest ballot.
-The swap test draws from its closed-form weights (1 +- |<a|b>|^2)/2
-(Buhrman et al., PRL 87, 167902 (2001)). Only ``detect_subset_correlation``
-measures a dense state, the one it is given. ``tests/reference.py`` keeps
-the dense per-trial loops these kernels must match draw for draw.
+The swap test compares each double with one threshold per pair, its
+symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
+(2001)). Only ``detect_subset_correlation`` measures a dense state, the
+one it is given. ``tests/reference.py`` keeps the dense per-trial loops
+and the per-call swap-test CDF that these kernels must match draw for
+draw.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +54,6 @@ from .qstate import (
     PureState,
     _cdf,
     _pick,
-    _with_invalid,
     measure_computational,
 )
 
@@ -377,20 +378,27 @@ def detect_symmetry(sampled_states, rng: np.random.Generator,
     comparison. Comparisons pair the first state against the others in
     round-robin order on fresh copies. Any antisymmetric outcome means
     the authority sent unequal states.
+
+    Each comparison spends one double u and convicts when u >= (1 + f^2)/2.
+    That is the inverse-CDF draw over (symmetric, antisymmetric, INVALID),
+    exactly: for f^2 in [0, 1] the two weights round to a sum of exactly 1,
+    so INVALID weighs 0; an f^2 rounded above 1 gives a threshold >= 1,
+    which no double reaches.
     """
     states = list(sampled_states)
     if len(states) < 2:
         raise ConfigurationError("symmetry test needs at least two states")
+    comparisons = int(comparisons)
+    if comparisons < 1:
+        raise ConfigurationError(f"comparisons must be >= 1, got {comparisons}")
     d = states[0].dims[0]
     for s in states:
         if s.num_sites != 1 or s.dims[0] != d:
             raise ConfigurationError("symmetry test compares single qudits of equal dimension")
-    cdfs = []
-    for other in states[1:1 + int(comparisons)]:
-        f2 = abs(np.vdot(states[0].amps, other.amps)) ** 2
-        cdfs.append(_cdf(_with_invalid(np.array([(1 + f2) / 2, (1 - f2) / 2]))))
-    for t in range(int(comparisons)):
-        if _pick(cdfs[t % (len(states) - 1)], rng.random()) == 1:
+    thresholds = [(1 + float(abs(np.vdot(states[0].amps, other.amps)) ** 2)) / 2
+                  for other in states[1:1 + comparisons]]
+    for t in range(comparisons):
+        if rng.random() >= thresholds[t % (len(states) - 1)]:
             return CHEATING
     return CLEAN
 
@@ -404,10 +412,13 @@ def detect_subset_correlation(ballot_state: PureState, subset, rng: np.random.Ge
     product ballot gives independent ones, so any mismatch convicts.
     Single-site subsets have nothing to correlate.
     """
+    trials = int(trials)
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     sites = [int(s) for s in subset]
     if len(sites) < 2:
         return INCONCLUSIVE
-    for _ in range(int(trials)):
+    for _ in range(trials):
         state = ballot_state
         digits = []
         for site in sites:

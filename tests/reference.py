@@ -2,14 +2,15 @@
 
 These are the loops the attacks ran before their kernels: the dense
 collusion and product-ballot attacks, the dense TB round, the scalar
-SECURE round and the forgery attack that ran one ``run_secure_vote`` per
-trial. They make the same draws in the same order as the kernels, so
-tests require equal reports, draw for draw.
+SECURE round, the forgery attack that ran one ``run_secure_vote`` per
+trial and the swap test that drew from a three-entry CDF per pair. They
+make the same draws in the same order as the kernels, so tests require
+equal reports, draw for draw.
 """
 
 import numpy as np
 
-from qvote.adversary import AttackReport, _bump
+from qvote.adversary import CHEATING, CLEAN, AttackReport, _bump
 from qvote.ballots import (
     CHEAT_DETECTED,
     BallotConfig,
@@ -28,7 +29,10 @@ from qvote.protocols import _parse_votes, honest_thetas, run_secure_vote
 from qvote.qstate import (
     CorrelatedState,
     PureState,
+    _cdf,
+    _pick,
     _sample,
+    _with_invalid,
     apply_local,
     measure_computational,
     tensor,
@@ -172,3 +176,16 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
         extras={"per_trial": per_trial, "repetitions": repetitions,
                 "honest_tally": sum(1 for c in choices if c is Vote.YES)},
     )
+
+
+def detect_symmetry(sampled_states, rng: np.random.Generator, comparisons: int = 7) -> str:
+    """The swap test drawing each comparison from its (symmetric, antisymmetric, INVALID) CDF."""
+    states = list(sampled_states)
+    cdfs = []
+    for other in states[1:1 + int(comparisons)]:
+        f2 = abs(np.vdot(states[0].amps, other.amps)) ** 2
+        cdfs.append(_cdf(_with_invalid(np.array([(1 + f2) / 2, (1 - f2) / 2]))))
+    for t in range(int(comparisons)):
+        if _pick(cdfs[t % (len(states) - 1)], rng.random()) == 1:
+            return CHEATING
+    return CLEAN

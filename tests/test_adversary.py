@@ -276,6 +276,13 @@ class TestDetectSymmetry:
         with pytest.raises(ConfigurationError):
             detect_symmetry([voting_qudit_state(5, 0.1)], rngmod.stream(0, 2))
 
+    @pytest.mark.parametrize("comparisons", [0, -1, -3])
+    def test_needs_a_comparison(self, comparisons):
+        # No comparison checks nothing; it must not read as CLEAN.
+        a, b = voting_qudit_state(5, 0.7), voting_qudit_state(5, 0.7 + 2 * np.pi / 5)
+        with pytest.raises(ConfigurationError, match="comparisons must be >= 1"):
+            detect_symmetry([a, b], rngmod.stream(0, 2), comparisons=comparisons)
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_swap_projector_measurement(self, d):
         # Reference: measure (I +- SWAP)/2 on the dense pair |a>|b>.
@@ -304,6 +311,15 @@ class TestDetectSubsetCorrelation:
         state = product_ballot(5, 2)
         verdict = detect_subset_correlation(state, [0, 1], rngmod.stream(21, 2), trials=10)
         assert verdict == CHEATING
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_needs_a_trial(self, trials):
+        # Five trials convict this forged ballot; zero must not clear it.
+        state = product_ballot(5, 2)
+        assert detect_subset_correlation(state, [0, 1], rngmod.stream(21, 2),
+                                         trials=5) == CHEATING
+        with pytest.raises(ConfigurationError, match="trials must be >= 1"):
+            detect_subset_correlation(state, [0, 1], rngmod.stream(21, 2), trials=trials)
 
     def test_single_site_inconclusive(self):
         state = prepare_db_ballot(5, 3)

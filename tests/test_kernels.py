@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import random_state
 from qvote.adversary import (
     CHEATING,
     CLEAN,
@@ -97,6 +98,35 @@ def secure_config(draw):
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
+@st.composite
+def swap_pool(draw):
+    """2-5 single qudits: voting states, random states and repeats of the first."""
+    d = draw(st.integers(2, 8))
+    states_rng = np.random.default_rng(draw(SEEDS))
+    pool = []
+    for kind in draw(st.lists(st.sampled_from(["voting", "random", "repeat"]),
+                              min_size=2, max_size=5)):
+        if kind == "repeat" and pool:
+            pool.append(pool[0])
+        elif kind == "random":
+            pool.append(random_state((d,), states_rng))
+        else:
+            step = draw(st.integers(0, d - 1))
+            offset = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.5]))
+            pool.append(voting_qudit_state(d, 2 * np.pi * step / d + offset))
+    return pool
+
+
+class Scripted:
+    """A stand-in generator whose ``random()`` returns the given doubles in order."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+
+    def random(self):
+        return self.doubles.pop(0)
+
+
 class TestKernelsMatchReferences:
     @given(tb_case(), SEEDS)
     @settings(max_examples=60, deadline=None)
@@ -161,6 +191,31 @@ class TestKernelsMatchReferences:
         assert got == ref
         assert ([g.bit_generator.state for g in got_rngs]
                 == [g.bit_generator.state for g in ref_rngs])
+
+    @given(swap_pool(), st.integers(1, 12), SEEDS)
+    @settings(max_examples=200, deadline=None)
+    def test_swap_test_against_per_call_cdf(self, pool, comparisons, seed):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = detect_symmetry(pool, got_rng, comparisons=comparisons)
+        assert got == reference.detect_symmetry(pool, ref_rng, comparisons=comparisons)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("theta_b", [0.7, 0.7 + 1e-9, 0.71, 1.2, 0.7 + 2 * np.pi / 5,
+                                         0.7 + 2 * np.pi])
+    def test_swap_test_threshold_at_its_boundary_doubles(self, theta_b):
+        # The antisymmetric outcome starts at s = (1 + f^2)/2: the double
+        # just below s passes, s itself and the double above it convict.
+        pair = [voting_qudit_state(5, 0.7), voting_qudit_state(5, theta_b)]
+        f2 = float(abs(np.vdot(pair[0].amps, pair[1].amps)) ** 2)
+        s = (1 + f2) / 2
+        below, above = np.nextafter(s, 0.0), np.nextafter(s, 2.0)
+        last = np.nextafter(1.0, 0.0)
+        for u in (below, s, above, last):
+            if u >= 1.0:
+                continue
+            got = detect_symmetry(pair, Scripted([u]), comparisons=1)
+            assert got == reference.detect_symmetry(pair, Scripted([u]), comparisons=1)
+            assert got == (CHEATING if u >= s else CLEAN)
 
     def test_zero_rows_give_no_rounds(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
