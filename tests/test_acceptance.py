@@ -4,11 +4,14 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS line per
 criterion; any assertion failure marks that criterion as failed.
 """
 
+import hashlib
+import json
 import time
 from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.stats import chisquare
 
 from qvote import rng as rngmod
@@ -49,6 +52,10 @@ import reference
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
 
 DB_SWEEP = [(d, n) for d in (3, 5, 8) for n in (2, 3, 4) if d > n]
+
+# sha256 of json.dumps([report1.to_dict(), report3.to_dict()], sort_keys=True)
+# for criterion 08's two reports, ``per_trial`` included.
+FORGERY_REPORTS_SHA256 = "3e4b6c00b50bb4cdecefcb1cff6b6351cfcbc472663656000f575d2c753d1b3a"
 
 
 def _pass(number: int, name: str):
@@ -179,21 +186,28 @@ def test_criterion_07_multi_vote_modulo():
     _pass(7, "plain-DB multi-voting lands on (tally + extra) mod d")
 
 
-def test_criterion_08_forgery_detection_rate(forgery_fixture):
-    d = forgery_fixture["d"]
-    reps = forgery_fixture["repetitions"]
-    trials = 10_000
-    config1 = BallotConfig(d, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-    report1 = phase_estimate_attack(config1, 0, forgery_fixture["error_scale"], trials,
-                                    rngmod.stream(0, rngmod.TRIAL), repetitions=reps)
+@pytest.fixture(scope="module")
+def forgery_reports(forgery_fixture):
+    """Criterion 08's 10k-trial forgery reports at unit differences 1 and 3."""
+    return [phase_estimate_attack(
+        BallotConfig(forgery_fixture["d"], 3, Scheme.SECURE,
+                     secrets=SecureSecrets(l_y, 0, 0.2)),
+        0, forgery_fixture["error_scale"], 10_000, rngmod.stream(0, rngmod.TRIAL),
+        repetitions=forgery_fixture["repetitions"]) for l_y in (1, 3)]
+
+
+def test_criterion_08_forgery_detection_rate(forgery_fixture, forgery_reports):
+    report1, report3 = forgery_reports
     oracle = forgery_fixture["detection_rate"]
     assert abs(report1.detection_rate - oracle) <= 0.03
-    config3 = BallotConfig(d, 3, Scheme.SECURE, secrets=SecureSecrets(3, 0, 0.2))
-    report3 = phase_estimate_attack(config3, 0, forgery_fixture["error_scale"], trials,
-                                    rngmod.stream(0, rngmod.TRIAL), repetitions=reps)
     assert report1.detection_rate >= report3.detection_rate
     _pass(8, f"detection rate {report1.detection_rate:.4f} vs oracle {oracle:.4f}; "
              f"unit difference no worse than 3")
+
+
+def test_forgery_reports_replay_bit_exactly(forgery_reports):
+    dumped = json.dumps([r.to_dict() for r in forgery_reports], sort_keys=True)
+    assert hashlib.sha256(dumped.encode()).hexdigest() == FORGERY_REPORTS_SHA256
 
 
 def test_criterion_09_qubit_nogo(nogo_fixture):

@@ -228,6 +228,50 @@ class TestKernelsMatchReferences:
             _secure_rounds(config, [[0.1, 0.2, 0.3]] * rows, children(0, streams))
 
 
+def parent(seed: int, spawned: int) -> np.random.Generator:
+    """``default_rng(seed)`` after it has already spawned ``spawned`` children."""
+    rng = np.random.default_rng(seed)
+    rng.spawn(spawned)
+    return rng
+
+
+class TestTrialPrefixes:
+    """The first k trials of a T-trial report equal a k-trial report.
+
+    T runs on both sides of 744 trials, where a batch of d=11 amplitude rows
+    reaches 8192 complex elements, and the parent may have spawned already.
+    """
+
+    K = 40
+
+    @pytest.mark.parametrize("trials", [700, 1600])
+    @pytest.mark.parametrize("spawned", [0, 3])
+    def test_forgery(self, trials, spawned):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        long, short = (phase_estimate_attack(config, 0, 1.0, t, parent(11, spawned),
+                                             votes="YNY").extras["per_trial"]
+                       for t in (trials, self.K))
+        assert long[:self.K] == short
+
+    @pytest.mark.parametrize("trials", [700, 1600])
+    @pytest.mark.parametrize("spawned", [0, 3])
+    def test_collusion(self, trials, spawned):
+        config = BallotConfig(11, 5, Scheme.TB)
+        long, short = (collusion_attack_tb(config, "YNYYN", (0, 4), t, parent(12, spawned))
+                       .inferred_secrets["in_between_yes_counts"] for t in (trials, self.K))
+        assert long[:self.K] == short
+
+    @pytest.mark.parametrize("trials", [700, 1600])
+    @pytest.mark.parametrize("spawned", [0, 3])
+    @pytest.mark.parametrize("honest", [False, True])
+    def test_product_ballot(self, trials, spawned, honest):
+        config = BallotConfig(11, 4, Scheme.DB)
+        long, short = (authority_product_ballot(config, "YNYY", parent(13, spawned), trials=t,
+                                                honest_ballot=honest)
+                       .extras["per_trial_correct"] for t in (trials, self.K))
+        assert long[:self.K] == short
+
+
 class TestStreamConsumption:
     def test_collusion_trial_makes_six_draws(self):
         rng = Recording(np.random.default_rng(5))
