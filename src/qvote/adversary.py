@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng as rngmod
 from .ballots import (
     CHEAT_DETECTED,
     BallotConfig,
@@ -104,11 +105,11 @@ def _bump(hist: dict, key):
     hist[key] = hist.get(key, 0) + 1
 
 
-def _trial_streams(rng: np.random.Generator, trials: int, least: int = 0) -> list:
-    """One child stream per trial; fewer than ``least`` trials is a configuration error."""
+def _trial_count(trials, least: int = 0) -> int:
+    """``trials`` as an int; fewer than ``least`` is a configuration error."""
     if trials < least:
         raise ConfigurationError(f"trials must be >= {least}, got {trials}")
-    return rng.spawn(int(trials))
+    return int(trials)
 
 
 def _renormalized(c: np.ndarray) -> np.ndarray:
@@ -143,7 +144,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     expected = sum(yes[i + 1:j])
 
     d = config.d
-    u = np.array([g.random(6) for g in _trial_streams(rng, trials)]).reshape(-1, 6)
+    u = rngmod.child_doubles(rng, _trial_count(trials), 6)[0]
     c = CorrelatedState.uniform(d, 2).c
     # Shift votes only permute the pair's amplitudes, so the first reading
     # sees the |c_k|^2 in some order. The second reading and the difference
@@ -232,22 +233,19 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
     half_width = np.pi * float(estimation_error_scale) / config.d
 
-    # Per trial: the estimate error, then one child stream per repetition,
-    # as run_secure_vote spawns them. All trials run as one batch, one angle
-    # row per trial shared by its repetitions.
-    honest = honest_thetas(config, choices)
-    errors, theta_rows, rep_rngs = [], [], []
-    for trial_rng in _trial_streams(rng, trials):
-        eps = float(trial_rng.uniform(-half_width, half_width)) if half_width > 0 else 0.0
-        thetas = list(honest)
-        thetas[int(cheater)] += float(delta_phase + eps)
-        errors.append(eps)
-        theta_rows.append(thetas)
-        rep_rngs += trial_rng.spawn(repetitions)
-    rounds = _secure_rounds(config, theta_rows, rep_rngs)
+    # Per trial: the estimate error, drawn as numpy's uniform draws it, then
+    # one child stream per repetition, as run_secure_vote spawns them. All
+    # trials run as one batch, one angle row per trial shared by its
+    # repetitions.
+    u, rep_u = rngmod.child_doubles(rng, _trial_count(trials), 1, repetitions, config.N + 1)
+    lo, hi = -half_width, half_width
+    errors = lo + (hi - lo) * u[:, 0] if half_width > 0 else np.zeros(len(u))
+    theta_rows = np.tile(honest_thetas(config, choices), (len(u), 1))
+    theta_rows[:, int(cheater)] += delta_phase + errors
+    rounds = _secure_rounds(config, theta_rows, rep_u)
 
     verdicts, hist, per_trial = [], {}, []
-    for t, eps in enumerate(errors):
+    for t, eps in enumerate(errors.tolist()):
         result = _secure_result(rounds[t * repetitions:(t + 1) * repetitions], repetitions)
         detected = result.m == CHEAT_DETECTED
         verdicts.append(detected)
@@ -290,8 +288,7 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
     actual = [1 if c is Vote.YES else 0 for c in choices]
 
     d = config.d
-    u = np.array([g.random(config.N) for g in _trial_streams(rng, trials, least=1)])
-    u = u.reshape(-1, config.N)
+    u = rngmod.child_doubles(rng, _trial_count(trials, least=1), config.N)[0]
     if honest_ballot:
         guesses = _pick(np.full(d, 1 / d).cumsum(), u)
         guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
@@ -338,7 +335,7 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
 
     hist: dict = {}
     results = []
-    for trial_rng in _trial_streams(rng, trials):
+    for trial_rng in rng.spawn(_trial_count(trials)):
         result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
                                  thetas=thetas)
         results.append({"m": result.m, "outcomes": result.outcomes, "p": result.p})

@@ -130,14 +130,17 @@ def _cast(d: int, thetas) -> np.ndarray:
     """Correlated amplitudes after voter i multiplies c_k by e^{ik thetas[..., i]}, in order.
 
     ``thetas`` is (N,) for one round or (rows, N); every voter's cast must
-    keep each row's norm within ATOL of 1.
+    keep each row's norm within ATOL of 1. The product is always c times
+    the phase: numpy's complex multiply is not bitwise commutative on every
+    SIMD target, and ``c * phase`` with a large temporary phase would run
+    in place as phase times c, so a row's bits would depend on its batch.
     """
     thetas = np.asarray(thetas, dtype=float)
     c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
     norms = np.empty(thetas.shape)
     ik = 1j * np.arange(d)
     for i in range(thetas.shape[-1]):
-        c = c * np.exp(ik * thetas[..., i, None])
+        c = np.multiply(c, np.exp(ik * thetas[..., i, None]))
         norms[..., i] = np.linalg.norm(c, axis=-1)
     if not (np.abs(norms - 1.0) <= ATOL).all():
         raise ConfigurationError("correlated amplitudes are not normalized")
@@ -210,25 +213,25 @@ def honest_thetas(config: BallotConfig, choices) -> list[float]:
     return [config.theta_yes if c is Vote.YES else config.theta_no for c in choices]
 
 
-def _secure_rounds(config: BallotConfig, theta_rows, rep_rngs) -> list[tuple]:
-    """Anti-reuse executions in the correlated basis, one per stream; returns (m, p, rs) each.
+def _secure_rounds(config: BallotConfig, theta_rows, u) -> list[tuple]:
+    """Anti-reuse executions in the correlated basis, one per row of ``u``; (m, p, rs) each.
 
-    Each row of angles runs R = len(rep_rngs) // len(theta_rows) times:
-    row t casts ``theta_rows[t]`` once and its repetitions draw from
-    ``rep_rngs[t*R:(t+1)*R]``, N + 1 doubles each, the N pairing outcomes
-    and then the tally. Voter i's pairing outcome r_i is uniform for any
-    ballot state and only multiplies the state by the global phase
+    Each row of angles runs R = len(u) // len(theta_rows) times: row t
+    casts ``theta_rows[t]`` once and its repetitions read ``u[t*R:(t+1)*R]``,
+    the N + 1 doubles each repetition's stream draws: the N pairing
+    outcomes and then the tally. Voter i's pairing outcome r_i is uniform
+    for any ballot state and only multiplies the state by the global phase
     e^{-i r_i theta_i}, so r_i is drawn and logged but leaves c untouched:
     the cast is c_k *= e^{ik theta_i}. All repetitions share one reading.
     """
     d, n = config.d, config.N
     thetas = np.asarray(theta_rows, dtype=float).reshape(-1, n)
-    reps = len(rep_rngs) // len(thetas) if len(thetas) else 0
-    if reps * len(thetas) != len(rep_rngs):
+    u = np.asarray(u, dtype=float).reshape(-1, n + 1)
+    reps = len(u) // len(thetas) if len(thetas) else 0
+    if reps * len(thetas) != len(u):
         raise ConfigurationError(
-            f"{len(rep_rngs)} streams are not a whole number of repetitions "
+            f"{len(u)} draw rows are not a whole number of repetitions "
             f"of {len(thetas)} angle rows")
-    u = np.array([g.random(n + 1) for g in rep_rngs]).reshape(len(rep_rngs), n + 1)
     rs = _pick(np.full(d, 1 / d).cumsum(), u[:, :n]).tolist()
     corr_rows = np.repeat(_cast(d, thetas), reps, axis=0)
     return [(m, p, r) for (m, p), r in zip(secure_tally(corr_rows, config, u[:, n]), rs)]
@@ -262,7 +265,8 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
     thetas = honest_thetas(config, choices) if thetas is None else list(thetas)
     if len(thetas) != config.N:
         raise ConfigurationError(f"expected {config.N} voting angles, got {len(thetas)}")
-    rounds = _secure_rounds(config, [thetas], rng.spawn(repetitions))
+    u = [g.random(config.N + 1) for g in rng.spawn(repetitions)]
+    rounds = _secure_rounds(config, [thetas], u)
     if transcript:
         for rep, (m, p, rs) in enumerate(rounds):
             _log_round(transcript, rep, {"scheme": "SECURE", "d": config.d, "N": config.N,

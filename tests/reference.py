@@ -1,9 +1,10 @@
 """Per-trial state simulations that the closed-form kernels and runs replace.
 
-These are the loops the attacks ran before their kernels: the dense
-collusion and product-ballot attacks, the dense TB round, the scalar
-SECURE round, the forgery attack that ran one ``run_secure_vote`` per
-trial and the swap test that drew from a three-entry CDF per pair. They
+These are the loops the attacks ran before their kernels: the child
+streams built one Generator at a time, the dense collusion and
+product-ballot attacks, the dense TB round, the scalar SECURE round, the
+forgery attack that ran one ``run_secure_vote`` per trial and the swap
+test that drew from a three-entry CDF per pair. They
 make the same draws in the same order as the kernels, so tests require
 equal reports, draw for draw.
 """
@@ -37,6 +38,15 @@ from qvote.qstate import (
     measure_computational,
     tensor,
 )
+
+
+def child_doubles(rng: np.random.Generator, trials: int, k: int, reps: int = 0,
+                  rep_k: int = 0):
+    """``rng.spawn(trials)``: k doubles per child, then rep_k per child of each ``spawn(reps)``."""
+    kids = rng.spawn(int(trials))
+    u = np.array([g.random(k) for g in kids]).reshape(len(kids), k)
+    rep_u = np.array([rep.random(rep_k) for g in kids for rep in g.spawn(reps)])
+    return u, rep_u.reshape(len(kids) * reps, rep_k)
 
 
 def phase_basis_measure(state: PureState, site: int, rng: np.random.Generator):

@@ -1,11 +1,13 @@
 """Closed-form attack kernels against their dense references, and RNG stream use.
 
 Each kernel must return the report its per-trial reference in
-``reference.py`` returns, and each trial must advance its stream by a
-fixed number of draws: transcripts replay bit-exactly only while that
+``reference.py`` returns, and each trial must take a fixed number of
+draws from its stream: transcripts replay bit-exactly only while that
 holds. The stream tests compare ``bit_generator.state`` with a fresh
 generator that made exactly that many draws, so one extra or missing draw
-fails them.
+fails them. The Monte Carlo attacks take their trials' doubles from
+``rng.child_doubles``; their tests record those doubles and compare them
+with a fresh ``rng.spawn`` loop that draws the stated count per stream.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import random_state
+from qvote import rng as rngmod
 from qvote.adversary import (
     CHEATING,
     CLEAN,
@@ -53,6 +56,34 @@ class Recording:
         return getattr(self.gen, name)
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """Each ``rng.child_doubles`` call made during the test: its counts and its arrays."""
+    calls, real = [], rngmod.child_doubles
+
+    def record(rng, trials, k, reps=0, rep_k=0):
+        out = real(rng, trials, k, reps, rep_k)
+        calls.append({"counts": (trials, k, reps, rep_k), "u": out[0], "rep_u": out[1]})
+        return out
+
+    monkeypatch.setattr(rngmod, "child_doubles", record)
+    return calls
+
+
+def parent_state(rng: np.random.Generator) -> tuple:
+    return rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned
+
+
+def assert_consumed(rng, calls, seed, counts):
+    """One ``child_doubles`` call with ``counts`` that drew what a fresh spawn loop draws."""
+    [call] = calls
+    assert call["counts"] == counts
+    fresh = np.random.default_rng(seed)
+    u, rep_u = reference.child_doubles(fresh, *counts)
+    assert np.array_equal(call["u"], u) and np.array_equal(call["rep_u"], rep_u)
+    assert parent_state(rng) == parent_state(fresh)
+
+
 def advanced(gen: np.random.Generator, draws: int) -> dict:
     """The state ``gen`` reaches after ``draws`` doubles."""
     gen.random(draws)
@@ -62,6 +93,11 @@ def advanced(gen: np.random.Generator, draws: int) -> dict:
 def children(seed: int, n: int) -> list[np.random.Generator]:
     """Fresh copies of the first n children spawned from ``default_rng(seed)``."""
     return np.random.default_rng(seed).spawn(n)
+
+
+def draws(gens, k: int) -> np.ndarray:
+    """The next k doubles of each generator, one row per generator."""
+    return np.array([g.random(k) for g in gens]).reshape(len(gens), k)
 
 
 @st.composite
@@ -167,7 +203,7 @@ class TestKernelsMatchReferences:
         rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
                                            min_size=config.N, max_size=config.N),
                                   min_size=1, max_size=6))
-        got = _secure_rounds(config, rows, children(seed, len(rows)))
+        got = _secure_rounds(config, rows, draws(children(seed, len(rows)), config.N + 1))
         ref = [reference.secure_round(config, thetas, g)
                for thetas, g in zip(rows, children(seed, len(rows)))]
         assert got == ref
@@ -175,22 +211,18 @@ class TestKernelsMatchReferences:
     @given(secure_config(), st.data(), SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_repeated_rows_against_one_cast_per_stream(self, config, data, seed):
-        # Row t casts once for its R streams; the reference casts it once per
-        # stream. T*R*d stays at most 6*4*16 elements, well under the 8192 at
-        # which a batch's size starts to reach the last bit of _cast.
+        # Row t casts once for its R draw rows; the reference casts it once
+        # per draw row.
         repetitions = data.draw(st.integers(1, 4))
         rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
                                            min_size=config.N, max_size=config.N),
                                   min_size=1, max_size=6))
-        got_rngs = children(seed, len(rows) * repetitions)
-        ref_rngs = children(seed, len(rows) * repetitions)
-        got = _secure_rounds(config, rows, got_rngs)
+        u = draws(children(seed, len(rows) * repetitions), config.N + 1)
+        got = _secure_rounds(config, rows, u)
         ref = [rnd for t, row in enumerate(rows)
                for rnd in _secure_rounds(config, [row] * repetitions,
-                                         ref_rngs[t * repetitions:(t + 1) * repetitions])]
+                                         u[t * repetitions:(t + 1) * repetitions])]
         assert got == ref
-        assert ([g.bit_generator.state for g in got_rngs]
-                == [g.bit_generator.state for g in ref_rngs])
 
     @given(swap_pool(), st.integers(1, 12), SEEDS)
     @settings(max_examples=200, deadline=None)
@@ -225,7 +257,7 @@ class TestKernelsMatchReferences:
     def test_streams_not_a_multiple_of_rows_rejected(self, rows, streams):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
         with pytest.raises(ConfigurationError, match="whole number of repetitions"):
-            _secure_rounds(config, [[0.1, 0.2, 0.3]] * rows, children(0, streams))
+            _secure_rounds(config, [[0.1, 0.2, 0.3]] * rows, np.zeros((streams, 4)))
 
 
 def parent(seed: int, spawned: int) -> np.random.Generator:
@@ -273,30 +305,23 @@ class TestTrialPrefixes:
 
 
 class TestStreamConsumption:
-    def test_collusion_trial_makes_six_draws(self):
-        rng = Recording(np.random.default_rng(5))
+    def test_collusion_trial_makes_six_draws(self, drawn):
+        rng = np.random.default_rng(5)
         collusion_attack_tb(BallotConfig(5, 4, Scheme.TB), "YNYY", (0, 3), 8, rng)
-        for got, fresh in zip(rng.children, children(5, 8), strict=True):
-            assert got.bit_generator.state == advanced(fresh, 6)
+        assert_consumed(rng, drawn, 5, (8, 6, 0, 0))
 
     @pytest.mark.parametrize("honest", [False, True])
-    def test_product_ballot_trial_makes_n_draws(self, honest):
-        rng = Recording(np.random.default_rng(6))
+    def test_product_ballot_trial_makes_n_draws(self, drawn, honest):
+        rng = np.random.default_rng(6)
         authority_product_ballot(BallotConfig(7, 4, Scheme.DB), "YNYY", rng, trials=8,
                                  honest_ballot=honest)
-        for got, fresh in zip(rng.children, children(6, 8), strict=True):
-            assert got.bit_generator.state == advanced(fresh, 4)
+        assert_consumed(rng, drawn, 6, (8, 4, 0, 0))
 
-    def test_forgery_trial_makes_one_draw_and_spawns_repetitions(self):
+    def test_forgery_trial_makes_one_draw_and_spawns_repetitions(self, drawn):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-        rng = Recording(np.random.default_rng(7))
+        rng = np.random.default_rng(7)
         phase_estimate_attack(config, 0, 1.0, 6, rng, repetitions=3)
-        for got, fresh in zip(rng.children, children(7, 6), strict=True):
-            assert got.bit_generator.state == advanced(fresh, 1)
-            fresh_reps = fresh.spawn(3)
-            assert got.gen.bit_generator.seed_seq.n_children_spawned == 3
-            for rep, fresh_rep in zip(got.children, fresh_reps, strict=True):
-                assert rep.bit_generator.state == advanced(fresh_rep, config.N + 1)
+        assert_consumed(rng, drawn, 7, (6, 1, 3, config.N + 1))
 
     def test_secure_repetition_makes_n_plus_one_draws(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))

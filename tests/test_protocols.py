@@ -237,7 +237,7 @@ class TestCorrelatedMatchesDense:
         thetas = [config.theta_yes if v is Vote.YES else config.theta_no for v in votes]
         if extra is not None:
             thetas[extra[0]] += extra[1]
-        [(m, p, rs)] = _secure_rounds(config, [thetas], [np.random.default_rng(seed)])
+        [(m, p, rs)] = _secure_rounds(config, [thetas], np.random.default_rng(seed).random(n + 1))
 
         # Dense reference: every pairing outcome r also multiplies the
         # state by e^{-i r theta}, a global phase the correlated form drops.
@@ -261,6 +261,19 @@ class TestCorrelatedMatchesDense:
         config = BallotConfig(13, 12, Scheme.SURVEY, max_total=12)
         amounts = [1, 0, 2, 0, 0, 3, 1, 0, 0, 2, 1, 0]
         assert run_survey(config, amounts, rngmod.stream(5, 1)).m == 10
+
+
+class TestCastBatch:
+    @given(st.integers(2, 16), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_rows_equal_their_one_row_casts(self, d, n, seed):
+        # Above 16384 complex elements numpy may run ``c * phase`` in place
+        # as phase times c, whose bits can differ on SIMD builds.
+        rows = 16384 // d + 1 + seed % 64
+        thetas = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, (rows, n))
+        batch = _cast(d, thetas)
+        singles = np.array([_cast(d, row) for row in thetas])
+        assert np.array_equal(batch.view(np.uint64), singles.view(np.uint64))
 
 
 class TestOutcomePermutationInvariance:
