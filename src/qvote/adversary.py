@@ -9,13 +9,16 @@ Conventions fixed here:
   and applies it directly; the estimate carries a uniform error of
   half-width pi * scale / d, the single-copy estimation floor.
 
-No attack builds a dense state. Each Monte Carlo attack spends a fixed
-number of doubles per trial from the trial's own stream, takes them in
-one call, and maps them through closed forms: SECURE forgeries run every
-trial's repetitions through one batched ``_secure_rounds``; the TB
-collusion attack follows the pair in its d amplitudes, where only the
-first colluder's reading is random; the product-ballot readout is an
-orthonormal FFT of one voter's qudit, or uniform on the honest ballot.
+No attack builds a dense state. The forgery, TB collusion and
+product-ballot attacks spend a fixed number of doubles per trial from the
+trial's own child stream. They take every trial's doubles from one
+``rng.child_doubles`` call, which computes what ``rng.spawn`` children
+would draw without building a Generator per trial, and map them through
+closed forms: SECURE forgeries run every trial's repetitions through one
+batched ``_secure_rounds``; the TB collusion attack follows the pair in
+its d amplitudes, where only the first colluder's reading is random; the
+product-ballot readout is an orthonormal FFT of one voter's qudit, or
+uniform on the honest ballot.
 The swap test compares each double with one threshold per pair, its
 symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
 (2001)). Only ``detect_subset_correlation`` measures a dense state, the

@@ -37,7 +37,7 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# generate_state's eight hash constants for 4 uint64 words, as (xor, multiply) pairs.
+# generate_state's hash constants: output word i xors constant i, then multiplies by i + 1.
 _STATE_HASH = np.array([_INIT_B * pow(_MULT_B, n, 1 << 32) & _M32 for n in range(9)],
                        dtype=np.uint64)
 
@@ -75,6 +75,7 @@ def _lcg_columns(k: int):
     columns = [[powers[j + 2] for j in range(k)], [2 * s % mod for s in sums], sums]
     limbs = np.array([[[c >> 32 * l & _M32 for c in col] for l in range(4)] for col in columns],
                      dtype=np.uint64).reshape(3, 4, 1, k)
+    limbs.flags.writeable = False
     return limbs[:2], limbs[2]
 
 
