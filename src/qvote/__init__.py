@@ -22,9 +22,7 @@ from .ballots import (
     SecureSecrets,
     Vote,
     cast_vote_db,
-    cast_vote_secure,
     decode_db,
-    decode_secure,
     decode_tb,
     draw_secrets,
     phase_vote_unitary,

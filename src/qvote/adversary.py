@@ -9,16 +9,19 @@ Conventions fixed here:
   and applies it directly; the estimate carries a uniform error of
   half-width pi * scale / d, the single-copy estimation floor.
 
-No attack builds a dense state. The forgery, TB collusion and
-product-ballot attacks spend a fixed number of doubles per trial from the
-trial's own child stream. They take every trial's doubles from one
-``rng.child_doubles`` call, which computes what ``rng.spawn`` children
-would draw without building a Generator per trial, and map them through
-closed forms: SECURE forgeries run every trial's repetitions through one
-batched ``_secure_rounds``; the TB collusion attack follows the pair in
-its d amplitudes, where only the first colluder's reading is random; the
-product-ballot readout is an orthonormal FFT of one voter's qudit, or
-uniform on the honest ballot.
+No attack builds a dense state. The forgery, mismatched-state, TB
+collusion and product-ballot attacks spend a fixed number of doubles per
+trial from the trial's own child stream. They take every trial's doubles
+from one ``rng.child_doubles`` call, which computes what ``rng.spawn``
+children would draw without building a Generator per trial, and map them
+through closed forms. The forgery casts one angle row per trial, the
+honest row plus its estimated phase; mismatched voting states cast one
+row of per-voter angles that every trial shares. Both run all trials'
+repetitions through one batched ``_secure_rounds`` and cut the rounds
+back into trials with ``_secure_results``. The TB collusion attack
+follows the pair in its d amplitudes, where only the first colluder's
+reading is random; the product-ballot readout is an orthonormal FFT of
+one voter's qudit, or uniform on the honest ballot.
 The swap test compares each double with one threshold per pair, its
 symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
 (2001)). Only ``detect_subset_correlation`` measures a dense state, the
@@ -47,10 +50,10 @@ from .protocols import (
     RunResult,
     _parse_votes,
     _phase_round,
-    _secure_result,
+    _secure_results,
     _secure_rounds,
     honest_thetas,
-    run_secure_vote,
+    run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
 )
 from .qstate import (
     INVALID,
@@ -248,8 +251,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     rounds = _secure_rounds(config, theta_rows, rep_u)
 
     verdicts, hist, per_trial = [], {}, []
-    for t, eps in enumerate(errors.tolist()):
-        result = _secure_result(rounds[t * repetitions:(t + 1) * repetitions], repetitions)
+    for eps, result in zip(errors.tolist(), _secure_results(rounds, repetitions)):
         detected = result.m == CHEAT_DETECTED
         verdicts.append(detected)
         per_trial.append({"eps": eps, "outcomes": result.outcomes, "p": result.p,
@@ -328,19 +330,24 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     decoded p then encodes which voters said yes, not just how many;
     the report tabulates the deterministic phase tag of every vote
     pattern so equal-weight patterns can be compared.
+
+    All trials cast the same angle row and run as one batch; repetition r
+    of trial t reads the N + 1 doubles of
+    ``rng.spawn(trials)[t].spawn(repetitions)[r]``, as ``run_secure_vote`` would.
     """
     if config.scheme is not Scheme.SECURE:
         raise ConfigurationError(f"mismatched states need a SECURE config, got {config.scheme}")
     if len(per_voter_thetas) != config.N:
         raise ConfigurationError(f"need {config.N} theta pairs, got {len(per_voter_thetas)}")
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     choices = _parse_votes(config, votes)
     thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
 
+    rep_u = rngmod.child_doubles(rng, _trial_count(trials), 0, repetitions, config.N + 1)[1]
     hist: dict = {}
     results = []
-    for trial_rng in rng.spawn(_trial_count(trials)):
-        result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
-                                 thetas=thetas)
+    for result in _secure_results(_secure_rounds(config, [thetas], rep_u), repetitions):
         results.append({"m": result.m, "outcomes": result.outcomes, "p": result.p})
         _bump(hist, result.m)
 

@@ -9,14 +9,10 @@ Three quantum schemes share these primitives:
 * SECURE: DB plus single-use "voting qudits" in secret-angle states,
   which stop anyone from voting twice undetected.
 
-The anti-reuse cast follows the protocol's stated output state: after
-the voter's pairing measurement returns r and the shift correction is
-applied, the voting qudit contributes e^{i(k-r) theta} to the k-th
-correlated component (the integer k - r, not its mod-d residue, which
-is what keeps the secret offset delta from leaking into the tally).
-
 The omega_p reading has one implementation, ``phase_readings``; the dense
-functions serve verification, single qudits and the tests.
+functions serve verification, single qudits and the tests. SECURE rounds
+cast in the correlated basis (``protocols._secure_rounds``) and decode
+with ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast.
 """
 
 import math
@@ -200,63 +196,6 @@ def cast_vote_db(state: PureState, voter_site: int, choice) -> PureState:
     return PureState(state.dims, (state.shaped() * phase).reshape(-1))
 
 
-def _fit_phase_ladder(voting_state: PureState):
-    """Return (g, theta) if amplitudes are g * e^{ij theta} / sqrt(d)."""
-    psi = voting_state.amps
-    d = voting_state.dims[0]
-    if np.max(np.abs(np.abs(psi) - 1 / math.sqrt(d))) > 1e-9:
-        return None
-    theta = float(np.angle(psi[1] / psi[0])) if d > 1 else 0.0
-    g = psi[0] * math.sqrt(d)
-    ladder = g * np.exp(1j * np.arange(d) * theta) / math.sqrt(d)
-    if np.max(np.abs(psi - ladder)) > 1e-9:
-        return None
-    return g, theta
-
-
-def cast_vote_secure(state: PureState, ballot_site: int, voting_state: PureState,
-                     rng: np.random.Generator):
-    """Entangle a voting qudit with the ballot; returns (new_state, r).
-
-    The voting qudit is appended as the last site. The voter measures
-    the pairing projectors P_r (ballot digit = voting digit + r mod d),
-    then shifts the voting digit up by r so it matches the ballot. For
-    a phase-ladder token e^{ij theta} the surviving k-component picks up
-    e^{i(k - r) theta} exactly, as the protocol requires.
-    """
-    if voting_state.num_sites != 1:
-        raise ConfigurationError("voting_state must be a single qudit")
-    d = voting_state.dims[0]
-    if not 0 <= ballot_site < state.num_sites:
-        raise ConfigurationError(f"ballot_site {ballot_site} out of range")
-    if state.dims[ballot_site] != d:
-        raise ConfigurationError(
-            f"voting qudit dimension {d} != ballot site dimension {state.dims[ballot_site]}")
-
-    shaped = state.shaped()
-    ballot_digits = np.moveaxis(shaped, ballot_site, -1)  # (..., k)
-    weights = np.sum(np.abs(ballot_digits) ** 2, axis=tuple(range(ballot_digits.ndim - 1)))
-    psi = voting_state.amps
-    # P_r keeps pairs (ballot k, voting (k - r) mod d).
-    probs = np.array([float(np.sum(weights * np.abs(psi[(np.arange(d) - r) % d]) ** 2))
-                      for r in range(d)])
-    r = _sample(probs / probs.sum(), rng)
-
-    fit = _fit_phase_ladder(voting_state)
-    if fit is not None:
-        g, theta = fit
-        token = g * np.exp(1j * (np.arange(d) - r) * theta) / math.sqrt(d)
-    else:
-        # Forged token: plain collapse and shift keep the measured phases.
-        token = psi[(np.arange(d) - r) % d]
-    # Post-measurement the voting digit equals the ballot digit k and
-    # carries token[k]; axes become (..., ballot digit, voting digit).
-    new_shaped = ballot_digits[..., :, None] * np.diag(token)
-    new_shaped = np.moveaxis(new_shaped, -2, ballot_site)
-    new_state = PureState.from_amplitudes(state.dims + (d,), new_shaped.reshape(-1))
-    return new_state, int(r)
-
-
 def _correlated_overlaps(state: PureState) -> np.ndarray:
     """Amplitudes <k..k|psi> along the correlated diagonal."""
     d = state.dims[0]
@@ -324,13 +263,3 @@ def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> list[tuple]:
     compensation = np.exp(-1j * np.arange(config.d) * config.N * config.theta_no)
     return [(CHEAT_DETECTED, p) if p == INVALID else (solve_tally(p, config), p)
             for p in phase_readings(corr_rows * compensation, u)]
-
-
-def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generator):
-    """Decode the returned 2N-qudit state; see ``secure_tally``."""
-    if config.scheme is not Scheme.SECURE:
-        raise ConfigurationError(f"decode_secure needs a SECURE config, got {config.scheme}")
-    if state.dims != (config.d,) * (2 * config.N):
-        raise ConfigurationError(
-            f"expected {2 * config.N} sites of dimension {config.d}, got {state.dims}")
-    return secure_tally(_correlated_overlaps(state)[None], config, [rng.random()])[0]

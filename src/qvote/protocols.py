@@ -237,43 +237,47 @@ def _secure_rounds(config: BallotConfig, theta_rows, u) -> list[tuple]:
     return [(m, p, r) for (m, p), r in zip(secure_tally(corr_rows, config, u[:, n]), rs)]
 
 
-def _secure_result(rounds, repetitions: int) -> RunResult:
-    """The common tally when every repetition decodes the same valid multiple."""
-    outcomes = [m for m, _, _ in rounds]
-    agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
-    m = outcomes[0] if agree else CHEAT_DETECTED
-    return RunResult("SECURE", m, outcomes, p=[p for _, p, _ in rounds],
-                     statistics={"repetitions": repetitions, "agreement": agree})
+def _secure_results(rounds, repetitions: int) -> list[RunResult]:
+    """One result per trial of ``repetitions`` consecutive rounds.
+
+    A trial's tally is the common one when every repetition decodes the
+    same valid multiple; anything else reports CHEAT_DETECTED.
+    """
+    results = []
+    for t in range(0, len(rounds), repetitions):
+        trial = rounds[t:t + repetitions]
+        outcomes = [m for m, _, _ in trial]
+        agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
+        m = outcomes[0] if agree else CHEAT_DETECTED
+        results.append(RunResult("SECURE", m, outcomes, p=[p for _, p, _ in trial],
+                                 statistics={"repetitions": repetitions, "agreement": agree}))
+    return results
 
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
-                    repetitions: int = 3, transcript: Transcript | None = None,
-                    thetas=None) -> RunResult:
+                    repetitions: int = 3, transcript: Transcript | None = None) -> RunResult:
     """Anti-reuse scheme: R independent executions must agree.
 
     Each repetition prepares a fresh ballot and fresh voting qudits from
-    its own child stream. The result is the common tally when every
-    repetition decodes the same valid multiple; anything else reports
-    CHEAT_DETECTED. ``thetas`` lists the angle each voter casts and
-    defaults to ``honest_thetas``; attacks pass a tampered list.
+    its own child stream, and every voter casts ``honest_thetas``. The
+    result is the common tally when every repetition decodes the same
+    valid multiple; anything else reports CHEAT_DETECTED.
     """
     if config.scheme is not Scheme.SECURE:
         raise ConfigurationError(f"run_secure_vote needs a SECURE config, got {config.scheme}")
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     choices = _parse_votes(config, votes)
-    thetas = honest_thetas(config, choices) if thetas is None else list(thetas)
-    if len(thetas) != config.N:
-        raise ConfigurationError(f"expected {config.N} voting angles, got {len(thetas)}")
     u = [g.random(config.N + 1) for g in rng.spawn(repetitions)]
-    rounds = _secure_rounds(config, [thetas], u)
+    rounds = _secure_rounds(config, [honest_thetas(config, choices)], u)
     if transcript:
         for rep, (m, p, rs) in enumerate(rounds):
             _log_round(transcript, rep, {"scheme": "SECURE", "d": config.d, "N": config.N,
                                          "repetitions": repetitions},
                        [(i, {"commitment": transcript.commit(rep, i, c.value), "r": rs[i]})
                         for i, c in enumerate(choices)], {"p": p, "m": m})
-    return _secure_result(rounds, repetitions)
+    [result] = _secure_results(rounds, repetitions)
+    return result
 
 
 def run_survey(config: BallotConfig, euros, rng: np.random.Generator,

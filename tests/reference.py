@@ -3,11 +3,21 @@
 These are the loops the attacks ran before their kernels: the child
 streams built one Generator at a time, the dense collusion and
 product-ballot attacks, the dense TB round, the scalar SECURE round, the
-forgery attack that ran one ``run_secure_vote`` per trial and the swap
-test that drew from a three-entry CDF per pair. They
-make the same draws in the same order as the kernels, so tests require
-equal reports, draw for draw.
+forgery and mismatched-state attacks run one trial of scalar SECURE
+rounds at a time, and the swap test that drew from a three-entry CDF per
+pair. They make the same draws in the same order as the kernels, so
+tests require equal reports, draw for draw.
+
+The dense anti-reuse cast and its decoder live here too. The cast
+follows the protocol's stated output state: after the voter's pairing
+measurement returns r and the shift correction is applied, the voting
+qudit contributes e^{i(k-r) theta} to the k-th correlated component (the
+integer k - r, not its mod-d residue, which is what keeps the secret
+offset delta from leaking into the tally). SECURE runs replace it with
+one phase per voter on the correlated amplitudes.
 """
+
+import math
 
 import numpy as np
 
@@ -15,7 +25,9 @@ from qvote.adversary import CHEATING, CLEAN, AttackReport, _bump
 from qvote.ballots import (
     CHEAT_DETECTED,
     BallotConfig,
+    Scheme,
     Vote,
+    _correlated_overlaps,
     cast_vote_db,
     decode_db,
     decode_tb,
@@ -26,7 +38,8 @@ from qvote.ballots import (
     shift_unitary,
     voting_qudit_state,
 )
-from qvote.protocols import _parse_votes, honest_thetas, run_secure_vote
+from qvote.errors import ConfigurationError
+from qvote.protocols import _parse_votes, honest_thetas
 from qvote.qstate import (
     CorrelatedState,
     PureState,
@@ -155,11 +168,24 @@ def secure_round(config: BallotConfig, thetas, rep_rng):
     return (*secure_tally(state.c[None], config, [rep_rng.random()])[0], rs)
 
 
+def secure_vote(config: BallotConfig, thetas, trial_rng: np.random.Generator,
+                repetitions: int):
+    """One ``secure_round`` per child of ``trial_rng.spawn(repetitions)``; (m, outcomes, p).
+
+    m is the common tally when every repetition decodes the same valid
+    multiple, else CHEAT_DETECTED.
+    """
+    rounds = [secure_round(config, thetas, g) for g in trial_rng.spawn(repetitions)]
+    outcomes = [m for m, _, _ in rounds]
+    agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
+    return outcomes[0] if agree else CHEAT_DETECTED, outcomes, [p for _, p, _ in rounds]
+
+
 def phase_estimate_attack(config: BallotConfig, cheater: int,
                           estimation_error_scale: float, trials: int,
                           rng: np.random.Generator, votes=None,
                           repetitions: int = 3) -> AttackReport:
-    """The forgery attack with one ``run_secure_vote`` call per trial."""
+    """The forgery attack with one ``secure_vote`` per trial."""
     if votes is None:
         votes = [Vote.NO] * config.N
     choices = _parse_votes(config, votes)
@@ -170,13 +196,11 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
         eps = float(trial_rng.uniform(-half_width, half_width)) if half_width > 0 else 0.0
         thetas = honest_thetas(config, choices)
         thetas[int(cheater)] += float(delta_phase + eps)
-        result = run_secure_vote(config, choices, trial_rng, repetitions=repetitions,
-                                 thetas=thetas)
-        detected = result.m == CHEAT_DETECTED
+        m, outcomes, p = secure_vote(config, thetas, trial_rng, repetitions)
+        detected = m == CHEAT_DETECTED
         verdicts.append(detected)
-        per_trial.append({"eps": eps, "outcomes": result.outcomes, "p": result.p,
-                          "detected": detected})
-        _bump(hist, result.m)
+        per_trial.append({"eps": eps, "outcomes": outcomes, "p": p, "detected": detected})
+        _bump(hist, m)
     return AttackReport(
         attack="phase_estimate",
         trials=int(trials),
@@ -186,6 +210,18 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
         extras={"per_trial": per_trial, "repetitions": repetitions,
                 "honest_tally": sum(1 for c in choices if c is Vote.YES)},
     )
+
+
+def mismatched_runs(config: BallotConfig, per_voter_thetas, votes,
+                    rng: np.random.Generator, trials: int, repetitions: int) -> list[dict]:
+    """The mismatched-state attack's ``extras["runs"]``, one ``secure_vote`` per trial."""
+    choices = _parse_votes(config, votes)
+    thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
+    runs = []
+    for trial_rng in rng.spawn(int(trials)):
+        m, outcomes, p = secure_vote(config, thetas, trial_rng, repetitions)
+        runs.append({"m": m, "outcomes": outcomes, "p": p})
+    return runs
 
 
 def detect_symmetry(sampled_states, rng: np.random.Generator, comparisons: int = 7) -> str:
@@ -199,3 +235,70 @@ def detect_symmetry(sampled_states, rng: np.random.Generator, comparisons: int =
         if _pick(cdfs[t % (len(states) - 1)], rng.random()) == 1:
             return CHEATING
     return CLEAN
+
+
+def _fit_phase_ladder(voting_state: PureState):
+    """Return (g, theta) if amplitudes are g * e^{ij theta} / sqrt(d)."""
+    psi = voting_state.amps
+    d = voting_state.dims[0]
+    if np.max(np.abs(np.abs(psi) - 1 / math.sqrt(d))) > 1e-9:
+        return None
+    theta = float(np.angle(psi[1] / psi[0])) if d > 1 else 0.0
+    g = psi[0] * math.sqrt(d)
+    ladder = g * np.exp(1j * np.arange(d) * theta) / math.sqrt(d)
+    if np.max(np.abs(psi - ladder)) > 1e-9:
+        return None
+    return g, theta
+
+
+def cast_vote_secure(state: PureState, ballot_site: int, voting_state: PureState,
+                     rng: np.random.Generator):
+    """Entangle a voting qudit with the ballot; returns (new_state, r).
+
+    The voting qudit is appended as the last site. The voter measures
+    the pairing projectors P_r (ballot digit = voting digit + r mod d),
+    then shifts the voting digit up by r so it matches the ballot. For
+    a phase-ladder token e^{ij theta} the surviving k-component picks up
+    e^{i(k - r) theta} exactly, as the protocol requires.
+    """
+    if voting_state.num_sites != 1:
+        raise ConfigurationError("voting_state must be a single qudit")
+    d = voting_state.dims[0]
+    if not 0 <= ballot_site < state.num_sites:
+        raise ConfigurationError(f"ballot_site {ballot_site} out of range")
+    if state.dims[ballot_site] != d:
+        raise ConfigurationError(
+            f"voting qudit dimension {d} != ballot site dimension {state.dims[ballot_site]}")
+
+    shaped = state.shaped()
+    ballot_digits = np.moveaxis(shaped, ballot_site, -1)  # (..., k)
+    weights = np.sum(np.abs(ballot_digits) ** 2, axis=tuple(range(ballot_digits.ndim - 1)))
+    psi = voting_state.amps
+    # P_r keeps pairs (ballot k, voting (k - r) mod d).
+    probs = np.array([float(np.sum(weights * np.abs(psi[(np.arange(d) - r) % d]) ** 2))
+                      for r in range(d)])
+    r = _sample(probs / probs.sum(), rng)
+
+    fit = _fit_phase_ladder(voting_state)
+    if fit is not None:
+        g, theta = fit
+        token = g * np.exp(1j * (np.arange(d) - r) * theta) / math.sqrt(d)
+    else:
+        # Forged token: plain collapse and shift keep the measured phases.
+        token = psi[(np.arange(d) - r) % d]
+    # Post-measurement the voting digit equals the ballot digit k and
+    # carries token[k]; axes become (..., ballot digit, voting digit).
+    new_shaped = ballot_digits[..., :, None] * np.diag(token)
+    new_shaped = np.moveaxis(new_shaped, -2, ballot_site)
+    new_state = PureState.from_amplitudes(state.dims + (d,), new_shaped.reshape(-1))
+    return new_state, int(r)
+
+
+def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generator):
+    """Decode the returned 2N-qudit state; see ``secure_tally``."""
+    if config.scheme is not Scheme.SECURE:
+        raise ConfigurationError(f"decode_secure needs a SECURE config, got {config.scheme}")
+    if state.dims != (config.d,) * (2 * config.N):
+        raise ConfigurationError(
+            f"expected {2 * config.N} sites of dimension {config.d}, got {state.dims}")
+    return secure_tally(_correlated_overlaps(state)[None], config, [rng.random()])[0]

@@ -28,7 +28,6 @@ from qvote.ballots import (
     voting_qudit_state,
 )
 from qvote.errors import ConfigurationError
-from qvote.protocols import run_secure_vote
 from qvote.qstate import (
     INVALID,
     LocalUnitary,
@@ -147,11 +146,12 @@ class TestPhaseEstimateAttack:
         config = self.config()
         eps = np.pi / 11
         delta = 2 * np.pi / 11
-        disagreements = 0
-        for g in rngmod.stream(8, 2).spawn(300):
-            thetas = [config.theta_no + (delta + eps), config.theta_no, config.theta_no]
-            result = run_secure_vote(config, "NNN", g, repetitions=2, thetas=thetas)
-            disagreements += result.outcomes[0] != result.outcomes[1]
+        pairs = [(config.theta_yes, config.theta_no + (delta + eps))]
+        pairs += [(config.theta_yes, config.theta_no)] * 2
+        report = mismatched_voting_states(config, pairs, "NNN", rngmod.stream(8, 2), trials=300,
+                                          repetitions=2)
+        disagreements = sum(run["outcomes"][0] != run["outcomes"][1]
+                            for run in report.extras["runs"])
         assert disagreements / 300 > 0.05
 
     def test_unit_difference_no_worse_than_three(self, forgery_fixture):
@@ -234,6 +234,16 @@ class TestMismatchedVotingStates:
         tags = report.inferred_secrets["phase_tags"]
         assert tags["YNY"] != tags["NYY"] != tags["YYN"]
         assert report.inferred_secrets["equal_weight_patterns_distinguishable"][2]
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_needs_a_repetition(self, trials, repetitions):
+        # Rejected up front, as the forgery rejects it, even with no trial to run.
+        config = self.config()
+        with pytest.raises(ConfigurationError, match="repetitions must be >= 1"):
+            mismatched_voting_states(config, [(config.theta_yes, config.theta_no)] * 3, "YNY",
+                                     rngmod.stream(13, 2), trials=trials,
+                                     repetitions=repetitions)
 
     def test_symmetry_test_flags_the_mismatch(self):
         config = self.config()

@@ -10,20 +10,24 @@ fails them. The Monte Carlo attacks take their trials' doubles from
 with a fresh ``rng.spawn`` loop that draws the stated count per stream.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import reference
 from conftest import random_state
 from qvote import rng as rngmod
+from qvote import adversary
 from qvote.adversary import (
     CHEATING,
     CLEAN,
     authority_product_ballot,
     collusion_attack_tb,
     detect_symmetry,
+    mismatched_voting_states,
     phase_estimate_attack,
 )
 from qvote.ballots import BallotConfig, Scheme, SecureSecrets, voting_qudit_state
@@ -135,6 +139,20 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 @st.composite
+def theta_pairs(draw, config):
+    """(theta_yes, theta_no) per voter: on the 2 pi / d grid plus delta, or anywhere."""
+    d, delta = config.d, config.secrets.delta
+    angle = st.integers(0, d - 1).map(lambda l: 2 * np.pi * l / d + delta) | st.floats(-7, 7)
+    return draw(st.lists(st.tuples(angle, angle), min_size=config.N, max_size=config.N))
+
+
+def mismatched_pairs(config):
+    """Voter i's yes angle sits i grid steps plus 0.3 above theta_yes, so repetitions disagree."""
+    return [(config.theta_yes + 2 * np.pi * i / config.d + 0.3, config.theta_no)
+            for i in range(config.N)]
+
+
+@st.composite
 def swap_pool(draw):
     """2-5 single qudits: voting states, random states and repeats of the first."""
     d = draw(st.integers(2, 8))
@@ -199,6 +217,29 @@ class TestKernelsMatchReferences:
 
     @given(secure_config(), st.data(), SEEDS)
     @settings(max_examples=40, deadline=None)
+    def test_mismatched_against_per_trial_runs(self, config, data, seed):
+        pairs = data.draw(theta_pairs(config))
+        votes = data.draw(votes_for(config.N))
+        trials = data.draw(st.sampled_from([0, 1, 3, 15]))
+        repetitions = data.draw(st.integers(1, 4))
+        got = mismatched_voting_states(config, pairs, votes, np.random.default_rng(seed),
+                                       trials=trials, repetitions=repetitions)
+        runs = reference.mismatched_runs(config, pairs, votes, np.random.default_rng(seed),
+                                         trials, repetitions)
+        assert got.extras["runs"] == runs
+        assert got.outcome_histogram == dict(Counter(run["m"] for run in runs))
+
+    def test_mismatched_against_per_trial_runs_above_the_elision_mark(self):
+        # 600 trials of 3 repetitions at d=11: 19800 complex elements per batch.
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        args = (config, mismatched_pairs(config), "YNY")
+        got = mismatched_voting_states(*args, np.random.default_rng(3), trials=600)
+        runs = reference.mismatched_runs(*args, np.random.default_rng(3), 600, 3)
+        assert got.extras["runs"] == runs
+        assert len({run["m"] for run in runs}) > 1
+
+    @given(secure_config(), st.data(), SEEDS)
+    @settings(max_examples=40, deadline=None)
     def test_secure_rows_against_scalar_rounds(self, config, data, seed):
         rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
                                            min_size=config.N, max_size=config.N),
@@ -260,6 +301,40 @@ class TestKernelsMatchReferences:
             _secure_rounds(config, [[0.1, 0.2, 0.3]] * rows, np.zeros((streams, 4)))
 
 
+class TestCollusionBatch:
+    # Shrinking thousands of trials takes minutes and finds nothing simpler.
+    @given(tb_case(), st.booleans(), SEEDS)
+    @settings(max_examples=6, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_trials_equal_their_one_trial_runs(self, case, above, seed):
+        # The phase variant reads a (trials, d) batch of one-hot rows; on
+        # both sides of 16384 complex elements each row, and its reading,
+        # must equal the one-trial run's.
+        config, votes, colluders = case
+        d = config.d
+        trials = 16384 // d + 1 + seed % 64 if above else 1 + seed % (16384 // d)
+        u = np.random.default_rng(seed).random((trials, 6))
+        feed = iter([u] + [u[t:t + 1] for t in range(trials)])
+        reads, real = [], adversary.phase_readings
+
+        def record(rows, draws):
+            reads.append((rows, real(rows, draws)))
+            return reads[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rngmod, "child_doubles", lambda rng, t, k: (next(feed), None))
+            patch.setattr(adversary, "phase_readings", record)
+            batch = collusion_attack_tb(config, votes, colluders, trials, None)
+            singles = [collusion_attack_tb(config, votes, colluders, 1, None)
+                       for _ in range(trials)]
+        (rows, readings), one_row = reads[0], reads[1:]
+        assert np.array_equal(rows.view(np.uint64),
+                              np.concatenate([r for r, _ in one_row]).view(np.uint64))
+        assert readings == [p for _, [p] in one_row]
+        assert batch.inferred_secrets["in_between_yes_counts"] == [
+            s.inferred_secrets["in_between_yes_counts"][0] for s in singles]
+
+
 def parent(seed: int, spawned: int) -> np.random.Generator:
     """``default_rng(seed)`` after it has already spawned ``spawned`` children."""
     rng = np.random.default_rng(seed)
@@ -270,8 +345,10 @@ def parent(seed: int, spawned: int) -> np.random.Generator:
 class TestTrialPrefixes:
     """The first k trials of a T-trial report equal a k-trial report.
 
-    T runs on both sides of 744 trials, where a batch of d=11 amplitude rows
-    reaches 8192 complex elements, and the parent may have spawned already.
+    T runs on both sides of a batch-size mark: 744 trials, where one d=11
+    amplitude row per trial reaches 8192 complex elements, and for the
+    mismatched attack's three repetitions per trial 497 trials, where its
+    rows reach 16384. The parent may have spawned already.
     """
 
     K = 40
@@ -282,6 +359,15 @@ class TestTrialPrefixes:
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
         long, short = (phase_estimate_attack(config, 0, 1.0, t, parent(11, spawned),
                                              votes="YNY").extras["per_trial"]
+                       for t in (trials, self.K))
+        assert long[:self.K] == short
+
+    @pytest.mark.parametrize("trials", [400, 700])
+    @pytest.mark.parametrize("spawned", [0, 3])
+    def test_mismatched(self, trials, spawned):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        long, short = (mismatched_voting_states(config, mismatched_pairs(config), "YNY",
+                                                parent(14, spawned), trials=t).extras["runs"]
                        for t in (trials, self.K))
         assert long[:self.K] == short
 
@@ -322,6 +408,13 @@ class TestStreamConsumption:
         rng = np.random.default_rng(7)
         phase_estimate_attack(config, 0, 1.0, 6, rng, repetitions=3)
         assert_consumed(rng, drawn, 7, (6, 1, 3, config.N + 1))
+
+    def test_mismatched_trial_spawns_repetitions(self, drawn):
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        rng = np.random.default_rng(11)
+        mismatched_voting_states(config, mismatched_pairs(config), "YNY", rng, trials=6,
+                                 repetitions=3)
+        assert_consumed(rng, drawn, 11, (6, 0, 3, config.N + 1))
 
     def test_secure_repetition_makes_n_plus_one_draws(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))

@@ -13,12 +13,11 @@ from qvote.ballots import (
     SecureSecrets,
     Vote,
     cast_vote_db,
-    cast_vote_secure,
     decode_db,
-    decode_secure,
     prepare_db_ballot,
     voting_qudit_state,
 )
+from qvote.adversary import mismatched_voting_states
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
     DiningResult,
@@ -101,28 +100,30 @@ class TestRunSecureVote:
         result = run_secure_vote(config, "NNN", rngmod.stream(5, 1))
         assert result.m == 0 and result.p == [0, 0, 0]
 
+    # run_secure_vote always casts the honest angles; tampered angles enter
+    # through mismatched_voting_states, one (theta_yes, theta_no) pair per voter.
     def test_forged_extra_phase_gets_flagged(self):
         config = BallotConfig(11, 2, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-        flagged = 0
-        for g in rngmod.stream(6, 1).spawn(60):
-            result = run_secure_vote(config, "NN", g, repetitions=3,
-                                     thetas=[config.theta_no + 2 * np.pi / 11 + np.pi / 11,
-                                             config.theta_no])
-            flagged += result.m == CHEAT_DETECTED
+        pairs = [(config.theta_yes, config.theta_no + 2 * np.pi / 11 + np.pi / 11),
+                 (config.theta_yes, config.theta_no)]
+        report = mismatched_voting_states(config, pairs, "NN", rngmod.stream(6, 1), trials=60,
+                                          repetitions=3)
+        flagged = sum(run["m"] == CHEAT_DETECTED for run in report.extras["runs"])
         assert flagged > 30
 
     def test_thetas_need_one_angle_per_voter(self):
         config = BallotConfig(11, 2, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-        with pytest.raises(ConfigurationError, match="voting angles"):
-            run_secure_vote(config, "NN", rngmod.stream(6, 1), thetas=[config.theta_no])
+        with pytest.raises(ConfigurationError, match="need 2 theta pairs, got 1"):
+            mismatched_voting_states(config, [(config.theta_yes, config.theta_no)], "NN",
+                                     rngmod.stream(6, 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_angle_rejected(self, bad):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        pairs = [(bad, config.theta_no)] + [(config.theta_yes, config.theta_no)] * 2
         with pytest.raises(ConfigurationError, match="not normalized"):
-            run_secure_vote(config, "YNY", rngmod.stream(6, 1),
-                            thetas=[bad, config.theta_no, config.theta_yes])
+            mismatched_voting_states(config, pairs, "YNY", rngmod.stream(6, 1))
 
     def test_no_false_cheat_detection_across_1000_seeds(self):
         config = BallotConfig(7, 2, Scheme.SECURE, secrets=SecureSecrets(2, 1, 0.1))
@@ -245,13 +246,14 @@ class TestCorrelatedMatchesDense:
         state, ref_rs = prepare_db_ballot(d, n), []
         for i, vote in enumerate(votes):
             theta = config.theta_yes if vote is Vote.YES else config.theta_no
-            state, r = cast_vote_secure(state, i, voting_qudit_state(d, theta), rng)
+            state, r = reference.cast_vote_secure(state, i, voting_qudit_state(d, theta),
+                                                  rng)
             ref_rs.append(r)
             if extra is not None and i == extra[0]:
                 phase = np.diag(np.exp(1j * np.arange(d) * extra[1]))
                 state = apply_local(state, i, LocalUnitary(d, phase))
         assert rs == ref_rs
-        assert (m, p) == decode_secure(state, config, rng)
+        assert (m, p) == reference.decode_secure(state, config, rng)
 
     def test_runs_beyond_the_dense_budget(self):
         # 13**12 amplitudes could never be held densely.

@@ -11,7 +11,8 @@ WORDS = st.integers(0, 2 ** 70)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 def parent(entropy, spawn_key, spawned: int) -> np.random.Generator:
@@ -29,6 +30,12 @@ def parent(entropy, spawn_key, spawned: int) -> np.random.Generator:
 @example(entropy=0, spawn_key=[], spawned=0, trials=0, k=1, reps=3, rep_k=4)
 @example(entropy=0, spawn_key=[], spawned=0, trials=1, k=1, reps=3, rep_k=4)
 @example(entropy=[102, 3, 2 ** 33], spawn_key=[1], spawned=2, trials=1, k=6, reps=0, rep_k=0)
+# Empty sides: no trial draws (the mismatched attack), no repetitions with
+# or without a draw count (collusion, product ballot), no repetition draws.
+@example(entropy=7, spawn_key=[], spawned=1, trials=5, k=0, reps=3, rep_k=4)
+@example(entropy=7, spawn_key=[2], spawned=0, trials=5, k=6, reps=0, rep_k=4)
+@example(entropy=2 ** 40 + 3, spawn_key=[], spawned=0, trials=3, k=2, reps=2, rep_k=0)
+@example(entropy=7, spawn_key=[], spawned=0, trials=4, k=0, reps=0, rep_k=0)
 @settings(max_examples=150, deadline=None)
 def test_child_doubles_match_spawned_generators(entropy, spawn_key, spawned, trials, k,
                                                 reps, rep_k):
