@@ -8,7 +8,7 @@ reproduces every transcript bit-exactly, and independent consumers never
 share a stream.
 
 Monte Carlo attacks give each trial its own child stream, ``rng.spawn(T)``,
-and the SECURE forgery gives each trial's repetitions grandchildren.
+and the SECURE attacks give each trial's repetitions grandchildren.
 ``child_doubles`` returns the doubles those streams draw without building
 a Generator per stream. It advances the parent through its real
 ``SeedSequence.spawn``, the one way to move ``n_children_spawned``, and
