@@ -81,8 +81,6 @@ def _lcg_columns(k: int):
 
 def _draws(pools: np.ndarray, k: int) -> np.ndarray:
     """The first k doubles of the PCG64 generator seeded from each row's 4-word pool."""
-    if not (len(pools) and k):
-        return np.zeros((len(pools), k))
     words = (pools[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:8]) * _STATE_HASH[1:] & _M32
     words ^= words >> 16
     # 32-bit limbs, least significant first, of initstate and of initseq.
