@@ -30,6 +30,7 @@ and the per-call swap-test CDF that these kernels must match draw for
 draw.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +41,8 @@ from .ballots import (
     BallotConfig,
     Scheme,
     Vote,
-    cast_vote_db,
     phase_readings,
-    phase_vote_unitary,
-    voting_qudit_state,
+    vote_phases,
 )
 from .errors import ConfigurationError
 from .protocols import (
@@ -57,7 +56,6 @@ from .protocols import (
 )
 from .qstate import (
     INVALID,
-    CorrelatedState,
     PureState,
     _cdf,
     _pick,
@@ -138,7 +136,9 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     and spends three doubles of its stream on each: the first colluder's
     reading, the second's and the authority's decode. The pair stays in
     sum_k c_k |k, k + s>, so the first reading is the only random one; it
-    leaves a product state on which the rest is determined.
+    leaves a product state on which the rest is determined. In the shift
+    variant the difference is ``expected`` whatever the first reading is,
+    so its doubles ``u[:, 0:3]`` are drawn but not read.
     """
     if config.scheme is not Scheme.TB:
         raise ConfigurationError(f"collusion attack needs a TB config, got {config.scheme}")
@@ -151,20 +151,16 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
 
     d = config.d
     u = rngmod.child_doubles(rng, _trial_count(trials), 6)[0]
-    c = CorrelatedState.uniform(d, 2).c
-    # Shift votes only permute the pair's amplitudes, so the first reading
-    # sees the |c_k|^2 in some order. The second reading and the difference
-    # decode are determined and spend u[:, 1] and u[:, 2].
-    first = _pick(_cdf(np.abs(c) ** 2), u[:, 0])
-    second = (first + expected) % d
-    inferred = ((second - first) % d).tolist()
+    # Shift variant: the readings differ by ``expected`` (< d) whatever u[:, 0:3] hold.
+    inferred = [expected] * len(u)
     diff_hist = {sum(yes) % d: len(u)} if len(u) else {}
 
     # Phase votes keep the pair diagonal. The first reading k leaves c_k on
     # |k, k>, renormalized; the second reads k again (spending u[:, 4]) and
     # renormalizes once more. The phase decode of that one-hot state spends
     # u[:, 5]. Entry k of c follows the outcome-k branch.
-    phase = phase_vote_unitary(d).mat.diagonal()
+    c = np.full(d, 1 / math.sqrt(d), dtype=complex)
+    phase = vote_phases(d)
     for t in range(i + 1):
         if yes[t]:
             c = c * phase
@@ -298,10 +294,10 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
         guesses = _pick(np.full(d, 1 / d).cumsum(), u)
         guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
     else:
-        qudit = voting_qudit_state(d, 0.0)
+        uniform, phases = np.full(d, 1 / math.sqrt(d), dtype=complex), vote_phases(d)
         guesses = np.empty(u.shape, dtype=int)
-        for t, choice in enumerate(choices):
-            readout = np.fft.fft(cast_vote_db(qudit, 0, choice).amps, norm="ortho")
+        for t, e in enumerate(actual):
+            readout = np.fft.fft(uniform * phases[e * np.arange(d) % d], norm="ortho")
             guesses[:, t] = _pick(_cdf(np.abs(readout) ** 2), u[:, t])
     hits = guesses == np.array(actual)
     per_trial_correct = hits.sum(axis=1).tolist()

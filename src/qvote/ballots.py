@@ -9,10 +9,11 @@ Three quantum schemes share these primitives:
 * SECURE: DB plus single-use "voting qudits" in secret-angle states,
   which stop anyone from voting twice undetected.
 
-The omega_p reading has one implementation, ``phase_readings``; the dense
-functions serve verification, single qudits and the tests. SECURE rounds
-cast in the correlated basis (``protocols._secure_rounds``) and decode
-with ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast.
+The yes phase has one definition, ``vote_phases``, and the omega_p reading
+one, ``phase_readings``. The dense ``phase_vote_unitary`` and ``cast_vote_db``
+(no run or attack calls it) serve verification, single qudits and the tests.
+SECURE rounds cast in the correlated basis (``protocols._secure_rounds``) and
+decode with ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast.
 """
 
 import math
@@ -29,7 +30,7 @@ from .qstate import (
     LocalUnitary,
     PureState,
     _cdf,
-    _sample,
+    _pick,
     _with_invalid,
 )
 
@@ -154,9 +155,14 @@ def prepare_tb_ballot(d: int) -> PureState:
     return CorrelatedState.uniform(d, 2).to_pure()
 
 
+def vote_phases(d: int) -> np.ndarray:
+    """Eigenphases e^{i 2 pi k / d} of the yes-vote operator; its one definition."""
+    return np.exp(2j * np.pi * np.arange(d) / d)
+
+
 def phase_vote_unitary(d: int) -> LocalUnitary:
     """Yes-vote operator diag(e^{i 2 pi k / d})."""
-    return LocalUnitary(d, np.diag(np.exp(2j * np.pi * np.arange(d) / d)))
+    return LocalUnitary(d, np.diag(vote_phases(d)))
 
 
 def shift_unitary(d: int) -> LocalUnitary:
@@ -192,7 +198,7 @@ def cast_vote_db(state: PureState, voter_site: int, choice) -> PureState:
         return state
     axis = [1] * state.num_sites
     axis[voter_site] = d
-    phase = np.exp(2j * np.pi * (exponent * np.arange(d) % d) / d).reshape(axis)
+    phase = vote_phases(d)[exponent * np.arange(d) % d].reshape(axis)
     return PureState(state.dims, (state.shaped() * phase).reshape(-1))
 
 
@@ -217,11 +223,10 @@ def phase_readings(corr_rows: np.ndarray, u) -> list:
     """Read each row of correlated amplitudes in the omega_p basis; INVALID is the complement.
 
     ``corr_rows`` holds one state per row, shape (rows, d), and ``u`` one
-    uniform double per row. Row t reads the p whose CDF step ``u[t]`` falls
-    in, the index ``_pick`` returns, or INVALID for the last entry.
+    uniform double per row. Row t reads the p that ``_pick`` returns for
+    ``u[t]``, or INVALID for the last entry.
     """
-    cdf = _cdf(_with_invalid(_phase_basis_probs(corr_rows)))
-    picks = (cdf[:, :-1] <= np.asarray(u)[:, None]).sum(axis=1)
+    picks = _pick(_cdf(_with_invalid(_phase_basis_probs(corr_rows))), u)
     d = corr_rows.shape[-1]
     return [INVALID if p == d else p for p in picks.tolist()]
 
@@ -240,7 +245,7 @@ def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
     shaped = state.shaped()
     k = np.arange(d)
     probs = np.array([float(np.sum(np.abs(shaped[k, (k + r) % d]) ** 2)) for r in range(d)])
-    return int(_sample(probs / probs.sum(), rng))
+    return int(_pick(_cdf(probs), rng.random()))
 
 
 def solve_tally(p: int, config: BallotConfig):

@@ -187,23 +187,20 @@ def reduced_density(state: PureState, keep_sites) -> DensityMatrix:
 
 
 def _pick(cdf: np.ndarray, u):
-    """Inverse-CDF lookup of the uniform double(s) ``u``; index order fixes the convention.
+    """Inverse-CDF lookup, the one place a uniform double becomes an outcome index.
 
-    A ``u`` at or past the last step (weights summing below one) picks the
-    last index. Kernels that take their draws in bulk pick exactly what
-    ``_sample`` picks from the same doubles.
+    A 1-D ``cdf`` serves every double in ``u``; a 2-D one holds one CDF per row
+    and ``u`` one double per row. The outcome counts the steps before the last
+    that are <= u, so a ``u`` at or past the last step picks the last index.
     """
-    return cdf[:-1].searchsorted(u, side="right")
+    if cdf.ndim == 1:
+        return cdf[:-1].searchsorted(u, side="right")
+    return (cdf[:, :-1] <= np.asarray(u)[:, None]).sum(axis=1)
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:
     """The CDF of ``weights`` normalized by their sum, along the last axis."""
     return (weights / weights.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
-
-
-def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """One inverse-CDF draw from ``probs``."""
-    return int(_pick(probs.cumsum(), rng.random()))
 
 
 def _with_invalid(probs: np.ndarray) -> np.ndarray:
@@ -242,7 +239,7 @@ def measure_computational(state: PureState, site: int, rng: np.random.Generator)
     shaped = state.shaped()
     axes = tuple(a for a in range(state.num_sites) if a != site)
     marginal = np.sum(np.abs(shaped) ** 2, axis=axes)
-    k = _sample(marginal / marginal.sum(), rng)
+    k = int(_pick(_cdf(marginal), rng.random()))
     idx = [slice(None)] * state.num_sites
     idx[site] = slice(k, k + 1)
     collapsed = np.zeros_like(shaped)

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .ballots import phase_vote_unitary, prepare_tb_ballot, shift_unitary
+from .ballots import prepare_tb_ballot, shift_unitary, vote_phases
 from .errors import ConfigurationError
-from .qstate import CorrelatedState, PureState, apply_local, inner, reduced_density
+from .qstate import PureState, apply_local, inner, reduced_density
 
 SIGMA = np.array([
     [[0, 1], [1, 0]],
@@ -104,8 +104,8 @@ def _vote_patterns(initial, vote, N: int):
 def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> PrivacyReport:
     """Exhaustively test the overlap conditions over all 2^N vote vectors.
 
-    Each yes voter applies the real vote operator: the diagonal of
-    ``phase_vote_unitary`` on the correlated DB amplitudes, or
+    Each yes voter applies the real vote operator: its eigenphases
+    ``vote_phases`` on the uniform correlated DB amplitudes, or
     ``shift_unitary`` on site 1 of the TB pair. States of equal tally
     must coincide up to phase (checked against a class representative,
     which is equivalent for unit-modulus overlaps) and states of
@@ -123,8 +123,8 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
         raise ConfigurationError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
 
     if scheme == "DB":
-        phases = np.diag(phase_vote_unitary(d).mat)
-        initial, overlap = CorrelatedState.uniform(d, N).c, np.vdot
+        phases = vote_phases(d)
+        initial, overlap = np.full(d, 1 / math.sqrt(d), dtype=complex), np.vdot
 
         def vote(c):
             return c * phases

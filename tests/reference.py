@@ -45,7 +45,6 @@ from qvote.qstate import (
     PureState,
     _cdf,
     _pick,
-    _sample,
     _with_invalid,
     apply_local,
     measure_computational,
@@ -163,7 +162,7 @@ def secure_round(config: BallotConfig, thetas, rep_rng):
     state = CorrelatedState.uniform(d, 2 * config.N)
     rs = []
     for theta in thetas:
-        rs.append(_sample(np.full(d, 1 / d), rep_rng))
+        rs.append(int(_pick(np.full(d, 1 / d).cumsum(), rep_rng.random())))
         state = CorrelatedState(d, state.sites, state.c * np.exp(1j * np.arange(d) * theta))
     return (*secure_tally(state.c[None], config, [rep_rng.random()])[0], rs)
 
@@ -277,7 +276,7 @@ def cast_vote_secure(state: PureState, ballot_site: int, voting_state: PureState
     # P_r keeps pairs (ballot k, voting (k - r) mod d).
     probs = np.array([float(np.sum(weights * np.abs(psi[(np.arange(d) - r) % d]) ** 2))
                       for r in range(d)])
-    r = _sample(probs / probs.sum(), rng)
+    r = int(_pick(_cdf(probs), rng.random()))
 
     fit = _fit_phase_ladder(voting_state)
     if fit is not None:

@@ -24,6 +24,7 @@ from qvote.ballots import (
     secure_tally,
     shift_unitary,
     solve_tally,
+    vote_phases,
     voting_qudit_state,
     _phase_basis_probs,
 )
@@ -164,6 +165,23 @@ class TestVotingOperators:
     def test_shift_order_d(self):
         np.testing.assert_allclose(np.linalg.matrix_power(shift_unitary(5).mat, 5), np.eye(5),
                                    atol=1e-12)
+
+
+class TestVotePhases:
+    def test_dense_operator_and_cast_carry_the_table_bits(self):
+        # The dense yes operator and the dense cast, which the tests and the
+        # benchmark tracer still use, must not drift from the one table.
+        g = np.random.default_rng(31)
+        for d in range(2, 65):
+            phases = vote_phases(d)
+            assert np.array_equal(phase_vote_unitary(d).mat.diagonal().copy().view(np.uint64),
+                                  phases.view(np.uint64))
+            amps = g.normal(size=4 * d) + 1j * g.normal(size=4 * d)
+            state = PureState.from_amplitudes((2, d, 2), amps)
+            for e in range(2 * d + 1):
+                expected = state.shaped() * phases[e * np.arange(d) % d].reshape(1, d, 1)
+                assert np.array_equal(cast_vote_db(state, 1, e).amps.view(np.uint64),
+                                      expected.reshape(-1).view(np.uint64)), (d, e)
 
 
 class TestVotingQuditState:

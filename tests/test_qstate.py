@@ -21,7 +21,6 @@ from qvote.qstate import (
     tensor,
     _cdf,
     _pick,
-    _sample,
     _with_invalid,
 )
 from qvote.ballots import (
@@ -245,9 +244,8 @@ class TestMeasureProjective:
                                np.random.default_rng(0))
 
 
-def _sample_loop(probs, rng):
-    """Reference inverse-CDF draw: the first k whose running sum exceeds u."""
-    u = rng.random()
+def _pick_loop(probs, u):
+    """Reference inverse-CDF lookup: the first k whose running sum exceeds u."""
     acc = 0.0
     for k, p in enumerate(probs):
         acc += p
@@ -261,12 +259,29 @@ class TestSample:
         gen = np.random.default_rng(2024)
         for trial in range(2000):
             probs = gen.random(int(gen.integers(1, 40))) ** 4
-            # Every third distribution sums below one, so some draws fall
-            # past the last bucket and must clamp to the last index.
+            # Two of every three distributions sum below one, so some doubles
+            # fall past the last bucket and must clamp to the last index.
             probs /= probs.sum() * (1.02 if trial % 3 else 1.0)
-            rng_a, rng_b = np.random.default_rng(trial), np.random.default_rng(trial)
-            assert _sample(probs, rng_a) == _sample_loop(probs, rng_b)
-            assert rng_a.random() == rng_b.random()  # one draw each
+            u = np.random.default_rng(trial).random()
+            assert _pick(probs.cumsum(), u) == _pick_loop(probs, u)
+
+    def test_rows_pick_as_their_one_row_picks(self):
+        # A 2-D CDF with one double per row must pick what the 1-D CDF of
+        # each row picks alone: at random doubles, at doubles on each step
+        # (repeated where a weight is 0), at 0.0 and at 1 - 2**-53, which
+        # passes the last step of an under-normalized row.
+        gen = np.random.default_rng(77)
+        for trial in range(300):
+            rows, d = int(gen.integers(1, 30)), int(gen.integers(1, 20))
+            weights = gen.random((rows, d)) ** 4 * (gen.random((rows, d)) < 0.8)
+            weights[:, -1] += 1e-3
+            scale = np.where(gen.random((rows, 1)) < 0.5, 1.02, 1.0)
+            cdf = (weights / (weights.sum(axis=1, keepdims=True) * scale)).cumsum(axis=1)
+            doubles = [gen.random(rows), np.zeros(rows), np.full(rows, 1 - 2 ** -53),
+                       *cdf.T, *np.nextafter(cdf.T, 0.0)]
+            for u in doubles:
+                picks = _pick(cdf, u)
+                assert picks.tolist() == [int(_pick(row, x)) for row, x in zip(cdf, u)]
 
     def test_invalid_complement_is_the_last_index(self):
         full = _with_invalid(np.array([0.0, -1e-17]))

@@ -48,8 +48,7 @@ class TestCheckPrivacy:
     def test_wrong_db_vote_operator_fails(self, monkeypatch):
         # Half the yes phase: equal tallies still agree, but neighbouring
         # tallies are no longer orthogonal.
-        monkeypatch.setattr(verify, "phase_vote_unitary", lambda d: LocalUnitary(
-            d, np.diag(np.exp(1j * np.pi * np.arange(d) / d))))
+        monkeypatch.setattr(verify, "vote_phases", lambda d: np.exp(1j * np.pi * np.arange(d) / d))
         report = check_privacy("DB", 5, 3)
         assert report.passed is False
         assert report.worst_cross_tally_overlap > 0.1
