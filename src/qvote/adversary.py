@@ -16,12 +16,12 @@ from one ``rng.child_doubles`` call, which computes what ``rng.spawn``
 children would draw without building a Generator per trial, and map them
 through closed forms. The forgery casts one angle row per trial, the
 honest row plus its estimated phase; mismatched voting states cast one
-row of per-voter angles that every trial shares. Both run all trials'
-repetitions through one batched ``_secure_rounds`` and cut the rounds
-back into trials with ``_secure_results``. The TB collusion attack
+row of per-voter angles that every trial shares. Both run all trials
+through one ``_secure_trials`` call, which casts and reads each row once
+for all its repetitions. The TB collusion attack
 follows the pair in its d amplitudes, where only the first colluder's
-reading is random; the product-ballot readout is an orthonormal FFT of
-one voter's qudit, or uniform on the honest ballot.
+reading is random; the product-ballot readout is ``_phase_basis_probs``
+of one voter's qudit, or uniform on the honest ballot.
 The swap test compares each double with one threshold per pair, its
 symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
 (2001)). Only ``detect_subset_correlation`` measures a dense state, the
@@ -41,6 +41,7 @@ from .ballots import (
     BallotConfig,
     Scheme,
     Vote,
+    _phase_basis_probs,
     phase_readings,
     vote_phases,
 )
@@ -49,8 +50,7 @@ from .protocols import (
     RunResult,
     _parse_votes,
     _phase_round,
-    _secure_results,
-    _secure_rounds,
+    _secure_trials,
     honest_thetas,
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
 )
@@ -244,10 +244,9 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     errors = lo + (hi - lo) * u[:, 0] if half_width > 0 else np.zeros(len(u))
     theta_rows = np.tile(honest_thetas(config, choices), (len(u), 1))
     theta_rows[:, int(cheater)] += delta_phase + errors
-    rounds = _secure_rounds(config, theta_rows, rep_u)
 
     verdicts, hist, per_trial = [], {}, []
-    for eps, result in zip(errors.tolist(), _secure_results(rounds, repetitions)):
+    for eps, (result, _) in zip(errors.tolist(), _secure_trials(config, theta_rows, rep_u)):
         detected = result.m == CHEAT_DETECTED
         verdicts.append(detected)
         per_trial.append({"eps": eps, "outcomes": result.outcomes, "p": result.p,
@@ -297,8 +296,8 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
         uniform, phases = np.full(d, 1 / math.sqrt(d), dtype=complex), vote_phases(d)
         guesses = np.empty(u.shape, dtype=int)
         for t, e in enumerate(actual):
-            readout = np.fft.fft(uniform * phases[e * np.arange(d) % d], norm="ortho")
-            guesses[:, t] = _pick(_cdf(np.abs(readout) ** 2), u[:, t])
+            probs = _phase_basis_probs(uniform * phases[e * np.arange(d) % d])
+            guesses[:, t] = _pick(_cdf(probs), u[:, t])
     hits = guesses == np.array(actual)
     per_trial_correct = hits.sum(axis=1).tolist()
     hist: dict = {}
@@ -343,7 +342,7 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     rep_u = rngmod.child_doubles(rng, _trial_count(trials), 0, repetitions, config.N + 1)[1]
     hist: dict = {}
     results = []
-    for result in _secure_results(_secure_rounds(config, [thetas], rep_u), repetitions):
+    for result, _ in _secure_trials(config, [thetas], rep_u):
         results.append({"m": result.m, "outcomes": result.outcomes, "p": result.p})
         _bump(hist, result.m)
 

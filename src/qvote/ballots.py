@@ -12,7 +12,7 @@ Three quantum schemes share these primitives:
 The yes phase has one definition, ``vote_phases``, and the omega_p reading
 one, ``phase_readings``. The dense ``phase_vote_unitary`` and ``cast_vote_db``
 (no run or attack calls it) serve verification, single qudits and the tests.
-SECURE rounds cast in the correlated basis (``protocols._secure_rounds``) and
+SECURE trials cast in the correlated basis (``protocols._secure_trials``) and
 decode with ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast.
 """
 
@@ -220,15 +220,16 @@ def _phase_basis_probs(corr: np.ndarray) -> np.ndarray:
 
 
 def phase_readings(corr_rows: np.ndarray, u) -> list:
-    """Read each row of correlated amplitudes in the omega_p basis; INVALID is the complement.
+    """Read correlated amplitudes in the omega_p basis; INVALID is the complement.
 
     ``corr_rows`` holds one state per row, shape (rows, d), and ``u`` one
-    uniform double per row. Row t reads the p that ``_pick`` returns for
-    ``u[t]``, or INVALID for the last entry.
+    uniform double per row; or (rows, 1, d) states, each read once for its
+    row of (rows, R) doubles. Each double reads the p that ``_pick`` returns,
+    or INVALID for the last entry; the readings come flat, row-major.
     """
     picks = _pick(_cdf(_with_invalid(_phase_basis_probs(corr_rows))), u)
     d = corr_rows.shape[-1]
-    return [INVALID if p == d else p for p in picks.tolist()]
+    return [INVALID if p == d else p for p in picks.ravel().tolist()]
 
 
 def decode_db(state: PureState, d: int, N: int, rng: np.random.Generator):
@@ -259,11 +260,11 @@ def solve_tally(p: int, config: BallotConfig):
 
 
 def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> list[tuple]:
-    """Compensate the known no-phase, read p, and map it to a tally; one (m, p) per row.
+    """Compensate the known no-phase, read p, and map it to a tally; one (m, p) per double.
 
     m is the tally or CHEAT_DETECTED and p is the raw phase index or
     INVALID. The authority knows N, l_n and delta, so it removes
-    e^{i k N theta_n} before projecting row t onto the p-states with ``u[t]``.
+    e^{i k N theta_n} before ``phase_readings`` projects onto the p-states.
     """
     compensation = np.exp(-1j * np.arange(config.d) * config.N * config.theta_no)
     return [(CHEAT_DETECTED, p) if p == INVALID else (solve_tally(p, config), p)

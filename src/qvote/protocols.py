@@ -213,45 +213,35 @@ def honest_thetas(config: BallotConfig, choices) -> list[float]:
     return [config.theta_yes if c is Vote.YES else config.theta_no for c in choices]
 
 
-def _secure_rounds(config: BallotConfig, theta_rows, u) -> list[tuple]:
-    """Anti-reuse executions in the correlated basis, one per row of ``u``; (m, p, rs) each.
+def _secure_trials(config: BallotConfig, theta_rows, u) -> list[tuple]:
+    """Anti-reuse trials in the correlated basis; one (result, rounds) per trial of ``u``.
 
-    Each row of angles runs R = len(u) // len(theta_rows) times: row t
-    casts ``theta_rows[t]`` once and its repetitions read ``u[t*R:(t+1)*R]``,
-    the N + 1 doubles each repetition's stream draws: the N pairing
-    outcomes and then the tally. Voter i's pairing outcome r_i is uniform
-    for any ballot state and only multiplies the state by the global phase
-    e^{-i r_i theta_i}, so r_i is drawn and logged but leaves c untouched:
-    the cast is c_k *= e^{ik theta_i}. All repetitions share one reading.
+    ``u`` is (T, R, N + 1): trial, then repetition, then the doubles that
+    repetition's stream draws, the N pairing outcomes and then the tally.
+    ``theta_rows`` holds one angle row per trial, or one row every trial
+    shares. Voter i's pairing outcome r_i is uniform for any ballot state
+    and only multiplies the state by the global phase e^{-i r_i theta_i},
+    so r_i is drawn and logged but leaves c untouched: the cast is
+    c_k *= e^{ik theta_i}. Each row is cast and read once, and its CDF
+    serves all its repetitions. ``rounds`` lists (m, p, rs) per repetition;
+    the result's tally is the common one when every repetition decodes
+    the same valid multiple, and CHEAT_DETECTED otherwise.
     """
     d, n = config.d, config.N
-    thetas = np.asarray(theta_rows, dtype=float).reshape(-1, n)
-    u = np.asarray(u, dtype=float).reshape(-1, n + 1)
-    reps = len(u) // len(thetas) if len(thetas) else 0
-    if reps * len(thetas) != len(u):
-        raise ConfigurationError(
-            f"{len(u)} draw rows are not a whole number of repetitions "
-            f"of {len(thetas)} angle rows")
-    rs = _pick(np.full(d, 1 / d).cumsum(), u[:, :n]).tolist()
-    corr_rows = np.repeat(_cast(d, thetas), reps, axis=0)
-    return [(m, p, r) for (m, p), r in zip(secure_tally(corr_rows, config, u[:, n]), rs)]
-
-
-def _secure_results(rounds, repetitions: int) -> list[RunResult]:
-    """One result per trial of ``repetitions`` consecutive rounds.
-
-    A trial's tally is the common one when every repetition decodes the
-    same valid multiple; anything else reports CHEAT_DETECTED.
-    """
-    results = []
-    for t in range(0, len(rounds), repetitions):
-        trial = rounds[t:t + repetitions]
-        outcomes = [m for m, _, _ in trial]
+    u = np.asarray(u, dtype=float)
+    rs = _pick(np.full(d, 1 / d).cumsum(), u[..., :n]).tolist()
+    tallies = iter(secure_tally(_cast(d, np.reshape(theta_rows, (-1, n)))[:, None],
+                                config, u[..., n]))
+    trials = []
+    for trial_rs in rs:
+        # zip stops on trial_rs before it pulls a tally of the next trial.
+        rounds = [(m, p, r) for r, (m, p) in zip(trial_rs, tallies)]
+        outcomes = [m for m, _, _ in rounds]
         agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
         m = outcomes[0] if agree else CHEAT_DETECTED
-        results.append(RunResult("SECURE", m, outcomes, p=[p for _, p, _ in trial],
-                                 statistics={"repetitions": repetitions, "agreement": agree}))
-    return results
+        stats = {"repetitions": u.shape[1], "agreement": agree}
+        trials.append((RunResult("SECURE", m, outcomes, [p for _, p, _ in rounds], stats), rounds))
+    return trials
 
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
@@ -269,14 +259,13 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     choices = _parse_votes(config, votes)
     u = [g.random(config.N + 1) for g in rng.spawn(repetitions)]
-    rounds = _secure_rounds(config, [honest_thetas(config, choices)], u)
+    [(result, rounds)] = _secure_trials(config, [honest_thetas(config, choices)], [u])
     if transcript:
         for rep, (m, p, rs) in enumerate(rounds):
             _log_round(transcript, rep, {"scheme": "SECURE", "d": config.d, "N": config.N,
                                          "repetitions": repetitions},
                        [(i, {"commitment": transcript.commit(rep, i, c.value), "r": rs[i]})
                         for i, c in enumerate(choices)], {"p": p, "m": m})
-    [result] = _secure_results(rounds, repetitions)
     return result
 
 

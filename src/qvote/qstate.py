@@ -23,7 +23,8 @@ INVALID = "INVALID"
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=complex)
+    """A read-only complex copy of ``arr``; the caller's array stays theirs."""
+    out = np.array(arr, dtype=complex, order="C")
     out.setflags(write=False)
     return out
 
@@ -189,13 +190,15 @@ def reduced_density(state: PureState, keep_sites) -> DensityMatrix:
 def _pick(cdf: np.ndarray, u):
     """Inverse-CDF lookup, the one place a uniform double becomes an outcome index.
 
-    A 1-D ``cdf`` serves every double in ``u``; a 2-D one holds one CDF per row
-    and ``u`` one double per row. The outcome counts the steps before the last
-    that are <= u, so a ``u`` at or past the last step picks the last index.
+    A 1-D ``cdf`` serves every double in ``u``. Otherwise the CDFs run along
+    the last axis and broadcast against ``u``: (rows, d) CDFs take one double
+    per row, and a (rows, 1, d) stack serves each row's (rows, R) doubles. The
+    outcome counts the steps before the last that are <= u, so a ``u`` at or
+    past the last step picks the last index.
     """
     if cdf.ndim == 1:
         return cdf[:-1].searchsorted(u, side="right")
-    return (cdf[:, :-1] <= np.asarray(u)[:, None]).sum(axis=1)
+    return (cdf[..., :-1] <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:

@@ -104,8 +104,8 @@ def child_doubles(rng: np.random.Generator, trials: int, k: int,
                   reps: int = 0, rep_k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The doubles ``rng.spawn(trials)`` children and their ``spawn(reps)`` children draw.
 
-    Returns (u, rep_u): row t of u is ``children[t].random(k)``, and row
-    t * reps + r of rep_u is ``children[t].spawn(reps)[r].random(rep_k)``.
+    Returns (u, rep_u): row t of u is ``children[t].random(k)``, and
+    ``rep_u[t, r]`` is ``children[t].spawn(reps)[r].random(rep_k)``.
     The parent advances as ``rng.spawn(trials)`` advances it; child indices
     must stay below 2**32.
     """
@@ -118,4 +118,4 @@ def child_doubles(rng: np.random.Generator, trials: int, k: int,
                        for r in range(reps)], dtype=np.uint64).reshape(-1, 4)
     grand = (_MIX_L * pools[:, None] - hashed) & _M32
     grand ^= grand >> 16
-    return _draws(pools, k), _draws(grand.reshape(-1, 4), rep_k)
+    return _draws(pools, k), _draws(grand.reshape(-1, 4), rep_k).reshape(trials, reps, rep_k)

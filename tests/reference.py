@@ -58,7 +58,7 @@ def child_doubles(rng: np.random.Generator, trials: int, k: int, reps: int = 0,
     kids = rng.spawn(int(trials))
     u = np.array([g.random(k) for g in kids]).reshape(len(kids), k)
     rep_u = np.array([rep.random(rep_k) for g in kids for rep in g.spawn(reps)])
-    return u, rep_u.reshape(len(kids) * reps, rep_k)
+    return u, rep_u.reshape(len(kids), reps, rep_k)
 
 
 def phase_basis_measure(state: PureState, site: int, rng: np.random.Generator):

@@ -184,6 +184,20 @@ class TestVotePhases:
                                       expected.reshape(-1).view(np.uint64)), (d, e)
 
 
+class TestPhaseBasisProbs:
+    def test_product_ballot_cdfs_equal_the_orthonormal_fft(self):
+        # The product-ballot readout reads a voter's qudit through
+        # _phase_basis_probs; its CDFs must keep the bits of
+        # |fft(x, norm="ortho")|^2, here for every d up to 1009.
+        for d in range(2, 1010):
+            uniform = np.full(d, 1 / math.sqrt(d), dtype=complex)
+            for e in (0, 1):
+                x = uniform * vote_phases(d)[e * np.arange(d) % d]
+                got = _cdf(_phase_basis_probs(x))
+                ref = _cdf(np.abs(np.fft.fft(x, norm="ortho")) ** 2)
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (d, e)
+
+
 class TestVotingQuditState:
     def test_theta_zero_qubit(self):
         np.testing.assert_allclose(voting_qudit_state(2, 0.0).amps,

@@ -10,6 +10,7 @@ fails them. The Monte Carlo attacks take their trials' doubles from
 with a fresh ``rng.spawn`` loop that draws the stated count per stream.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -33,7 +34,7 @@ from qvote.adversary import (
 from qvote.ballots import BallotConfig, Scheme, SecureSecrets, voting_qudit_state
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
-    _secure_rounds,
+    _secure_trials,
     run_db_vote,
     run_secure_vote,
     run_survey,
@@ -238,32 +239,46 @@ class TestKernelsMatchReferences:
         assert got.extras["runs"] == runs
         assert len({run["m"] for run in runs}) > 1
 
+    def test_mismatched_memory_stays_per_trial(self):
+        # One shared row holds O(d) amplitudes and CDFs, plus T*R*d one-byte
+        # comparisons (1.5 MB here). A copy of the row per repetition holds
+        # T*R*d of each, above 80 MB at this size.
+        d, n = 1009, 20
+        config = BallotConfig(d, n, Scheme.SECURE, secrets=SecureSecrets(3, 1, 0.001))
+        pairs = [(config.theta_yes + 0.01 * i, config.theta_no) for i in range(n)]
+        tracemalloc.start()
+        try:
+            report = mismatched_voting_states(config, pairs, "YN" * (n // 2),
+                                              np.random.default_rng(1), trials=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(report.outcome_histogram.values()) == 500
+        assert peak < 16e6
+
     @given(secure_config(), st.data(), SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_secure_rows_against_scalar_rounds(self, config, data, seed):
         rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
                                            min_size=config.N, max_size=config.N),
                                   min_size=1, max_size=6))
-        got = _secure_rounds(config, rows, draws(children(seed, len(rows)), config.N + 1))
-        ref = [reference.secure_round(config, thetas, g)
+        u = draws(children(seed, len(rows)), config.N + 1)[:, None]
+        got = [rounds for _, rounds in _secure_trials(config, rows, u)]
+        ref = [[reference.secure_round(config, thetas, g)]
                for thetas, g in zip(rows, children(seed, len(rows)))]
         assert got == ref
 
     @given(secure_config(), st.data(), SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_repeated_rows_against_one_cast_per_stream(self, config, data, seed):
-        # Row t casts once for its R draw rows; the reference casts it once
-        # per draw row.
-        repetitions = data.draw(st.integers(1, 4))
-        rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
-                                           min_size=config.N, max_size=config.N),
-                                  min_size=1, max_size=6))
-        u = draws(children(seed, len(rows) * repetitions), config.N + 1)
-        got = _secure_rounds(config, rows, u)
-        ref = [rnd for t, row in enumerate(rows)
-               for rnd in _secure_rounds(config, [row] * repetitions,
-                                         u[t * repetitions:(t + 1) * repetitions])]
-        assert got == ref
+        # One shared row is cast once for every trial; the reference repeats
+        # it, one row per trial.
+        trials, repetitions = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        row = data.draw(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
+                                 min_size=config.N, max_size=config.N))
+        u = draws(children(seed, trials * repetitions), config.N + 1)
+        u = u.reshape(trials, repetitions, config.N + 1)
+        assert _secure_trials(config, [row], u) == _secure_trials(config, [row] * trials, u)
 
     @given(swap_pool(), st.integers(1, 12), SEEDS)
     @settings(max_examples=200, deadline=None)
@@ -292,13 +307,8 @@ class TestKernelsMatchReferences:
 
     def test_zero_rows_give_no_rounds(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-        assert _secure_rounds(config, [], []) == []
-
-    @pytest.mark.parametrize("rows,streams", [(2, 3), (2, 1), (0, 2)])
-    def test_streams_not_a_multiple_of_rows_rejected(self, rows, streams):
-        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-        with pytest.raises(ConfigurationError, match="whole number of repetitions"):
-            _secure_rounds(config, [[0.1, 0.2, 0.3]] * rows, np.zeros((streams, 4)))
+        assert _secure_trials(config, [], np.zeros((0, 3, 4))) == []
+        assert _secure_trials(config, [[0.1, 0.2, 0.3]], np.zeros((0, 3, 4))) == []
 
 
 class TestCollusionBatch:

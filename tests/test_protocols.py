@@ -24,7 +24,7 @@ from qvote.protocols import (
     RunResult,
     Transcript,
     _cast,
-    _secure_rounds,
+    _secure_trials,
     classical_dining,
     classical_modular_vote,
     dining_announcements,
@@ -238,7 +238,8 @@ class TestCorrelatedMatchesDense:
         thetas = [config.theta_yes if v is Vote.YES else config.theta_no for v in votes]
         if extra is not None:
             thetas[extra[0]] += extra[1]
-        [(m, p, rs)] = _secure_rounds(config, [thetas], np.random.default_rng(seed).random(n + 1))
+        u = np.random.default_rng(seed).random((1, 1, n + 1))
+        [(_, [(m, p, rs)])] = _secure_trials(config, [thetas], u)
 
         # Dense reference: every pairing outcome r also multiplies the
         # state by e^{-i r theta}, a global phase the correlated form drops.

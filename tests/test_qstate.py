@@ -61,6 +61,23 @@ class TestPureState:
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
 
+    @pytest.mark.parametrize("values,build", [
+        ([1, 0], lambda a: PureState((2,), a).amps),
+        ([1, 0], lambda a: CorrelatedState(2, 3, a).c),
+        ([[1, 0], [0, 1]], lambda a: LocalUnitary(2, a).mat),
+        ([[1, 0], [0, 0]], lambda a: DensityMatrix(2, a).mat),
+        ([[1, 0], [0, 0]], lambda a: ProjectorSet(2, (a,)).projectors[0]),
+    ], ids=["PureState", "CorrelatedState", "LocalUnitary", "DensityMatrix", "ProjectorSet"])
+    def test_callers_array_stays_the_callers(self, values, build):
+        # Each type keeps its own frozen copy: the caller's complex array
+        # stays writeable, and writing to it leaves the object unchanged.
+        a = np.array(values, dtype=complex)
+        held = build(a)
+        kept = held.copy()
+        assert a.flags.writeable and not np.shares_memory(held, a)
+        a[...] = 7
+        assert np.array_equal(held, kept) and not held.flags.writeable
+
 
 class TestTensor:
     def test_basis_product(self):
@@ -282,6 +299,22 @@ class TestSample:
             for u in doubles:
                 picks = _pick(cdf, u)
                 assert picks.tolist() == [int(_pick(row, x)) for row, x in zip(cdf, u)]
+
+    def test_stacked_rows_pick_as_their_one_row_picks(self):
+        # A (rows, 1, m) CDF serves its row's R doubles: each pick must equal
+        # the 1-D pick of that double, at random doubles and on the steps.
+        gen = np.random.default_rng(78)
+        for trial in range(200):
+            rows, reps, m = (int(x) for x in gen.integers(1, [20, 6, 20]))
+            weights = gen.random((rows, m)) ** 4 * (gen.random((rows, m)) < 0.8)
+            weights[:, -1] += 1e-3
+            cdf = _cdf(weights)
+            on_steps = cdf[np.arange(rows)[:, None], gen.integers(0, m, (rows, reps))]
+            for u in (gen.random((rows, reps)), on_steps, np.nextafter(on_steps, 0.0)):
+                picks = _pick(cdf[:, None], u)
+                assert picks.shape == (rows, reps)
+                assert picks.tolist() == [[int(_pick(row, x)) for x in us]
+                                          for row, us in zip(cdf, u)]
 
     def test_invalid_complement_is_the_last_index(self):
         full = _with_invalid(np.array([0.0, -1e-17]))
