@@ -14,7 +14,8 @@ collusion and product-ballot attacks spend a fixed number of doubles per
 trial from the trial's own child stream. They take every trial's doubles
 from one ``rng.child_doubles`` call, which computes what ``rng.spawn``
 children would draw without building a Generator per trial, and map them
-through closed forms. The forgery casts one angle row per trial, the
+through closed forms; so their ``rng`` must be PCG64, or they raise
+ConfigurationError. The forgery casts one angle row per trial, the
 honest row plus its estimated phase; mismatched voting states cast one
 row of per-voter angles that every trial shares. Both run all trials
 through one ``_secure_trials`` call, which casts and reads each row once

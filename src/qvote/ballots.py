@@ -265,7 +265,12 @@ def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> list[tuple]:
     m is the tally or CHEAT_DETECTED and p is the raw phase index or
     INVALID. The authority knows N, l_n and delta, so it removes
     e^{i k N theta_n} before ``phase_readings`` projects onto the p-states.
+    Each p maps as ``solve_tally`` maps it, with its gcd and inverse found once.
     """
-    compensation = np.exp(-1j * np.arange(config.d) * config.N * config.theta_no)
-    return [(CHEAT_DETECTED, p) if p == INVALID else (solve_tally(p, config), p)
+    d = config.d
+    dl = (config.secrets.l_y - config.secrets.l_n) % d
+    g = math.gcd(dl, d)
+    inv = pow(dl // g, -1, d // g)
+    compensation = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
+    return [(CHEAT_DETECTED, p) if p == INVALID or p % g else (p // g * inv % (d // g), p)
             for p in phase_readings(corr_rows * compensation, u)]

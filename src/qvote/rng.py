@@ -10,19 +10,25 @@ share a stream.
 Monte Carlo attacks give each trial its own child stream, ``rng.spawn(T)``,
 and the SECURE attacks give each trial's repetitions grandchildren.
 ``child_doubles`` returns the doubles those streams draw without building
-a Generator per stream. It advances the parent through its real
-``SeedSequence.spawn``, the one way to move ``n_children_spawned``, and
-takes each child's pool from it. It then mixes each grandchild's pool,
-expands pools as ``generate_state(4, uint64)`` does, seeds PCG64 and
+a Generator or a SeedSequence per stream. A child's pool is its parent's
+with one more entropy word, its index, mixed in, and a grandchild's adds
+its own index; the kernel mixes those words into every row at once. It
+then expands pools as ``generate_state(4, uint64)`` does, seeds PCG64 and
 computes every draw's 128-bit LCG state in closed form, then applies the
 XSL-RR output and the 53-bit double conversion, all as integer numpy
-arithmetic over every row at once. Only integer operations and one exact
+arithmetic over every row. Only integer operations and one exact
 power-of-two scale touch the bits, so SIMD dispatch cannot change them.
+The parent's ``n_children_spawned`` moves as ``spawn`` would move it, in
+place, through one constructor call. A parent whose bit generator is not
+PCG64, or whose child indices would reach 2**32 - 1, raises
+ConfigurationError and is left as it was.
 """
 
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 # Stream name -> fixed path prefix. Kept stable so transcripts replay.
 AUTHORITY = 0
@@ -54,11 +60,19 @@ def _word_count(value) -> int:
     return sum(max(1, -(-int(v).bit_length() // 32)) for v in values)
 
 
-def _hashmix(value: int, n: int) -> int:
-    """SeedSequence's n-th hash of a word: xor constant n, multiply by constant n + 1."""
-    hc = _INIT_A * pow(_MULT_A, n, 1 << 32)
-    x = (value ^ hc & _M32) * (hc * _MULT_A) & _M32
-    return x ^ x >> 16
+def _mix(pools: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
+    """Pools after SeedSequence mixes one more entropy word into them: hashes n, n + 1, ...
+
+    ``pools`` (..., P) broadcasts against ``words`` (...); each pool word
+    takes the word's next hash, as entropy past the pool size is mixed in.
+    """
+    size = pools.shape[-1]
+    hc = np.array([_INIT_A * pow(_MULT_A, n + dst, 1 << 32) & _M32 for dst in range(size)],
+                  dtype=np.uint64)
+    hashed = (words[..., None] ^ hc) * (hc * _MULT_A & _M32) & _M32
+    hashed ^= hashed >> 16
+    mixed = (_MIX_L * pools - _MIX_R * hashed) & _M32
+    return mixed ^ mixed >> 16
 
 
 @lru_cache(maxsize=None)
@@ -80,8 +94,9 @@ def _lcg_columns(k: int):
 
 
 def _draws(pools: np.ndarray, k: int) -> np.ndarray:
-    """The first k doubles of the PCG64 generator seeded from each row's 4-word pool."""
-    words = (pools[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:8]) * _STATE_HASH[1:] & _M32
+    """The first k doubles of the PCG64 generator seeded from each row's pool."""
+    words = pools[:, np.arange(8) % pools.shape[1]]
+    words = (words ^ _STATE_HASH[:8]) * _STATE_HASH[1:] & _M32
     words ^= words >> 16
     # 32-bit limbs, least significant first, of initstate and of initseq.
     seeds = words[:, [2, 3, 0, 1, 6, 7, 4, 5]].reshape(-1, 2, 4).transpose(1, 2, 0)[..., None]
@@ -106,16 +121,30 @@ def child_doubles(rng: np.random.Generator, trials: int, k: int,
 
     Returns (u, rep_u): row t of u is ``children[t].random(k)``, and
     ``rep_u[t, r]`` is ``children[t].spawn(reps)[r].random(rep_k)``.
-    The parent advances as ``rng.spawn(trials)`` advances it; child indices
-    must stay below 2**32.
+    The parent advances as ``rng.spawn(trials)`` advances it, in place:
+    ``n_children_spawned`` is read-only, and unpickling's ``__setstate__``
+    is the one writer that works in place, so the state of a fresh
+    SeedSequence holding the new count is copied in. Raises
+    ConfigurationError, leaving the parent as it was, unless its bit
+    generator is PCG64 (other children draw other doubles) and its child
+    indices stay below 2**32 - 1.
     """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise ConfigurationError(
+            f"child streams need a PCG64 parent, got {type(rng.bit_generator).__name__}")
     seed_seq = rng.bit_generator.seed_seq
-    pools = np.array([s.pool for s in seed_seq.spawn(trials)], dtype=np.uint64).reshape(-1, 4)
-    # A grandchild's entropy is its parent's, padded to 4 words, then one
-    # more word r; its child's mixing ran 4 hashes per entropy word.
-    n = 4 * (max(_word_count(seed_seq.entropy), 4) + _word_count(seed_seq.spawn_key) + 1)
-    hashed = np.array([[_MIX_R * _hashmix(r, n + dst) & _M32 for dst in range(4)]
-                       for r in range(reps)], dtype=np.uint64).reshape(-1, 4)
-    grand = (_MIX_L * pools[:, None] - hashed) & _M32
-    grand ^= grand >> 16
-    return _draws(pools, k), _draws(grand.reshape(-1, 4), rep_k).reshape(trials, reps, rep_k)
+    first, size = seed_seq.n_children_spawned, seed_seq.pool_size
+    if first + trials > _M32:
+        raise ConfigurationError(
+            f"{trials} children after {first} would pass SeedSequence's 2**32 - 1 limit")
+    # A child's entropy is its parent's, padded to the pool size, then the
+    # parent's spawn key, then one word i: its pool is the parent's with i
+    # mixed in. A grandchild's adds one more word r.
+    n = size * (max(_word_count(seed_seq.entropy), size) + _word_count(seed_seq.spawn_key))
+    pools = _mix(np.array(seed_seq.pool, dtype=np.uint64),
+                 np.arange(first, first + trials, dtype=np.uint64), n)
+    grand = _mix(pools[:, None], np.arange(reps, dtype=np.uint64), n + size)
+    seed_seq.__setstate__(type(seed_seq)(
+        seed_seq.entropy, spawn_key=seed_seq.spawn_key, pool_size=size,
+        n_children_spawned=first + trials).__reduce__()[2])
+    return _draws(pools, k), _draws(grand.reshape(-1, size), rep_k).reshape(trials, reps, rep_k)

@@ -7,6 +7,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from qvote import ballots
 from qvote.ballots import (
     CHEAT_DETECTED,
     BallotConfig,
@@ -455,6 +456,22 @@ class TestDecodeSecure:
         assert solve_tally(3, config) == 1
         assert solve_tally(6, config) == 2
         assert solve_tally(4, config) == CHEAT_DETECTED
+
+    def test_secure_tally_maps_every_reading_as_solve_tally(self, monkeypatch):
+        # Every p in 0..d-1 and INVALID, for every secret pair: gcd(l_y - l_n, d) > 1 included.
+        for d in range(2, 61):
+            readings = [*range(d), INVALID]
+            monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: readings)
+            # solve_tally reads the secrets only as (l_y - l_n) mod d.
+            want = {dl: [*((solve_tally(p, config), p) for p in range(d)),
+                         (CHEAT_DETECTED, INVALID)]
+                    for dl in range(1, d)
+                    for config in [BallotConfig(d, 1, Scheme.SECURE, secrets=(dl, 0, 0.0))]}
+            for l_y, l_n in product(range(d), repeat=2):
+                if l_y == l_n:
+                    continue
+                config = BallotConfig(d, 1, Scheme.SECURE, secrets=SecureSecrets(l_y, l_n, 0.0))
+                assert secure_tally(np.zeros((1, d)), config, []) == want[(l_y - l_n) % d]
 
 
 class TestOrthogonalityInvariant:

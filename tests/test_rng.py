@@ -1,11 +1,13 @@
 """``rng.child_doubles`` against numpy's own child and grandchild Generators, bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from qvote import rng as rngmod
+from qvote.errors import ConfigurationError
 
 WORDS = st.integers(0, 2 ** 70)
 
@@ -15,37 +17,102 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
-def parent(entropy, spawn_key, spawned: int) -> np.random.Generator:
-    """A PCG64 parent keyed by ``entropy`` and ``spawn_key`` that has spawned ``spawned`` times."""
-    seed_seq = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
+# How a parent has spawned before the call: through real ``spawn`` calls, or
+# born with the constructor's counter, up to 64 below the 2**32 limit where
+# numpy's own spawn, the reference, still returns.
+SPAWNED = (st.tuples(st.just("spawn"), st.integers(0, 4))
+           | st.tuples(st.just("counter"), st.integers(0, 2 ** 32 - 64)))
+
+
+def parent(entropy, spawn_key, spawned, pool_size) -> np.random.Generator:
+    """A PCG64 parent keyed by ``entropy`` and ``spawn_key`` that has spawned as ``spawned`` says."""
+    how, count = spawned
+    seed_seq = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key), pool_size=pool_size,
+                                      n_children_spawned=count if how == "counter" else 0)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    rng.spawn(spawned)
+    if how == "spawn":
+        rng.spawn(count)
     return rng
+
+
+def same_children(a: list, b: list) -> bool:
+    """Two spawns' children: the same keys, counters, pools and first draws."""
+    keys = ("entropy", "spawn_key", "pool_size", "n_children_spawned")
+    return len(a) == len(b) and all(
+        all(getattr(x.bit_generator.seed_seq, key) == getattr(y.bit_generator.seed_seq, key)
+            for key in keys)
+        and np.array_equal(x.bit_generator.seed_seq.pool, y.bit_generator.seed_seq.pool)
+        and same_bits(x.random(3), y.random(3)) for x, y in zip(a, b))
 
 
 @given(entropy=WORDS | st.lists(WORDS, min_size=1, max_size=6),
        spawn_key=st.lists(st.integers(0, 3) | WORDS, max_size=3),
-       spawned=st.integers(0, 4), trials=st.integers(0, 12), k=st.integers(0, 7),
-       reps=st.integers(0, 4), rep_k=st.integers(0, 7))
-@example(entropy=0, spawn_key=[], spawned=0, trials=0, k=1, reps=3, rep_k=4)
-@example(entropy=0, spawn_key=[], spawned=0, trials=1, k=1, reps=3, rep_k=4)
-@example(entropy=[102, 3, 2 ** 33], spawn_key=[1], spawned=2, trials=1, k=6, reps=0, rep_k=0)
+       spawned=SPAWNED, pool_size=st.sampled_from([4, 4, 4, 5, 8]), trials=st.integers(0, 12),
+       k=st.integers(0, 7), reps=st.integers(0, 4), rep_k=st.integers(0, 7))
+@example(entropy=0, spawn_key=[], spawned=("spawn", 0), pool_size=4, trials=0, k=1, reps=3,
+         rep_k=4)
+@example(entropy=0, spawn_key=[], spawned=("spawn", 0), pool_size=4, trials=1, k=1, reps=3,
+         rep_k=4)
+@example(entropy=[102, 3, 2 ** 33], spawn_key=[1], spawned=("spawn", 2), pool_size=4, trials=1,
+         k=6, reps=0, rep_k=0)
 # Empty sides: no trial draws (the mismatched attack), no repetitions with
 # or without a draw count (collusion, product ballot), no repetition draws.
-@example(entropy=7, spawn_key=[], spawned=1, trials=5, k=0, reps=3, rep_k=4)
-@example(entropy=7, spawn_key=[2], spawned=0, trials=5, k=6, reps=0, rep_k=4)
-@example(entropy=2 ** 40 + 3, spawn_key=[], spawned=0, trials=3, k=2, reps=2, rep_k=0)
-@example(entropy=7, spawn_key=[], spawned=0, trials=4, k=0, reps=0, rep_k=0)
+@example(entropy=7, spawn_key=[], spawned=("spawn", 1), pool_size=4, trials=5, k=0, reps=3,
+         rep_k=4)
+@example(entropy=7, spawn_key=[2], spawned=("spawn", 0), pool_size=4, trials=5, k=6, reps=0,
+         rep_k=4)
+@example(entropy=2 ** 40 + 3, spawn_key=[], spawned=("spawn", 0), pool_size=4, trials=3, k=2,
+         reps=2, rep_k=0)
+@example(entropy=7, spawn_key=[], spawned=("spawn", 0), pool_size=4, trials=4, k=0, reps=0,
+         rep_k=0)
+# Child indices that need all 32 bits, as close to the limit as the reference goes.
+@example(entropy=[5, 2 ** 64], spawn_key=[3], spawned=("counter", 2 ** 32 - 64), pool_size=4,
+         trials=12, k=2, reps=2, rep_k=3)
+# A pool wider than the 4 words that seed PCG64.
+@example(entropy=[1, 2 ** 40], spawn_key=[], spawned=("counter", 9), pool_size=8, trials=5,
+         k=3, reps=2, rep_k=4)
 @settings(max_examples=150, deadline=None)
-def test_child_doubles_match_spawned_generators(entropy, spawn_key, spawned, trials, k,
-                                                reps, rep_k):
-    got_rng, ref_rng = (parent(entropy, spawn_key, spawned) for _ in range(2))
+def test_child_doubles_match_spawned_generators(entropy, spawn_key, spawned, pool_size, trials,
+                                                k, reps, rep_k):
+    got_rng, ref_rng = (parent(entropy, spawn_key, spawned, pool_size) for _ in range(2))
+    seed_seq = got_rng.bit_generator.seed_seq
+    before = (seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size, seed_seq.pool.copy())
     u, rep_u = rngmod.child_doubles(got_rng, trials, k, reps, rep_k)
     ref_u, ref_rep_u = reference.child_doubles(ref_rng, trials, k, reps, rep_k)
     assert same_bits(u, ref_u) and same_bits(rep_u, ref_rep_u)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-    assert (got_rng.bit_generator.seed_seq.n_children_spawned
-            == ref_rng.bit_generator.seed_seq.n_children_spawned)
+    # The counter moves in place: the same object, its keys and pool as they were.
+    assert got_rng.bit_generator.seed_seq is seed_seq
+    assert (seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size) == before[:3]
+    assert np.array_equal(seed_seq.pool, before[3]) and seed_seq.pool.dtype == before[3].dtype
+    assert seed_seq.n_children_spawned == ref_rng.bit_generator.seed_seq.n_children_spawned
+    assert same_children(got_rng.spawn(2), ref_rng.spawn(2))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64DXSM,
+                                           np.random.SFC64, np.random.MT19937])
+def test_parents_that_are_not_pcg64_raise_untouched(bit_generator):
+    # Their children are not PCG64 either, so the kernel's doubles would be wrong.
+    rng = np.random.Generator(bit_generator(np.random.SeedSequence(5, n_children_spawned=3)))
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="PCG64"):
+        rngmod.child_doubles(rng, 2, 2, 1, 1)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 3
+    np.testing.assert_equal(rng.bit_generator.state, state)
+
+
+@pytest.mark.parametrize("trials", [5, 6, 2 ** 32])
+def test_child_indices_past_the_limit_raise_untouched(trials):
+    # numpy's own spawn does not return across this limit, so no reference is drawn here.
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([5, 2 ** 40], spawn_key=(1,), n_children_spawned=2 ** 32 - 5)))
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="2\\*\\*32"):
+        rngmod.child_doubles(rng, trials, 1)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 2 ** 32 - 5
+    assert rng.bit_generator.state == state
+    u, _ = rngmod.child_doubles(rng, 4, 1)
+    assert u.shape == (4, 1) and rng.bit_generator.seed_seq.n_children_spawned == 2 ** 32 - 1
 
 
 @given(seed=WORDS, trials=st.integers(1, 20),
