@@ -249,23 +249,13 @@ def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
     return int(_pick(_cdf(probs), rng.random()))
 
 
-def solve_tally(p: int, config: BallotConfig):
-    """Invert p = m (l_y - l_n) mod d; non-multiples signal cheating."""
-    d = config.d
-    dl = (config.secrets.l_y - config.secrets.l_n) % d
-    g = math.gcd(dl, d)
-    if p % g != 0:
-        return CHEAT_DETECTED
-    return (p // g) * pow(dl // g, -1, d // g) % (d // g)
-
-
 def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> list[tuple]:
     """Compensate the known no-phase, read p, and map it to a tally; one (m, p) per double.
 
     m is the tally or CHEAT_DETECTED and p is the raw phase index or
     INVALID. The authority knows N, l_n and delta, so it removes
     e^{i k N theta_n} before ``phase_readings`` projects onto the p-states.
-    Each p maps as ``solve_tally`` maps it, with its gcd and inverse found once.
+    p inverts p = m (l_y - l_n) mod d by one gcd and inverse; non-multiples signal cheating.
     """
     d = config.d
     dl = (config.secrets.l_y - config.secrets.l_n) % d

@@ -48,6 +48,7 @@ from .verify import (
     ansatz_check,
     check_privacy,
     check_reduced_identity,
+    check_tolerance,
     qubit_nogo_search,
     qutrit_solution_check,
 )
@@ -102,11 +103,6 @@ CONFIG_SCHEMA = {
 CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
-def _fail_config(message: str) -> int:
-    print(f"config error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
 def _coerce(value: str):
     try:
         return json.loads(value)
@@ -152,16 +148,9 @@ def _load_scenario(args) -> dict:
 
 
 def _resolve_votes(cfg: dict, n: int, scheme: Scheme):
+    """The config's votes as given (every run and attack parses and counts them), or drawn."""
     if "votes" in cfg:
-        votes = cfg["votes"]
-        if len(votes) != n:
-            raise ConfigurationError(f"votes has length {len(votes)}, expected {n}")
-        if scheme is Scheme.SURVEY:
-            try:
-                return [int(v) for v in votes]
-            except ValueError:
-                raise ConfigurationError(f"SURVEY amounts must be integers, got {votes}")
-        return [Vote.parse(v) for v in votes]
+        return cfg["votes"]
     if scheme is Scheme.SURVEY:
         raise ConfigurationError("SURVEY scenarios require explicit amounts in 'votes'")
     p_yes = cfg.get("vote_distribution", {}).get("p_yes", 0.5)
@@ -185,12 +174,12 @@ def _build_config(cfg: dict) -> BallotConfig:
     return BallotConfig(cfg["d"], cfg["n"], scheme, secrets=secrets, max_total=max_total)
 
 
-def _attack_transcript(run_id: str, seed: int, scheme: str, d: int, n: int,
-                       outcomes: list) -> Transcript:
+def _attack_transcript(run_id: str, seed: int, config: BallotConfig, outcomes) -> Transcript:
     """Minimal event log for attack scenarios: one MEASURE per trial."""
     t = Transcript(run_id, seed)
     for trial, outcome in enumerate(outcomes):
-        t.event(trial, "PREPARE", payload={"scheme": scheme, "d": d, "N": n})
+        t.event(trial, "PREPARE",
+                payload={"scheme": config.scheme.value, "d": config.d, "N": config.N})
         t.event(trial, "MEASURE", outcome=outcome)
     return t
 
@@ -224,10 +213,10 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
         # Hit counts are not tallies; the key keeps report from comparing them.
         outcomes = [{"hits": k} for k in report.extras["per_trial_correct"]]
         detected = False
-    elif name == "mismatched_thetas":
+    else:  # mismatched_thetas: the schema admits no other name
+        if config.scheme is not Scheme.SECURE:
+            raise ConfigurationError(f"mismatched states need a SECURE config, got {config.scheme}")
         shifts = attack.get("yes_l_shifts", list(range(config.N)))
-        if len(shifts) != config.N:
-            raise ConfigurationError(f"yes_l_shifts needs {config.N} entries")
         d, s = config.d, config.secrets
         thetas = [(2 * np.pi * (s.l_y + shift) / d + s.delta, config.theta_no)
                   for shift in shifts]
@@ -235,46 +224,40 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
                                           repetitions=cfg.get("repetitions", 3))
         outcomes = [r["m"] for r in report.extras["runs"]]
         detected = any(m == CHEAT_DETECTED for m in outcomes)
-    else:
-        raise ConfigurationError(f"unknown attack {name!r}")
     payload = report.to_dict()
     payload["seed"] = cfg["seed"]
     return payload, outcomes, detected
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_scenario(args)
-        config = _build_config(cfg)
-        scheme = config.scheme
-        votes = _resolve_votes(cfg, config.N, scheme)
-        seed = cfg["seed"]
-        run_id = f"{scheme.value.lower()}-d{config.d}-n{config.N}-seed{seed}"
-        out_dir = Path(os.environ.get("QVOTE_OUT_DIR") or cfg.get("out_dir", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = _load_scenario(args)
+    config = _build_config(cfg)
+    scheme = config.scheme
+    votes = _resolve_votes(cfg, config.N, scheme)
+    seed = cfg["seed"]
+    run_id = f"{scheme.value.lower()}-d{config.d}-n{config.N}-seed{seed}"
+    out_dir = Path(os.environ.get("QVOTE_OUT_DIR") or cfg.get("out_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        if "attack" in cfg:
-            result_payload, outcomes, detected = _run_attack(cfg, config, votes)
-            transcript = _attack_transcript(run_id, seed, scheme.value, config.d,
-                                            config.N, outcomes)
+    if "attack" in cfg:
+        result_payload, outcomes, detected = _run_attack(cfg, config, votes)
+        transcript = _attack_transcript(run_id, seed, config, outcomes)
+    else:
+        transcript = Transcript(run_id, seed)
+        run_rng = rngmod.stream(seed, rngmod.REPETITION)
+        if scheme is Scheme.DB:
+            result = run_db_vote(config, votes, run_rng, transcript=transcript)
+        elif scheme is Scheme.TB:
+            result = run_tb_vote(config, votes, run_rng, transcript=transcript)
+        elif scheme is Scheme.SECURE:
+            result = run_secure_vote(config, votes, run_rng,
+                                     repetitions=cfg.get("repetitions", 3),
+                                     transcript=transcript)
         else:
-            transcript = Transcript(run_id, seed)
-            run_rng = rngmod.stream(seed, rngmod.REPETITION)
-            if scheme is Scheme.DB:
-                result = run_db_vote(config, votes, run_rng, transcript=transcript)
-            elif scheme is Scheme.TB:
-                result = run_tb_vote(config, votes, run_rng, transcript=transcript)
-            elif scheme is Scheme.SECURE:
-                result = run_secure_vote(config, votes, run_rng,
-                                         repetitions=cfg.get("repetitions", 3),
-                                         transcript=transcript)
-            else:
-                result = run_survey(config, votes, run_rng, transcript=transcript)
-            result_payload = result.to_dict()
-            result_payload["seed"] = seed
-            detected = result.m == CHEAT_DETECTED
-    except ConfigurationError as exc:
-        return _fail_config(str(exc))
+            result = run_survey(config, votes, run_rng, transcript=transcript)
+        result_payload = result.to_dict()
+        result_payload["seed"] = seed
+        detected = result.m == CHEAT_DETECTED
 
     transcript_path = out_dir / f"{run_id}.transcript.jsonl"
     result_path = out_dir / f"{run_id}.result.json"
@@ -294,61 +277,57 @@ def _floats(name: str, text: str) -> list[float]:
         raise ConfigurationError(f"--{name} needs comma-separated numbers, got {text!r}")
 
 
-def cmd_verify(args) -> int:
-    try:
-        if args.target == "privacy":
-            report = check_privacy(args.scheme, args.d, args.n, tolerance=args.tolerance)
-            print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-            return EXIT_CLEAN if report.passed else EXIT_CHEATING
-        if args.target == "reduced":
-            if args.scheme.upper() == "DB":
-                state = prepare_db_ballot(args.d, args.n)
-            else:
-                state = prepare_tb_ballot(args.d)
-            deviations = {site: check_reduced_identity(state, [site])
-                          for site in range(state.num_sites)}
-            print(json.dumps({"single_site_deviations": deviations,
-                              "tolerance": args.tolerance}, sort_keys=True, indent=2))
-            worst = max(deviations.values())
-            return EXIT_CLEAN if worst <= args.tolerance else EXIT_CHEATING
-        if args.target == "nogo":
-            rng = rngmod.stream(args.seed, rngmod.TRIAL)
-            minimum, params = qubit_nogo_search(args.restarts, args.iterations, rng)
-            qutrit = qutrit_solution_check()
-            print(json.dumps({
-                "qubit_min_residual": minimum,
-                "qutrit_residual": qutrit,
-                "floor": args.floor,
-                "best": {"nu": params.nu, "theta": params.theta,
-                         "m_hat": params.m_hat.tolist(), "n_hat": params.n_hat.tolist()},
-            }, sort_keys=True, indent=2))
-            ok = minimum >= args.floor and qutrit <= 1e-12
-            return EXIT_CLEAN if ok else EXIT_CHEATING
-        if args.target == "ansatz":
-            d = args.d
-            etas = (_floats("etas", args.etas) if args.etas
-                    else [2 * np.pi * j / d for j in range(d)])
-            alphas = (_floats("alphas", args.alphas) if args.alphas
-                      else [1 / math.sqrt(d)] * d)
-            result = ansatz_check(d, etas, alphas, tolerance=args.tolerance)
-            print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
-            return EXIT_CLEAN if result.passed else EXIT_CHEATING
-        raise ConfigurationError(f"unknown verify target {args.target!r}")
-    except ConfigurationError as exc:
-        return _fail_config(str(exc))
+def cmd_verify_privacy(args) -> int:
+    report = check_privacy(args.scheme, args.d, args.n, tolerance=args.tolerance)
+    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    return EXIT_CLEAN if report.passed else EXIT_CHEATING
+
+
+def cmd_verify_reduced(args) -> int:
+    tolerance = check_tolerance(args.tolerance)
+    state = (prepare_db_ballot(args.d, args.n) if args.scheme.upper() == "DB"
+             else prepare_tb_ballot(args.d))
+    deviations = {site: check_reduced_identity(state, [site])
+                  for site in range(state.num_sites)}
+    print(json.dumps({"single_site_deviations": deviations,
+                      "tolerance": tolerance}, sort_keys=True, indent=2))
+    return EXIT_CLEAN if max(deviations.values()) <= tolerance else EXIT_CHEATING
+
+
+def cmd_verify_nogo(args) -> int:
+    rng = rngmod.stream(args.seed, rngmod.TRIAL)
+    minimum, params = qubit_nogo_search(args.restarts, args.iterations, rng)
+    qutrit = qutrit_solution_check()
+    print(json.dumps({
+        "qubit_min_residual": minimum,
+        "qutrit_residual": qutrit,
+        "floor": args.floor,
+        "best": {"nu": params.nu, "theta": params.theta,
+                 "m_hat": params.m_hat.tolist(), "n_hat": params.n_hat.tolist()},
+    }, sort_keys=True, indent=2))
+    ok = minimum >= args.floor and qutrit <= 1e-12
+    return EXIT_CLEAN if ok else EXIT_CHEATING
+
+
+def cmd_verify_ansatz(args) -> int:
+    etas = _floats("etas", args.etas) if args.etas else None
+    alphas = _floats("alphas", args.alphas) if args.alphas else None
+    result = ansatz_check(args.d, etas, alphas, tolerance=args.tolerance)
+    print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
+    return EXIT_CLEAN if result.passed else EXIT_CHEATING
 
 
 def cmd_report(args) -> int:
     try:
         events = load_transcript_events(args.transcript)
-    except (ConfigurationError, OSError) as exc:
-        return _fail_config(str(exc))
+    except OSError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
     prepare = next((e for e in events if e["step"] == "PREPARE"), None)
     meta = (prepare or {}).get("payload") or {}
     outcomes = [e["outcome"] for e in events if e["step"] == "MEASURE"]
     if not outcomes:
-        return _fail_config("transcript holds no MEASURE events")
+        raise ConfigurationError("transcript holds no MEASURE events")
 
     def tallies_of(outcome):
         # A list outcome holds one attack trial's repetition tallies.
@@ -410,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     privacy.add_argument("--d", type=int, required=True)
     privacy.add_argument("--n", type=int, required=True)
     privacy.add_argument("--tolerance", type=float, default=1e-10)
-    privacy.set_defaults(func=cmd_verify)
+    privacy.set_defaults(func=cmd_verify_privacy)
 
     reduced = vsub.add_parser("reduced", help="single-site total-mixture check")
     reduced.add_argument("--scheme", default="db", choices=["db", "tb", "DB", "TB"])
     reduced.add_argument("--d", type=int, required=True)
     reduced.add_argument("--n", type=int, required=True)
     reduced.add_argument("--tolerance", type=float, default=1e-10)
-    reduced.set_defaults(func=cmd_verify)
+    reduced.set_defaults(func=cmd_verify_reduced)
 
     nogo = vsub.add_parser("nogo", help="two-qubit feasibility search")
     nogo.add_argument("--restarts", type=int, default=200)
@@ -425,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     nogo.add_argument("--seed", type=int, default=0)
     nogo.add_argument("--floor", type=float, default=0.0,
                       help="fail if the minimum residual drops below this")
-    nogo.set_defaults(func=cmd_verify)
+    nogo.set_defaults(func=cmd_verify_nogo)
 
     ansatz = vsub.add_parser("ansatz", help="eigenphase condition check")
     ansatz.add_argument("--d", type=int, required=True)
     ansatz.add_argument("--etas", default=None, help="comma-separated eigenphases")
     ansatz.add_argument("--alphas", default=None, help="comma-separated moduli")
     ansatz.add_argument("--tolerance", type=float, default=1e-10)
-    ansatz.set_defaults(func=cmd_verify)
+    ansatz.set_defaults(func=cmd_verify_ansatz)
 
     report = sub.add_parser("report", help="summarize a transcript JSONL file")
     report.add_argument("transcript", help="path to the transcript")
@@ -447,8 +426,13 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input of any command ends here, in exit 2."""
     args = PARSER.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

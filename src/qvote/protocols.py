@@ -81,9 +81,9 @@ class Transcript:
 
 
 def load_transcript_events(path) -> list[dict]:
-    """Parse a transcript JSONL file; reports every corrupt line."""
+    """Parse a transcript JSONL file; reports every corrupt line, undecodable bytes included."""
     events, bad = [], []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
         lines = f.readlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -274,7 +274,10 @@ def run_survey(config: BallotConfig, euros, rng: np.random.Generator,
     """Anonymous survey: each participant votes yes once per Euro."""
     if config.scheme is not Scheme.SURVEY:
         raise ConfigurationError(f"run_survey needs a SURVEY config, got {config.scheme}")
-    amounts = [int(e) for e in euros]
+    try:
+        amounts = [int(e) for e in euros]
+    except ValueError:
+        raise ConfigurationError(f"SURVEY amounts must be integers, got {euros}")
     if len(amounts) != config.N:
         raise ConfigurationError(f"expected {config.N} amounts, got {len(amounts)}")
     if any(e < 0 for e in amounts):

@@ -86,6 +86,13 @@ class PrivacyReport:
         return asdict(self)
 
 
+def check_tolerance(tolerance: float) -> float:
+    """A check's pass bound; a negative or NaN one could never pass."""
+    if not tolerance >= 0:
+        raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
+    return tolerance
+
+
 def _vote_patterns(initial, vote, N: int):
     """Yield (yes count, state) for all 2^N patterns; each yes voter applies ``vote``.
 
@@ -121,6 +128,7 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
             f"refusing to enumerate 2^{N} vote vectors (guard is N <= {ENUMERATION_GUARD})")
     if d < 2 or N < 1:
         raise ConfigurationError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
+    check_tolerance(tolerance)
 
     if scheme == "DB":
         phases = vote_phases(d)
@@ -248,6 +256,8 @@ def qubit_nogo_search(restarts: int, iterations: int,
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
+    if iterations < 1:
+        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
 
     best_val, best_x = np.inf, None
     for _ in range(int(restarts)):
@@ -303,13 +313,21 @@ class AnsatzResult:
         return asdict(self)
 
 
-def ansatz_check(d: int, etas, alphas, tolerance: float = 1e-10) -> AnsatzResult:
+def ansatz_check(d: int, etas=None, alphas=None, tolerance: float = 1e-10) -> AnsatzResult:
     """Test eigenphases and weights against the correlated-state conditions.
 
     With U = sum_j e^{i eta_j}|j><j| and the ballot carrying weights
     |alpha_j|^2 on |j>|j>, privacy requires sum |a_j|^2 e^{2i eta_j} = 0,
-    sum |a_j|^2 e^{i eta_j} = 0, and sum |a_j|^2 = 1.
+    sum |a_j|^2 e^{i eta_j} = 0, and sum |a_j|^2 = 1. ``etas`` defaults
+    to the d-th roots of unity and ``alphas`` to uniform moduli 1/sqrt(d).
     """
+    if d < 1:
+        raise ConfigurationError(f"d must be >= 1, got {d}")
+    check_tolerance(tolerance)
+    if etas is None:
+        etas = [2 * np.pi * j / d for j in range(d)]
+    if alphas is None:
+        alphas = [1 / math.sqrt(d)] * d
     etas = np.asarray(etas, dtype=float)
     weights = np.abs(np.asarray(alphas, dtype=complex)) ** 2
     if etas.shape != (d,) or weights.shape != (d,):

@@ -14,7 +14,8 @@ measurement returns r and the shift correction is applied, the voting
 qudit contributes e^{i(k-r) theta} to the k-th correlated component (the
 integer k - r, not its mod-d residue, which is what keeps the secret
 offset delta from leaking into the tally). SECURE runs replace it with
-one phase per voter on the correlated amplitudes.
+one phase per voter on the correlated amplitudes. ``solve_tally`` is the
+per-reading tally map that ``secure_tally`` must reproduce.
 """
 
 import math
@@ -301,3 +302,13 @@ def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generat
         raise ConfigurationError(
             f"expected {2 * config.N} sites of dimension {config.d}, got {state.dims}")
     return secure_tally(_correlated_overlaps(state)[None], config, [rng.random()])[0]
+
+
+def solve_tally(p: int, config: BallotConfig):
+    """Invert p = m (l_y - l_n) mod d; non-multiples signal cheating."""
+    d = config.d
+    dl = (config.secrets.l_y - config.secrets.l_n) % d
+    g = math.gcd(dl, d)
+    if p % g != 0:
+        return CHEAT_DETECTED
+    return (p // g) * pow(dl // g, -1, d // g) % (d // g)

@@ -24,7 +24,6 @@ from qvote.ballots import (
     prepare_tb_ballot,
     secure_tally,
     shift_unitary,
-    solve_tally,
     vote_phases,
     voting_qudit_state,
     _phase_basis_probs,
@@ -46,7 +45,7 @@ from qvote.qstate import (
     _with_invalid,
 )
 
-from reference import cast_vote_secure, decode_secure
+from reference import cast_vote_secure, decode_secure, solve_tally
 
 
 def states_equal_up_to_phase(a, b, atol=1e-10):
@@ -451,14 +450,19 @@ class TestDecodeSecure:
             decode_secure(prepare_db_ballot(5, 2), BallotConfig(5, 2, Scheme.DB),
                           np.random.default_rng(0))
 
-    def test_solve_tally_flags_non_multiples(self):
+    def test_solve_tally_flags_non_multiples(self, monkeypatch):
+        # The reference map and secure_tally agree where gcd(l_y - l_n, d) = 3.
         config = BallotConfig(9, 2, Scheme.SECURE, secrets=SecureSecrets(3, 0, 0.1))
         assert solve_tally(3, config) == 1
         assert solve_tally(6, config) == 2
         assert solve_tally(4, config) == CHEAT_DETECTED
+        monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: [3, 6, 4])
+        assert secure_tally(np.zeros((3, 9)), config, []) == [
+            (1, 3), (2, 6), (CHEAT_DETECTED, 4)]
 
     def test_secure_tally_maps_every_reading_as_solve_tally(self, monkeypatch):
         # Every p in 0..d-1 and INVALID, for every secret pair: gcd(l_y - l_n, d) > 1 included.
+        # The reference is tests/reference.py's solve_tally, one solve per reading.
         for d in range(2, 61):
             readings = [*range(d), INVALID]
             monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: readings)

@@ -134,11 +134,40 @@ class TestCmdRun:
     ["run", "--config", SCENARIOS / "db_honest.json", "--override", "d.x=1"],
     ["verify", "ansatz", "--d", 3, "--etas", "a,b,c"],
     ["verify", "ansatz", "--d", 2, "--alphas", "0.7,x"],
-], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas"])
-def test_malformed_input_exits_two(argv, capsys):
-    # Exit 1 means cheating detected; bad input must not read as that.
+    ["verify", "ansatz", "--d", 0],
+    ["verify", "ansatz", "--d", -1],
+    ["verify", "nogo", "--restarts", 1, "--iterations", 0, "--floor", 0.45],
+    ["verify", "privacy", "--scheme", "db", "--d", 5, "--n", 4, "--tolerance", -0.001],
+    ["verify", "reduced", "--scheme", "db", "--d", 5, "--n", 3, "--tolerance", -0.001],
+    ["verify", "ansatz", "--d", 3, "--tolerance", -0.001],
+    ["verify", "privacy", "--scheme", "db", "--d", 19, "--n", 17],
+    ["report", "missing.jsonl"],
+    ["report", "no-measure.jsonl"],
+    ["report", "not-utf8.jsonl"],
+    ["run", "--config", SCENARIOS / "db_honest.json",
+     "--override", 'attack={"name":"mismatched_thetas"}'],
+    ["run", "--config", SCENARIOS / "secure_honest.json",
+     "--override", 'attack={"name":"mismatched_thetas","yes_l_shifts":[0]}'],
+], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas",
+        "ansatz-d-zero", "ansatz-d-negative", "nogo-no-iterations",
+        "privacy-negative-tolerance", "reduced-negative-tolerance", "ansatz-negative-tolerance",
+        "privacy-over-guard", "report-missing-file", "report-no-measure", "report-not-utf8",
+        "mismatched-not-secure", "mismatched-shifts-wrong-length"])
+def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
+    # Exit 1 means cheating detected or a failed check; bad input must not read as that.
+    monkeypatch.chdir(tmp_path)
+    Path("no-measure.jsonl").write_text(json.dumps(
+        {"run_id": "x", "rep": 0, "step": "PREPARE", "site": None,
+         "payload": {"scheme": "DB", "d": 5, "N": 2}, "outcome": None}) + "\n")
+    Path("not-utf8.jsonl").write_bytes(b"\x80\x81\n")
     assert run_cli(*argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_wrong_vote_count_names_both_counts(capsys):
+    assert run_cli("run", "--config", SCENARIOS / "db_honest.json",
+                   "--override", 'votes=["Y"]') == 2
+    assert capsys.readouterr().err == "config error: expected 4 votes, got 1\n"
 
 
 class TestCmdVerify:
