@@ -49,6 +49,7 @@ from .ballots import (
 from .errors import ConfigurationError
 from .protocols import (
     RunResult,
+    _agree,
     _parse_votes,
     _phase_round,
     _secure_trials,
@@ -56,7 +57,6 @@ from .protocols import (
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
 )
 from .qstate import (
-    INVALID,
     PureState,
     _cdf,
     _pick,
@@ -141,12 +141,10 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     variant the difference is ``expected`` whatever the first reading is,
     so its doubles ``u[:, 0:3]`` are drawn but not read.
     """
-    if config.scheme is not Scheme.TB:
-        raise ConfigurationError(f"collusion attack needs a TB config, got {config.scheme}")
+    choices = _parse_votes(config, votes, Scheme.TB)
     i, j = int(colluders[0]), int(colluders[1])
     if not 0 <= i < j < config.N:
         raise ConfigurationError(f"colluders must satisfy 0 <= i < j < N, got {colluders}")
-    choices = _parse_votes(config, votes)
     yes = [c is Vote.YES for c in choices]
     expected = sum(yes[i + 1:j])
 
@@ -196,13 +194,11 @@ def multi_vote_plain(config: BallotConfig, votes, cheater: int, extra: int,
     The cheater applies ``extra`` additional yes operations, so the
     decoded tally is (true tally + extra) mod d and nothing flags it.
     """
-    if config.scheme is not Scheme.DB:
-        raise ConfigurationError(f"multi_vote_plain needs a DB config, got {config.scheme}")
+    choices = _parse_votes(config, votes, Scheme.DB)
     if not 0 <= cheater < config.N:
         raise ConfigurationError(f"cheater index {cheater} out of range")
     if extra < 0:
         raise ConfigurationError(f"extra must be >= 0, got {extra}")
-    choices = _parse_votes(config, votes)
     exponents = [int(c is Vote.YES) for c in choices]
     exponents[cheater] += int(extra)
     m = _phase_round(config, exponents, [c.value for c in choices], rng)
@@ -224,15 +220,14 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     error, drawn uniformly from [-pi*scale/d, +pi*scale/d]. The estimate
     is made once per trial and reused across all repetitions.
     """
-    if config.scheme is not Scheme.SECURE:
-        raise ConfigurationError(f"phase attack needs a SECURE config, got {config.scheme}")
+    choices = _parse_votes(config, [Vote.NO] * config.N if votes is None else votes,
+                           Scheme.SECURE)
     if not 0 <= cheater < config.N:
         raise ConfigurationError(f"cheater index {cheater} out of range")
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    if votes is None:
-        votes = [Vote.NO] * config.N
-    choices = _parse_votes(config, votes)
+    if not estimation_error_scale >= 0:  # NaN fails too
+        raise ConfigurationError(f"error scale must be >= 0, got {estimation_error_scale}")
     delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
     half_width = np.pi * float(estimation_error_scale) / config.d
 
@@ -242,7 +237,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     # repetitions.
     u, rep_u = rngmod.child_doubles(rng, _trial_count(trials), 1, repetitions, config.N + 1)
     lo, hi = -half_width, half_width
-    errors = lo + (hi - lo) * u[:, 0] if half_width > 0 else np.zeros(len(u))
+    errors = lo + (hi - lo) * u[:, 0]
     theta_rows = np.tile(honest_thetas(config, choices), (len(u), 1))
     theta_rows[:, int(cheater)] += delta_phase + errors
 
@@ -283,9 +278,7 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
     tally minus the earlier readings, mod d; that reading is determined
     but still spends its double.
     """
-    if config.scheme is not Scheme.DB:
-        raise ConfigurationError(f"product-ballot attack needs a DB config, got {config.scheme}")
-    choices = _parse_votes(config, votes)
+    choices = _parse_votes(config, votes, Scheme.DB)
     actual = [1 if c is Vote.YES else 0 for c in choices]
 
     d = config.d
@@ -331,13 +324,11 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     of trial t reads the N + 1 doubles of
     ``rng.spawn(trials)[t].spawn(repetitions)[r]``, as ``run_secure_vote`` would.
     """
-    if config.scheme is not Scheme.SECURE:
-        raise ConfigurationError(f"mismatched states need a SECURE config, got {config.scheme}")
+    choices = _parse_votes(config, votes, Scheme.SECURE)
     if len(per_voter_thetas) != config.N:
         raise ConfigurationError(f"need {config.N} theta pairs, got {len(per_voter_thetas)}")
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    choices = _parse_votes(config, votes)
     thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
 
     rep_u = rngmod.child_doubles(rng, _trial_count(trials), 0, repetitions, config.N + 1)[1]
@@ -433,12 +424,8 @@ def detect_subset_correlation(ballot_state: PureState, subset, rng: np.random.Ge
 
 
 def detect_inconsistent_results(outcomes) -> str:
-    """Repeated runs must agree; disagreement or invalid reads convict."""
+    """Repeated runs must agree, by the rule SECURE runs use; a lone run agrees with itself."""
     outs = list(outcomes)
-    if len(outs) < 2:
-        raise ConfigurationError("need at least two outcomes to compare")
-    if any(o in (CHEAT_DETECTED, INVALID) for o in outs):
-        return CHEATING
-    if len(set(outs)) > 1:
-        return CHEATING
-    return CLEAN
+    if not outs:
+        raise ConfigurationError("need at least one outcome")
+    return CLEAN if _agree(outs) else CHEATING

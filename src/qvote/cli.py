@@ -1,16 +1,17 @@
 """Command-line front end: run scenarios, verify invariants, read reports.
 
 Exit codes: 0 clean / pass, 1 cheating detected or verification failed,
-2 configuration problem. Scenario configs are strict JSON (unknown keys
-rejected) and every run requires an explicit seed; the only environment
-override honored is QVOTE_OUT_DIR for the output directory.
+2 configuration problem. Scenario configs are strict JSON (unknown keys,
+integral floats, NaN and Infinity rejected) and every run requires an
+explicit seed; ``run`` sets fields only by ``--override`` and reads no
+environment variable.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -38,6 +39,7 @@ from .ballots import (
 from .errors import ConfigurationError
 from .protocols import (
     Transcript,
+    _require_scheme,
     load_transcript_events,
     run_db_vote,
     run_secure_vote,
@@ -96,21 +98,27 @@ CONFIG_SCHEMA = {
                 "yes_l_shifts": {"type": "array", "items": {"type": "integer"}},
             },
         },
-        "out_dir": {"type": "string"},
     },
 }
 # Built once: jsonschema.validate would check the schema itself on every call.
-CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# JSON Schema's "integer" admits 7.0; a dimension, count or seed must be an int.
+_BASE = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_INTEGER = _BASE.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+CONFIG_VALIDATOR = jsonschema.validators.extend(_BASE, type_checker=_INTEGER)(CONFIG_SCHEMA)
+
+
+def _no_constant(name: str):
+    raise ConfigurationError(f"{name} is not allowed in a config")
 
 
 def _coerce(value: str):
     try:
-        return json.loads(value)
+        return json.loads(value, parse_constant=_no_constant)
     except json.JSONDecodeError:
         return value
 
 
-def _apply_overrides(cfg: dict, overrides) -> dict:
+def _apply_overrides(cfg: dict, overrides):
     for item in overrides or []:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not key=value")
@@ -121,7 +129,6 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
             if not isinstance(target, dict):
                 raise ConfigurationError(f"override {key!r}: {part!r} is not an object")
         target[parts[-1]] = _coerce(raw)
-    return cfg
 
 
 def _load_scenario(args) -> dict:
@@ -130,15 +137,9 @@ def _load_scenario(args) -> dict:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-    if args.out is not None:
-        cfg["out_dir"] = args.out
     _apply_overrides(cfg, args.override)
     error = jsonschema.exceptions.best_match(CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
@@ -214,8 +215,7 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
         outcomes = [{"hits": k} for k in report.extras["per_trial_correct"]]
         detected = False
     else:  # mismatched_thetas: the schema admits no other name
-        if config.scheme is not Scheme.SECURE:
-            raise ConfigurationError(f"mismatched states need a SECURE config, got {config.scheme}")
+        _require_scheme(config, Scheme.SECURE)  # before config.secrets is read
         shifts = attack.get("yes_l_shifts", list(range(config.N)))
         d, s = config.d, config.secrets
         thetas = [(2 * np.pi * (s.l_y + shift) / d + s.delta, config.theta_no)
@@ -236,7 +236,7 @@ def cmd_run(args) -> int:
     votes = _resolve_votes(cfg, config.N, scheme)
     seed = cfg["seed"]
     run_id = f"{scheme.value.lower()}-d{config.d}-n{config.N}-seed{seed}"
-    out_dir = Path(os.environ.get("QVOTE_OUT_DIR") or cfg.get("out_dir", "."))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if "attack" in cfg:
@@ -339,11 +339,8 @@ def cmd_report(args) -> int:
     # counts that differ between trials by design, so nothing is compared.
     hits = [o["hits"] for o in outcomes if isinstance(o, dict) and "hits" in o]
     tallies = hits or [t for o in outcomes for t in tallies_of(o)]
-    histogram: dict = {}
-    for t in tallies:
-        histogram[str(t)] = histogram.get(str(t), 0) + 1
-    # Doubling lets a lone tally through the two-outcome rule; no verdict changes.
-    verdict = "CLEAN" if hits else detect_inconsistent_results(tallies * 2)
+    histogram = Counter(map(str, tallies))
+    verdict = "CLEAN" if hits else detect_inconsistent_results(tallies)
 
     print(f"scheme: {meta.get('scheme', '?')}  d={meta.get('d', '?')}  N={meta.get('N', '?')}")
     print(f"repetitions: {len(tallies)}")
@@ -352,10 +349,9 @@ def cmd_report(args) -> int:
     if hits:
         print("verdict: CLEAN, hit counts of a product-ballot attack are not tallies")
     elif verdict == "CLEAN":
-        head = tallies[0]
         ps = [o.get("p") for o in outcomes if isinstance(o, dict)]
         suffix = f", p={ps[0]}" if ps else ""
-        print(f"verdict: CLEAN, m={head}{suffix}")
+        print(f"verdict: CLEAN, m={tallies[0]}{suffix}")
     else:
         print("verdict: CHEATING suspected, results discarded")
     n = meta.get("N")
@@ -374,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario config")
     run.add_argument("--config", required=True, help="scenario JSON path")
-    run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    run.add_argument("--trials", type=int, default=None, help="override attack trials")
-    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--override", action="append", default=[],
                      metavar="KEY=VALUE", help="override a config field (dotted paths)")
     run.set_defaults(func=cmd_run)

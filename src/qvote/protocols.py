@@ -28,7 +28,7 @@ from .ballots import (
     secure_tally,
 )
 from .errors import ConfigurationError
-from .qstate import ATOL, _pick
+from .qstate import ATOL, INVALID, _pick
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
 
@@ -119,11 +119,24 @@ class RunResult:
                 "p": self.p, "statistics": self.statistics}
 
 
-def _parse_votes(config: BallotConfig, votes) -> list[Vote]:
+def _require_scheme(config: BallotConfig, scheme: Scheme):
+    if config.scheme is not scheme:
+        raise ConfigurationError(f"needs a {scheme.value} config, got {config.scheme.value}")
+
+
+def _parse_votes(config: BallotConfig, votes, scheme: Scheme) -> list[Vote]:
+    """The votes of a ``scheme`` run, parsed and counted; a wrong scheme is reported first."""
+    _require_scheme(config, scheme)
     parsed = [Vote.parse(v) for v in votes]
     if len(parsed) != config.N:
         raise ConfigurationError(f"expected {config.N} votes, got {len(parsed)}")
     return parsed
+
+
+def _agree(outcomes) -> bool:
+    """The agreement rule: one distinct outcome, and no CHEAT_DETECTED or INVALID."""
+    distinct = set(outcomes)
+    return len(distinct) == 1 and not distinct & {CHEAT_DETECTED, INVALID}
 
 
 def _cast(d: int, thetas) -> np.ndarray:
@@ -177,9 +190,7 @@ def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.
 def run_db_vote(config: BallotConfig, votes, rng: np.random.Generator,
                 transcript: Transcript | None = None) -> RunResult:
     """Distributed-ballot round: the tally is the number of yes votes."""
-    if config.scheme is not Scheme.DB:
-        raise ConfigurationError(f"run_db_vote needs a DB config, got {config.scheme}")
-    choices = _parse_votes(config, votes)
+    choices = _parse_votes(config, votes, Scheme.DB)
     m = _phase_round(config, [int(c is Vote.YES) for c in choices],
                      [c.value for c in choices], rng, transcript)
     return RunResult("DB", m, [m])
@@ -193,9 +204,7 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
     ``decode_tb`` reads s whatever its one double is; the run draws that
     double and never builds the pair.
     """
-    if config.scheme is not Scheme.TB:
-        raise ConfigurationError(f"run_tb_vote needs a TB config, got {config.scheme}")
-    choices = _parse_votes(config, votes)
+    choices = _parse_votes(config, votes, Scheme.TB)
     rng.random()
     m = sum(c is Vote.YES for c in choices) % config.d
     if transcript:
@@ -224,8 +233,7 @@ def _secure_trials(config: BallotConfig, theta_rows, u) -> list[tuple]:
     so r_i is drawn and logged but leaves c untouched: the cast is
     c_k *= e^{ik theta_i}. Each row is cast and read once, and its CDF
     serves all its repetitions. ``rounds`` lists (m, p, rs) per repetition;
-    the result's tally is the common one when every repetition decodes
-    the same valid multiple, and CHEAT_DETECTED otherwise.
+    the result's tally is their common one if they ``_agree``, else CHEAT_DETECTED.
     """
     d, n = config.d, config.N
     u = np.asarray(u, dtype=float)
@@ -237,7 +245,7 @@ def _secure_trials(config: BallotConfig, theta_rows, u) -> list[tuple]:
         # zip stops on trial_rs before it pulls a tally of the next trial.
         rounds = [(m, p, r) for r, (m, p) in zip(trial_rs, tallies)]
         outcomes = [m for m, _, _ in rounds]
-        agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
+        agree = _agree(outcomes)
         m = outcomes[0] if agree else CHEAT_DETECTED
         stats = {"repetitions": u.shape[1], "agreement": agree}
         trials.append((RunResult("SECURE", m, outcomes, [p for _, p, _ in rounds], stats), rounds))
@@ -249,15 +257,12 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
     """Anti-reuse scheme: R independent executions must agree.
 
     Each repetition prepares a fresh ballot and fresh voting qudits from
-    its own child stream, and every voter casts ``honest_thetas``. The
-    result is the common tally when every repetition decodes the same
-    valid multiple; anything else reports CHEAT_DETECTED.
+    its own child stream, and every voter casts ``honest_thetas``; tallies
+    that do not ``_agree`` report CHEAT_DETECTED.
     """
-    if config.scheme is not Scheme.SECURE:
-        raise ConfigurationError(f"run_secure_vote needs a SECURE config, got {config.scheme}")
+    choices = _parse_votes(config, votes, Scheme.SECURE)
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    choices = _parse_votes(config, votes)
     u = [g.random(config.N + 1) for g in rng.spawn(repetitions)]
     [(result, rounds)] = _secure_trials(config, [honest_thetas(config, choices)], [u])
     if transcript:
@@ -272,8 +277,7 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
 def run_survey(config: BallotConfig, euros, rng: np.random.Generator,
                transcript: Transcript | None = None) -> RunResult:
     """Anonymous survey: each participant votes yes once per Euro."""
-    if config.scheme is not Scheme.SURVEY:
-        raise ConfigurationError(f"run_survey needs a SURVEY config, got {config.scheme}")
+    _require_scheme(config, Scheme.SURVEY)
     try:
         amounts = [int(e) for e in euros]
     except ValueError:

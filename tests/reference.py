@@ -76,7 +76,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
                         rng: np.random.Generator) -> AttackReport:
     """The TB collusion attack on the dense travelling pair, one state per variant."""
     i, j = int(colluders[0]), int(colluders[1])
-    choices = _parse_votes(config, votes)
+    choices = _parse_votes(config, votes, config.scheme)
     expected = sum(1 for t in range(i + 1, j) if choices[t] is Vote.YES)
     d = config.d
     inferred, diff_hist, phase_hist = [], {}, {}
@@ -110,7 +110,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
 def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generator,
                              trials: int = 100, honest_ballot: bool = False) -> AttackReport:
     """The product-ballot attack on the dense N-site state, one site read at a time."""
-    choices = _parse_votes(config, votes)
+    choices = _parse_votes(config, votes, config.scheme)
     actual = [1 if c is Vote.YES else 0 for c in choices]
     correct = np.zeros(config.N, dtype=int)
     hist, per_trial_correct = {}, []
@@ -149,7 +149,7 @@ def tb_vote(config: BallotConfig, votes, rng: np.random.Generator, stage_hook=No
     shift = shift_unitary(config.d)
     if stage_hook:
         stage_hook("prepared", state)
-    for i, choice in enumerate(_parse_votes(config, votes)):
+    for i, choice in enumerate(_parse_votes(config, votes, config.scheme)):
         if choice is Vote.YES:
             state = apply_local(state, 1, shift)
         if stage_hook:
@@ -188,7 +188,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     """The forgery attack with one ``secure_vote`` per trial."""
     if votes is None:
         votes = [Vote.NO] * config.N
-    choices = _parse_votes(config, votes)
+    choices = _parse_votes(config, votes, config.scheme)
     delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
     half_width = np.pi * float(estimation_error_scale) / config.d
     verdicts, hist, per_trial = [], {}, []
@@ -215,7 +215,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
 def mismatched_runs(config: BallotConfig, per_voter_thetas, votes,
                     rng: np.random.Generator, trials: int, repetitions: int) -> list[dict]:
     """The mismatched-state attack's ``extras["runs"]``, one ``secure_vote`` per trial."""
-    choices = _parse_votes(config, votes)
+    choices = _parse_votes(config, votes, config.scheme)
     thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
     runs = []
     for trial_rng in rng.spawn(int(trials)):

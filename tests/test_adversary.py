@@ -167,6 +167,14 @@ class TestPhaseEstimateAttack:
             phase_estimate_attack(BallotConfig(5, 2, Scheme.DB), 0, 1.0, 5,
                                   rngmod.stream(0, 2))
 
+    def test_error_scale_must_be_non_negative(self):
+        # Neither may pass for a perfect estimate, as a scale of 0 does.
+        for scale in (-1.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="error scale must be >= 0"):
+                phase_estimate_attack(self.config(), 0, scale, 5, rngmod.stream(6, 2))
+        report = phase_estimate_attack(self.config(), 0, 0.0, 5, rngmod.stream(6, 2))
+        assert [t["eps"] for t in report.extras["per_trial"]] == [0.0] * 5
+
 
 class TestAuthorityProductBallot:
     def test_product_ballot_reads_every_vote(self):
@@ -347,9 +355,13 @@ class TestDetectInconsistentResults:
         assert detect_inconsistent_results([3, CHEAT_DETECTED, 3]) == CHEATING
         assert detect_inconsistent_results([3, INVALID, 3]) == CHEATING
 
-    def test_needs_two(self):
-        with pytest.raises(ConfigurationError):
-            detect_inconsistent_results([3])
+    def test_single_outcome(self):
+        # A lone run agrees with itself unless it is itself a cheat marker.
+        assert detect_inconsistent_results([3]) == CLEAN
+        assert detect_inconsistent_results([CHEAT_DETECTED]) == CHEATING
+        assert detect_inconsistent_results([INVALID]) == CHEATING
+        with pytest.raises(ConfigurationError, match="at least one outcome"):
+            detect_inconsistent_results([])
 
 
 class TestAttackReport:

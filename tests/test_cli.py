@@ -61,9 +61,18 @@ class TestCmdRun:
 
     def test_flag_overrides_beat_config(self, outdir):
         code = run_cli("run", "--config", SCENARIOS / "db_honest.json",
-                       "--out", outdir, "--seed", 7)
+                       "--out", outdir, "--override", "seed=7")
         assert code == 0
         assert (outdir / "db-d5-n4-seed7.result.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", 7], ["--trials", 3]], ids=["seed", "trials"])
+    def test_alias_flags_exit_two(self, flag, outdir, capsys):
+        # --override key=N is the one way to set a config field from the command line.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", SCENARIOS / "db_honest.json", "--out", outdir, *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_override_key_value(self, outdir):
         code = run_cli("run", "--config", SCENARIOS / "db_honest.json",
@@ -72,11 +81,16 @@ class TestCmdRun:
         result = json.loads((outdir / "db-d5-n4-seed42.result.json").read_text())
         assert result["m"] == 0
 
-    def test_env_output_dir_override(self, tmp_path, monkeypatch):
+    def test_env_output_dir_ignored(self, tmp_path, monkeypatch):
+        # Outputs go to --out, by default the working directory; no variable moves them.
         env_dir = tmp_path / "envout"
         monkeypatch.setenv("QVOTE_OUT_DIR", str(env_dir))
+        monkeypatch.chdir(tmp_path)
         assert run_cli("run", "--config", SCENARIOS / "db_honest.json") == 0
-        assert (env_dir / "db-d5-n4-seed42.result.json").exists()
+        assert (tmp_path / "db-d5-n4-seed42.result.json").exists()
+        assert run_cli("run", "--config", SCENARIOS / "db_honest.json", "--out", "o") == 0
+        assert (tmp_path / "o" / "db-d5-n4-seed42.result.json").exists()
+        assert not env_dir.exists()
 
     def test_drawn_votes_and_secrets(self, tmp_path, outdir):
         cfg = tmp_path / "drawn.json"
@@ -148,14 +162,28 @@ class TestCmdRun:
      "--override", 'attack={"name":"mismatched_thetas"}'],
     ["run", "--config", SCENARIOS / "secure_honest.json",
      "--override", 'attack={"name":"mismatched_thetas","yes_l_shifts":[0]}'],
+    ["run", "--config", SCENARIOS / "secure_honest.json", "--override", "d=7.0"],
+    ["run", "--config", SCENARIOS / "db_honest.json", "--override", "seed=42.0"],
+    ["run", "--config", SCENARIOS / "db_honest.json", "--override", "n=4.0"],
+    ["run", "--config", SCENARIOS / "secure_phase_attack.json", "--override", "trials=3.0"],
+    ["run", "--config", SCENARIOS / "secure_honest.json", "--override", "repetitions=3.0"],
+    ["run", "--config", "nan-p-yes.json"],
+    ["run", "--config", SCENARIOS / "secure_phase_attack.json",
+     "--override", "attack.scale=Infinity"],
+    ["run", "--config", SCENARIOS / "db_honest.json",
+     "--override", "vote_distribution.p_yes=NaN"],
 ], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas",
         "ansatz-d-zero", "ansatz-d-negative", "nogo-no-iterations",
         "privacy-negative-tolerance", "reduced-negative-tolerance", "ansatz-negative-tolerance",
         "privacy-over-guard", "report-missing-file", "report-no-measure", "report-not-utf8",
-        "mismatched-not-secure", "mismatched-shifts-wrong-length"])
+        "mismatched-not-secure", "mismatched-shifts-wrong-length", "d-float", "seed-float",
+        "n-float", "trials-float", "repetitions-float", "config-nan", "override-infinity",
+        "override-nan"])
 def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     # Exit 1 means cheating detected or a failed check; bad input must not read as that.
     monkeypatch.chdir(tmp_path)
+    Path("nan-p-yes.json").write_text(
+        '{"scheme": "DB", "d": 5, "n": 4, "seed": 1, "vote_distribution": {"p_yes": NaN}}')
     Path("no-measure.jsonl").write_text(json.dumps(
         {"run_id": "x", "rep": 0, "step": "PREPARE", "site": None,
          "payload": {"scheme": "DB", "d": 5, "N": 2}, "outcome": None}) + "\n")

@@ -17,7 +17,13 @@ from qvote.ballots import (
     prepare_db_ballot,
     voting_qudit_state,
 )
-from qvote.adversary import mismatched_voting_states
+from qvote.adversary import (
+    authority_product_ballot,
+    collusion_attack_tb,
+    mismatched_voting_states,
+    multi_vote_plain,
+    phase_estimate_attack,
+)
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
     DiningResult,
@@ -178,6 +184,26 @@ def dense_sized_secure_config(draw):
     l_y = draw(st.sampled_from([l for l in range(d) if l != l_n and abs(l - l_n) * n < d]))
     delta = draw(st.floats(0, 2 * np.pi / d, exclude_max=True))
     return BallotConfig(d, n, Scheme.SECURE, secrets=SecureSecrets(l_y, l_n, delta))
+
+
+@pytest.mark.parametrize("scheme,call", [
+    (Scheme.DB, lambda c, rng: run_db_vote(c, "Y", rng)),
+    (Scheme.TB, lambda c, rng: run_tb_vote(c, "Y", rng)),
+    (Scheme.SECURE, lambda c, rng: run_secure_vote(c, "Y", rng, repetitions=0)),
+    (Scheme.SURVEY, lambda c, rng: run_survey(c, [9], rng)),
+    (Scheme.TB, lambda c, rng: collusion_attack_tb(c, "Y", (1, 0), -1, rng)),
+    (Scheme.DB, lambda c, rng: multi_vote_plain(c, "Y", 9, -1, rng)),
+    (Scheme.SECURE, lambda c, rng: phase_estimate_attack(c, 9, -1.0, -1, rng, votes="Y")),
+    (Scheme.DB, lambda c, rng: authority_product_ballot(c, "Y", rng, trials=0)),
+    (Scheme.SECURE, lambda c, rng: mismatched_voting_states(c, [], "Y", rng, repetitions=0)),
+], ids=["db", "tb", "secure", "survey", "collusion", "multi-vote", "phase-estimate",
+        "product-ballot", "mismatched-states"])
+def test_wrong_scheme_is_reported_first(scheme, call):
+    # Every other argument is bad too: the scheme guard must speak before them.
+    config = BallotConfig(5, 2, Scheme.TB if scheme is Scheme.DB else Scheme.DB)
+    with pytest.raises(ConfigurationError) as exc:
+        call(config, rngmod.stream(0, 1))
+    assert str(exc.value) == f"needs a {scheme.value} config, got {config.scheme.value}"
 
 
 class TestCorrelatedMatchesDense:
