@@ -6,14 +6,14 @@ For two qubit voters those conditions reduce to four expectation-value
 equations with no solution; ``qubit_nogo_search`` witnesses that
 numerically by minimizing the summed violation, while
 ``qutrit_solution_check`` confirms the explicit qutrit solution reaches
-zero residual.
+zero residual. scipy, which only that search needs, loads on the first
+search, so importing this module (or ``qvote.cli``) does not load it.
 """
 
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ballots import prepare_tb_ballot, shift_unitary, vote_phases
 from .errors import ConfigurationError
@@ -234,6 +234,32 @@ def _residual_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
     return float(value), grad
 
 
+def qubit_floor(x: np.ndarray) -> float:
+    """Certified lower bound on ``_residual_and_grad(x)[0]``; never below 1/2.
+
+    In the closed form of ``qubit_nogo_search`` every term is
+    non-negative, u0^2 + v0^2 >= 2|alpha|, and a^2 + b^2 >= (b - a)^2 / 2
+    with b - a = 1 - 2 alpha, so
+
+        R >= 1/2 + 2 alpha^2 + 2 (|alpha| - alpha),  alpha = cos nu cos theta.
+
+    No two-qubit scheme reaches zero residual.
+    """
+    alpha = math.cos(x[0]) * math.cos(x[1])
+    return 0.5 + 2 * alpha ** 2 + 2 * (abs(alpha) - alpha)
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize(fun, x0, **kwargs)``, imported on first call.
+
+    A module-level name, so a test or tracer can rebind the optimizer that
+    ``qubit_nogo_search`` calls.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def qubit_nogo_search(restarts: int, iterations: int,
                       rng: np.random.Generator) -> tuple[float, QubitSchemeParams]:
     """Multi-start local descent over all two-qubit voting schemes.
@@ -241,7 +267,7 @@ def qubit_nogo_search(restarts: int, iterations: int,
     The residual cannot reach zero for qubits; the returned minimum is
     the numerical witness. Restarts draw independent starting points
     from ``rng``; L-BFGS-B gets the residual and its exact gradient from
-    one closed-form evaluation.
+    one closed-form evaluation. scipy is imported on the first search.
 
     With U = u0 I + i u.sigma (u0 = cos nu, u = sin nu m_hat), V likewise
     (v0, v from theta and n_hat), and the real correlations

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,10 @@ from pathlib import Path
 import qvote
 
 SRC = str(Path(qvote.__file__).parents[1])
+SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
+SCENARIO_EXIT_CODES = {"db_honest": 0, "invalid_dimension": 2, "product_ballot_control": 0,
+                       "secure_honest": 0, "secure_phase_attack": 1, "survey_euros": 0,
+                       "tb_collusion": 0}
 
 
 def run_python(code: str) -> str:
@@ -29,3 +34,26 @@ def test_attacks_and_runs_load_no_verification_or_cli():
         "print(sorted(m for m in ('scipy', 'jsonschema', 'qvote.cli', 'qvote.verify')"
         " if m in sys.modules))")
     assert out == "[]"
+
+
+def test_only_verify_nogo_loads_scipy(tmp_path):
+    # (argv, expected exit code, scipy loaded after it), in order; the
+    # no-go search runs last because nothing unloads scipy.
+    assert sorted(SCENARIO_EXIT_CODES) == sorted(p.stem for p in SCENARIOS.glob("*.json"))
+    steps = [(["run", "--config", f"{SCENARIOS / name}.json", "--out", str(tmp_path)], code, False)
+             for name, code in SCENARIO_EXIT_CODES.items()]
+    steps += [(["report", str(tmp_path / "db-d5-n4-seed42.transcript.jsonl")], 0, False),
+              ("verify privacy --scheme tb --d 5 --n 4".split(), 0, False),
+              ("verify reduced --scheme db --d 5 --n 3".split(), 0, False),
+              ("verify ansatz --d 3".split(), 0, False),
+              ("verify nogo --restarts 1 --iterations 20".split(), 0, True)]
+    out = run_python(
+        "import contextlib, io, json, sys\n"
+        "import qvote.cli, qvote.verify\n"
+        "seen = [(['import'], 0, 'scipy' in sys.modules)]\n"
+        f"for argv in {[argv for argv, _, _ in steps]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = qvote.cli.main(argv)\n"
+        "    seen.append((argv, code, 'scipy' in sys.modules))\n"
+        "print(json.dumps(seen))")
+    assert [tuple(step) for step in json.loads(out)] == [(["import"], 0, False), *steps]

@@ -1,8 +1,11 @@
 import math
+from dataclasses import astuple
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvote.ballots import Vote, cast_vote_db, prepare_db_ballot
 from qvote.errors import ConfigurationError
@@ -158,6 +161,11 @@ def random_packed_point(rng):
     return x
 
 
+# nu and theta anywhere, or within 1e-6 of pi/2, where the floor is 1/2.
+NOGO_ANGLES = st.one_of(st.floats(0, 2 * math.pi),
+                        st.floats(-1e-6, 1e-6).map(lambda e: math.pi / 2 + e))
+
+
 class TestQubitNogo:
     def test_identity_operations_score_three(self):
         params = QubitSchemeParams(0.0, np.array([0, 0, 1.0]), 0.0,
@@ -215,15 +223,42 @@ class TestQubitNogo:
             assert np.linalg.norm(grad - central) <= 1e-5 * np.linalg.norm(central)
 
     def test_search_calls_minimize_with_exact_gradient(self, monkeypatch):
-        real, jacs = verify.minimize, []
+        # A tracer rebinds the module attribute and reads these result fields.
+        assert "minimize" in vars(verify)
+        real, jacs, results = verify.minimize, [], []
 
         def spy(fun, x0, **kwargs):
             jacs.append(kwargs.get("jac"))
-            return real(fun, x0, **kwargs)
+            results.append(real(fun, x0, **kwargs))
+            return results[-1]
 
+        plain_min, plain_params = qubit_nogo_search(3, 50, rngmod.stream(7, 2))
         monkeypatch.setattr(verify, "minimize", spy)
-        qubit_nogo_search(3, 50, rngmod.stream(7, 2))
+        spied_min, spied_params = qubit_nogo_search(3, 50, rngmod.stream(7, 2))
         assert jacs == [True] * 3
+        assert all(hasattr(res, field) for res in results for field in ("fun", "x", "nit", "nfev"))
+        assert spied_min == plain_min
+        for spied, plain in zip(astuple(spied_params), astuple(plain_params)):
+            np.testing.assert_array_equal(spied, plain)
+
+    @given(NOGO_ANGLES, NOGO_ANGLES, st.lists(st.floats(-3, 3), min_size=14, max_size=14))
+    @settings(max_examples=300, deadline=None)
+    def test_residual_never_below_certified_floor(self, nu, theta, rest):
+        x = np.array([nu, theta, *rest])
+        floor = verify.qubit_floor(x)
+        assert verify._residual_and_grad(x)[0] >= floor - 1e-12
+        assert floor >= 0.5 - 1e-12
+
+    def test_floor_is_reached_by_a_bell_state_scheme(self):
+        # alpha = 0, r = 1/2 and p = q = 0: m_hat along x, n_hat 60 degrees
+        # from it in the x-z plane, omega = (|00> + |11>) / sqrt 2.
+        x = np.zeros(16)
+        x[0] = x[1] = math.pi / 2
+        x[2:5] = 1, 0, 0
+        x[5:8] = 1 / 2, 0, math.sqrt(3) / 2
+        x[8] = x[11] = 1 / math.sqrt(2)
+        assert verify._residual_and_grad(x)[0] == 0.5
+        assert verify.qubit_floor(x) == 0.5
 
     def test_requires_restarts(self):
         with pytest.raises(ConfigurationError):
