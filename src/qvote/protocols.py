@@ -8,6 +8,9 @@ is derived from the master seed and is not serialized.
 The honest runs share one engine: ``_cast`` applies the voters' phases to
 the d correlated amplitudes, ``ballots.phase_readings`` reads them, and
 ``_log_round`` writes each round's events. A TB run is closed form.
+``_cast`` exponentiates once per distinct angle, matched by bit pattern,
+not once per voter, and multiplies as ``np.multiply(c, phase)`` so that
+a row's bits do not depend on its batch.
 """
 
 import hashlib
@@ -31,6 +34,8 @@ from .errors import ConfigurationError
 from .qstate import ATOL, INVALID, _pick
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
+# json.dumps builds an encoder per call; transcripts reuse this one.
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -71,8 +76,7 @@ class Transcript:
                 raise ConfigurationError(f"repetition {rep} has {count} MEASURE events")
 
     def jsonl(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-                       for e in self.events)
+        return "".join(_EVENT_ENCODER.encode(e) + "\n" for e in self.events)
 
     def write(self, path):
         self.validate()
@@ -143,18 +147,32 @@ def _cast(d: int, thetas) -> np.ndarray:
     """Correlated amplitudes after voter i multiplies c_k by e^{ik thetas[..., i]}, in order.
 
     ``thetas`` is (N,) for one round or (rows, N); every voter's cast must
-    keep each row's norm within ATOL of 1. The product is always c times
-    the phase: numpy's complex multiply is not bitwise commutative on every
-    SIMD target, and ``c * phase`` with a large temporary phase would run
-    in place as phase times c, so a row's bits would depend on its batch.
+    keep each row's norm within ATOL of 1. There is one phase row
+    e^{ik theta} per distinct angle, matched by bit pattern (0.0 and -0.0
+    stay apart), so a DB or honest SECURE row, which holds at most two
+    angles, takes at most two complex exps. numpy's complex exp is
+    elementwise, so a shared row has the bits of a per-voter exp. The
+    product is still always ``np.multiply(c, phase)``: numpy's complex
+    multiply is not bitwise commutative on every SIMD target, and
+    ``c * phase`` with a large temporary phase would run in place as phase
+    times c, so a row's bits would depend on its batch.
     """
     thetas = np.asarray(thetas, dtype=float)
+    # The distinct bit patterns, sorted, and each voter's index among them:
+    # np.unique(..., return_inverse=True) without its fixed cost.
+    bits = thetas.view(np.uint64)
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    which = np.searchsorted(distinct, bits)
+    phases = np.exp(1j * np.arange(d) * distinct.view(float)[:, None])
     c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
     norms = np.empty(thetas.shape)
-    ik = 1j * np.arange(d)
     for i in range(thetas.shape[-1]):
-        c = np.multiply(c, np.exp(ik * thetas[..., i, None]))
-        norms[..., i] = np.linalg.norm(c, axis=-1)
+        c = np.multiply(c, phases[which[..., i]])
+        # np.linalg.norm's own formula for complex rows, without its dispatch.
+        norms[..., i] = np.sqrt(np.add.reduce((c.conj() * c).real, axis=-1))
     if not (np.abs(norms - 1.0) <= ATOL).all():
         raise ConfigurationError("correlated amplitudes are not normalized")
     return c

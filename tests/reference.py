@@ -14,7 +14,9 @@ measurement returns r and the shift correction is applied, the voting
 qudit contributes e^{i(k-r) theta} to the k-th correlated component (the
 integer k - r, not its mod-d residue, which is what keeps the secret
 offset delta from leaking into the tally). SECURE runs replace it with
-one phase per voter on the correlated amplitudes. ``solve_tally`` is the
+one phase per voter on the correlated amplitudes. ``cast`` is that
+phase cast with one exp per voter, which ``protocols._cast`` must match
+bit for bit with one exp per distinct angle. ``solve_tally`` is the
 per-reading tally map that ``secure_tally`` must reproduce.
 """
 
@@ -42,6 +44,7 @@ from qvote.ballots import (
 from qvote.errors import ConfigurationError
 from qvote.protocols import _parse_votes, honest_thetas
 from qvote.qstate import (
+    ATOL,
     CorrelatedState,
     PureState,
     _cdf,
@@ -155,6 +158,20 @@ def tb_vote(config: BallotConfig, votes, rng: np.random.Generator, stage_hook=No
         if stage_hook:
             stage_hook(f"after_vote_{i}", state)
     return decode_tb(state, config.d, rng)
+
+
+def cast(d: int, thetas) -> np.ndarray:
+    """``protocols._cast`` with one exp per voter: rows of (N,) or (rows, N) angles, in order."""
+    thetas = np.asarray(thetas, dtype=float)
+    c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
+    norms = np.empty(thetas.shape)
+    ik = 1j * np.arange(d)
+    for i in range(thetas.shape[-1]):
+        c = np.multiply(c, np.exp(ik * thetas[..., i, None]))
+        norms[..., i] = np.linalg.norm(c, axis=-1)
+    if not (np.abs(norms - 1.0) <= ATOL).all():
+        raise ConfigurationError("correlated amplitudes are not normalized")
+    return c
 
 
 def secure_round(config: BallotConfig, thetas, rep_rng):

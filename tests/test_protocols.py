@@ -308,6 +308,53 @@ class TestCastBatch:
         assert np.array_equal(batch.view(np.uint64), singles.view(np.uint64))
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestCastMatchesReference:
+    """``_cast``, one phase row per distinct angle, against ``reference.cast``, one per voter.
+
+    Angles come from a small table, so they repeat within and across rows,
+    as honest and forged rows do. Shrinking is off, as in TestCastBatch.
+    """
+
+    NO_SHRINK = settings(max_examples=8, deadline=None,
+                         phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    TABLE = st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=4)
+
+    @NO_SHRINK
+    @given(st.integers(2, 16), st.integers(1, 5), TABLE, st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_repeated_angles_match_bit_for_bit(self, d, n, table, above, seed):
+        # Rows on either side of 16384 complex elements, where numpy starts
+        # eliding temporaries, given strided, contiguous and as one row.
+        rng = np.random.default_rng(seed)
+        rows = 16384 // d + 1 + seed % 64 if above else 1 + seed % (16384 // d)
+        wide = np.array([0.0, -0.0, *table])[rng.integers(len(table) + 2, size=(rows, 2 * n))]
+        strided = wide[:, ::2]
+        for thetas in (strided, np.ascontiguousarray(strided), strided[0]):
+            assert _same_bits(_cast(d, thetas), reference.cast(d, thetas))
+
+    def test_row_with_both_zeros(self):
+        for thetas in ([0.0, -0.0, 0.0, 0.3], [[-0.0, 0.0], [0.0, -0.0]]):
+            assert _same_bits(_cast(7, thetas), reference.cast(7, thetas))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @NO_SHRINK
+    @given(st.integers(1, 16), st.integers(1, 5), TABLE, st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_angle_anywhere_raises(self, d, n, table, seed, bad):
+        rng = np.random.default_rng(seed)
+        thetas = np.array(table)[rng.integers(len(table), size=(1 + seed % 8, n))]
+        row = rng.integers(len(thetas))
+        thetas[row, rng.integers(n)] = bad
+        for cast in (_cast, reference.cast):
+            for rows in (thetas, thetas[row]):
+                with pytest.raises(ConfigurationError):
+                    cast(d, rows)
+
+
 class TestOutcomePermutationInvariance:
     @pytest.mark.parametrize("scheme,d,n", [(Scheme.DB, 5, 3), (Scheme.DB, 5, 4),
                                             (Scheme.TB, 5, 3), (Scheme.TB, 5, 4)])
@@ -350,6 +397,19 @@ class TestTranscript:
     def test_salt_depends_on_seed(self):
         a, b = self.make_transcript(seed=1), self.make_transcript(seed=2)
         assert a.commit(0, 0, "Y") != b.commit(0, 0, "Y")
+
+    def test_jsonl_equals_json_dumps_per_event(self):
+        # Non-ASCII text must be escaped and separators compact, as json.dumps
+        # writes them: transcripts replay byte for byte.
+        t = Transcript("enc-test", 0)
+        t.event(0, "PREPARE",
+                payload={"note": "Zoë ✓ 投票", "d": {"z": [-0.0, 1e-300], "a": None}})
+        t.event(0, "DISTRIBUTE")
+        t.event(0, "VOTE", site=3, payload={"r": 2, "x": {"nested": {"y": "ü"}}})
+        t.event(0, "MEASURE", outcome={"p": -0.0, "m": 1e-300, "label": "≠"})
+        expected = "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+                           for e in t.events)
+        assert t.jsonl() == expected
 
     def test_validate_rejects_double_measure(self):
         t = Transcript("x", 0)
