@@ -19,19 +19,22 @@ ConfigurationError. The forgery casts one angle row per trial, the
 honest row plus its estimated phase; mismatched voting states cast one
 row of per-voter angles that every trial shares. Both run all trials
 through one ``_secure_trials`` call, which casts and reads each row once
-for all its repetitions. The TB collusion attack
+for all its repetitions, and zip its per-trial tallies, outcomes and
+ps into their report; histograms are ``collections.Counter`` counts in
+first-seen key order. The TB collusion attack
 follows the pair in its d amplitudes, where only the first colluder's
 reading is random; the product-ballot readout is ``_phase_basis_probs``
 of one voter's qudit, or uniform on the honest ballot.
 The swap test compares each double with one threshold per pair, its
 symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
 (2001)). Only ``detect_subset_correlation`` measures a dense state, the
-one it is given. ``tests/reference.py`` keeps the dense per-trial loops
-and the per-call swap-test CDF that these kernels must match draw for
-draw.
+one it is given. ``tests/reference.py`` keeps the dense per-trial loops,
+with their own histogram loop, and the per-call swap-test CDF that these
+kernels must match draw for draw.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,10 +109,6 @@ class AttackReport:
         }
 
 
-def _bump(hist: dict, key):
-    hist[key] = hist.get(key, 0) + 1
-
-
 def _trial_count(trials, least: int = 0) -> int:
     """``trials`` as an int; fewer than ``least`` is a configuration error."""
     if trials < least:
@@ -172,9 +171,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
             c = c * phase
     one_hot = np.zeros((len(u), d), dtype=complex)
     one_hot[np.arange(len(u)), first_phase] = c[first_phase]
-    phase_hist: dict = {}
-    for p in phase_readings(one_hot, u[:, 5]):
-        _bump(phase_hist, p)
+    phase_hist = dict(Counter(phase_readings(one_hot, u[:, 5])))
 
     return AttackReport(
         attack="collusion_tb",
@@ -241,19 +238,16 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     theta_rows = np.tile(honest_thetas(config, choices), (len(u), 1))
     theta_rows[:, int(cheater)] += delta_phase + errors
 
-    verdicts, hist, per_trial = [], {}, []
-    for eps, (result, _) in zip(errors.tolist(), _secure_trials(config, theta_rows, rep_u)):
-        detected = result.m == CHEAT_DETECTED
-        verdicts.append(detected)
-        per_trial.append({"eps": eps, "outcomes": result.outcomes, "p": result.p,
-                          "detected": detected})
-        _bump(hist, result.m)
+    tallies, outcomes, ps = _secure_trials(config, theta_rows, rep_u)
+    verdicts = [m == CHEAT_DETECTED for m in tallies]
+    per_trial = [{"eps": eps, "outcomes": o, "p": p, "detected": detected}
+                 for eps, o, p, detected in zip(errors.tolist(), outcomes, ps, verdicts)]
 
     return AttackReport(
         attack="phase_estimate",
         trials=int(trials),
         inferred_secrets={"delta_phase": delta_phase, "error_half_width": half_width},
-        outcome_histogram=hist,
+        outcome_histogram=dict(Counter(tallies)),
         detection_verdicts=verdicts,
         extras={"per_trial": per_trial, "repetitions": repetitions,
                 "honest_tally": sum(1 for c in choices if c is Vote.YES)},
@@ -294,16 +288,13 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
             guesses[:, t] = _pick(_cdf(probs), u[:, t])
     hits = guesses == np.array(actual)
     per_trial_correct = hits.sum(axis=1).tolist()
-    hist: dict = {}
-    for k in per_trial_correct:
-        _bump(hist, k)
 
     accuracy = (hits.sum(axis=0) / int(trials)).tolist()
     return AttackReport(
         attack="authority_product_ballot",
         trials=int(trials),
         inferred_secrets={"per_voter_accuracy": accuracy, "actual_votes": actual},
-        outcome_histogram=hist,
+        outcome_histogram=dict(Counter(per_trial_correct)),
         extras={"honest_ballot": honest_ballot,
                 "per_trial_correct": per_trial_correct,
                 "mean_accuracy": float(np.mean(accuracy))},
@@ -332,11 +323,8 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
 
     rep_u = rngmod.child_doubles(rng, _trial_count(trials), 0, repetitions, config.N + 1)[1]
-    hist: dict = {}
-    results = []
-    for result, _ in _secure_trials(config, [thetas], rep_u):
-        results.append({"m": result.m, "outcomes": result.outcomes, "p": result.p})
-        _bump(hist, result.m)
+    tallies, outcomes, ps = _secure_trials(config, [thetas], rep_u)
+    runs = [{"m": m, "outcomes": o, "p": p} for m, o, p in zip(tallies, outcomes, ps)]
 
     tags = {}
     if config.N <= 12:
@@ -358,8 +346,8 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
         trials=int(trials),
         inferred_secrets={"phase_tags": tags,
                           "equal_weight_patterns_distinguishable": distinguishable},
-        outcome_histogram=hist,
-        extras={"runs": results},
+        outcome_histogram=dict(Counter(tallies)),
+        extras={"runs": runs},
     )
 
 

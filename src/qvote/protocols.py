@@ -10,7 +10,10 @@ the d correlated amplitudes, ``ballots.phase_readings`` reads them, and
 ``_log_round`` writes each round's events. A TB run is closed form.
 ``_cast`` exponentiates once per distinct angle, matched by bit pattern,
 not once per voter, and multiplies as ``np.multiply(c, phase)`` so that
-a row's bits do not depend on its batch.
+a row's bits do not depend on its batch. SECURE trials go through
+``_secure_trials``, which returns flat per-trial lists (tallies,
+outcomes, ps) and builds no per-trial result; ``run_secure_vote`` builds
+its one ``RunResult`` and picks the pairing outcomes it logs.
 """
 
 import hashlib
@@ -240,34 +243,35 @@ def honest_thetas(config: BallotConfig, choices) -> list[float]:
     return [config.theta_yes if c is Vote.YES else config.theta_no for c in choices]
 
 
-def _secure_trials(config: BallotConfig, theta_rows, u) -> list[tuple]:
-    """Anti-reuse trials in the correlated basis; one (result, rounds) per trial of ``u``.
+def _pairing_outcomes(config: BallotConfig, u) -> list:
+    """Each voter's pairing outcome r, uniform on 0..d-1, from its double in ``u[..., :N]``."""
+    d = config.d
+    return _pick(np.full(d, 1 / d).cumsum(), np.asarray(u)[..., :config.N]).tolist()
+
+
+def _secure_trials(config: BallotConfig, theta_rows, u) -> tuple[list, list, list]:
+    """Anti-reuse trials in the correlated basis; per-trial (tallies, outcomes, ps) lists.
 
     ``u`` is (T, R, N + 1): trial, then repetition, then the doubles that
     repetition's stream draws, the N pairing outcomes and then the tally.
     ``theta_rows`` holds one angle row per trial, or one row every trial
     shares. Voter i's pairing outcome r_i is uniform for any ballot state
     and only multiplies the state by the global phase e^{-i r_i theta_i},
-    so r_i is drawn and logged but leaves c untouched: the cast is
-    c_k *= e^{ik theta_i}. Each row is cast and read once, and its CDF
-    serves all its repetitions. ``rounds`` lists (m, p, rs) per repetition;
-    the result's tally is their common one if they ``_agree``, else CHEAT_DETECTED.
+    so the cast is c_k *= e^{ik theta_i} and the engine never reads r_i;
+    ``run_secure_vote`` picks it for its transcript. Each row is cast and
+    read once, and its CDF serves all its repetitions. ``outcomes[t]`` and
+    ``ps[t]`` are trial t's R readings (m, then p), and ``tallies[t]`` is
+    their common m if they ``_agree``, else CHEAT_DETECTED.
     """
-    d, n = config.d, config.N
     u = np.asarray(u, dtype=float)
-    rs = _pick(np.full(d, 1 / d).cumsum(), u[..., :n]).tolist()
-    tallies = iter(secure_tally(_cast(d, np.reshape(theta_rows, (-1, n)))[:, None],
-                                config, u[..., n]))
-    trials = []
-    for trial_rs in rs:
-        # zip stops on trial_rs before it pulls a tally of the next trial.
-        rounds = [(m, p, r) for r, (m, p) in zip(trial_rs, tallies)]
-        outcomes = [m for m, _, _ in rounds]
-        agree = _agree(outcomes)
-        m = outcomes[0] if agree else CHEAT_DETECTED
-        stats = {"repetitions": u.shape[1], "agreement": agree}
-        trials.append((RunResult("SECURE", m, outcomes, [p for _, p, _ in rounds], stats), rounds))
-    return trials
+    n, reps = config.N, u.shape[1]
+    readings = secure_tally(_cast(config.d, np.reshape(theta_rows, (-1, n)))[:, None],
+                            config, u[..., n])
+    ms, ps = [m for m, _ in readings], [p for _, p in readings]
+    cuts = range(0, len(readings), reps)
+    outcomes = [ms[i:i + reps] for i in cuts]
+    return ([o[0] if _agree(o) else CHEAT_DETECTED for o in outcomes], outcomes,
+            [ps[i:i + reps] for i in cuts])
 
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
@@ -276,20 +280,22 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
 
     Each repetition prepares a fresh ballot and fresh voting qudits from
     its own child stream, and every voter casts ``honest_thetas``; tallies
-    that do not ``_agree`` report CHEAT_DETECTED.
+    that do not ``_agree`` report CHEAT_DETECTED. A logged VOTE event
+    carries the voter's pairing outcome r.
     """
     choices = _parse_votes(config, votes, Scheme.SECURE)
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     u = [g.random(config.N + 1) for g in rng.spawn(repetitions)]
-    [(result, rounds)] = _secure_trials(config, [honest_thetas(config, choices)], [u])
+    [m], [outcomes], [ps] = _secure_trials(config, [honest_thetas(config, choices)], [u])
     if transcript:
-        for rep, (m, p, rs) in enumerate(rounds):
+        for rep, (rs, rep_m, p) in enumerate(zip(_pairing_outcomes(config, u), outcomes, ps)):
             _log_round(transcript, rep, {"scheme": "SECURE", "d": config.d, "N": config.N,
                                          "repetitions": repetitions},
                        [(i, {"commitment": transcript.commit(rep, i, c.value), "r": rs[i]})
-                        for i, c in enumerate(choices)], {"p": p, "m": m})
-    return result
+                        for i, c in enumerate(choices)], {"p": p, "m": rep_m})
+    return RunResult("SECURE", m, outcomes, ps,
+                     {"repetitions": repetitions, "agreement": m != CHEAT_DETECTED})
 
 
 def run_survey(config: BallotConfig, euros, rng: np.random.Generator,

@@ -17,14 +17,17 @@ offset delta from leaking into the tally). SECURE runs replace it with
 one phase per voter on the correlated amplitudes. ``cast`` is that
 phase cast with one exp per voter, which ``protocols._cast`` must match
 bit for bit with one exp per distinct angle. ``solve_tally`` is the
-per-reading tally map that ``secure_tally`` must reproduce.
+per-reading tally map that ``secure_tally`` must reproduce, and
+``agreed_tally`` the agreement rule ``protocols._secure_trials`` must
+apply to each trial's readings. The references count their histograms
+with their own ``_bump`` loop.
 """
 
 import math
 
 import numpy as np
 
-from qvote.adversary import CHEATING, CLEAN, AttackReport, _bump
+from qvote.adversary import CHEATING, CLEAN, AttackReport
 from qvote.ballots import (
     CHEAT_DETECTED,
     BallotConfig,
@@ -54,6 +57,10 @@ from qvote.qstate import (
     measure_computational,
     tensor,
 )
+
+
+def _bump(hist: dict, key):
+    hist[key] = hist.get(key, 0) + 1
 
 
 def child_doubles(rng: np.random.Generator, trials: int, k: int, reps: int = 0,
@@ -189,13 +196,20 @@ def secure_vote(config: BallotConfig, thetas, trial_rng: np.random.Generator,
                 repetitions: int):
     """One ``secure_round`` per child of ``trial_rng.spawn(repetitions)``; (m, outcomes, p).
 
-    m is the common tally when every repetition decodes the same valid
-    multiple, else CHEAT_DETECTED.
+    m is ``agreed_tally(outcomes)``.
     """
     rounds = [secure_round(config, thetas, g) for g in trial_rng.spawn(repetitions)]
     outcomes = [m for m, _, _ in rounds]
+    return agreed_tally(outcomes), outcomes, [p for _, p, _ in rounds]
+
+
+def agreed_tally(outcomes):
+    """The common tally if every repetition decodes the same valid multiple, else CHEAT_DETECTED.
+
+    This is the rule written out on its own, not ``protocols._agree``.
+    """
     agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
-    return outcomes[0] if agree else CHEAT_DETECTED, outcomes, [p for _, p, _ in rounds]
+    return outcomes[0] if agree else CHEAT_DETECTED
 
 
 def phase_estimate_attack(config: BallotConfig, cheater: int,

@@ -34,6 +34,7 @@ from qvote.adversary import (
 from qvote.ballots import BallotConfig, Scheme, SecureSecrets, voting_qudit_state
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
+    _pairing_outcomes,
     _secure_trials,
     run_db_vote,
     run_secure_vote,
@@ -263,10 +264,13 @@ class TestKernelsMatchReferences:
                                            min_size=config.N, max_size=config.N),
                                   min_size=1, max_size=6))
         u = draws(children(seed, len(rows)), config.N + 1)[:, None]
-        got = [rounds for _, rounds in _secure_trials(config, rows, u)]
+        tallies, outcomes, ps = _secure_trials(config, rows, u)
+        # r is what run_secure_vote logs: its own pick from the same doubles.
+        got = [list(zip(*trial)) for trial in zip(outcomes, ps, _pairing_outcomes(config, u))]
         ref = [[reference.secure_round(config, thetas, g)]
                for thetas, g in zip(rows, children(seed, len(rows)))]
         assert got == ref
+        assert tallies == [reference.agreed_tally([m]) for [(m, _, _)] in ref]
 
     @given(secure_config(), st.data(), SEEDS)
     @settings(max_examples=40, deadline=None)
@@ -307,8 +311,9 @@ class TestKernelsMatchReferences:
 
     def test_zero_rows_give_no_rounds(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-        assert _secure_trials(config, [], np.zeros((0, 3, 4))) == []
-        assert _secure_trials(config, [[0.1, 0.2, 0.3]], np.zeros((0, 3, 4))) == []
+        assert _secure_trials(config, [], np.zeros((0, 3, 4))) == ([], [], [])
+        assert _secure_trials(config, [[0.1, 0.2, 0.3]], np.zeros((0, 3, 4))) == ([], [], [])
+        assert _pairing_outcomes(config, np.zeros((0, 3, 4))) == []
 
 
 class TestCollusionBatch:

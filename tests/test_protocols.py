@@ -30,6 +30,7 @@ from qvote.protocols import (
     RunResult,
     Transcript,
     _cast,
+    _pairing_outcomes,
     _secure_trials,
     classical_dining,
     classical_modular_vote,
@@ -40,7 +41,8 @@ from qvote.protocols import (
     run_survey,
     run_tb_vote,
 )
-from qvote.qstate import CorrelatedState, LocalUnitary, apply_local
+from qvote.qstate import INVALID, CorrelatedState, LocalUnitary, apply_local
+from qvote import protocols
 from qvote import rng as rngmod
 
 import reference
@@ -142,6 +144,45 @@ class TestRunSecureVote:
         result = run_secure_vote(config, "YNYY", rngmod.stream(8, 1))
         assert result.m == 3
         assert result.p == [(3 * 3) % 13] * 3
+
+
+# (m, p) readings as secure_tally returns them: tallies, a p that is no
+# multiple of l_y - l_n, and an unreadable row.
+SCRIPTED_READINGS = [(2, 4), (1, 2), (0, 0), (CHEAT_DETECTED, 3), (CHEAT_DETECTED, INVALID)]
+
+
+class TestSecureTrialsSlicing:
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-row", "per-trial-rows"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scripted_readings_cut_trial_major(self, repetitions, shared, data):
+        # Each trial's R readings either repeat one reading or are drawn freely.
+        reading = st.sampled_from(SCRIPTED_READINGS)
+        script = data.draw(st.lists(
+            reading.map(lambda r: [r] * repetitions)
+            | st.lists(reading, min_size=repetitions, max_size=repetitions),
+            max_size=5))
+        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        trials = len(script)
+        rows = [[0.1, 0.2, 0.3]] if shared else [[0.1 * t, 0.2, -0.3] for t in range(trials)]
+        u = np.random.default_rng(trials).random((trials, repetitions, config.N + 1))
+        calls = []
+
+        def scripted_tally(corr_rows, tally_config, tally_u):
+            calls.append((corr_rows.shape, tally_config, np.array(tally_u)))
+            return [r for trial in script for r in trial]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "secure_tally", scripted_tally)
+            tallies, outcomes, ps = _secure_trials(config, rows, u)
+
+        [(shape, tally_config, tally_u)] = calls
+        assert shape == (len(rows), 1, config.d) and tally_config is config
+        assert np.array_equal(tally_u, u[..., config.N])
+        assert outcomes == [[m for m, _ in trial] for trial in script]
+        assert ps == [[p for _, p in trial] for trial in script]
+        assert tallies == [reference.agreed_tally(o) for o in outcomes]
 
 
 class TestRunSurvey:
@@ -265,7 +306,8 @@ class TestCorrelatedMatchesDense:
         if extra is not None:
             thetas[extra[0]] += extra[1]
         u = np.random.default_rng(seed).random((1, 1, n + 1))
-        [(_, [(m, p, rs)])] = _secure_trials(config, [thetas], u)
+        _, [[m]], [[p]] = _secure_trials(config, [thetas], u)
+        [[rs]] = _pairing_outcomes(config, u)
 
         # Dense reference: every pairing outcome r also multiplies the
         # state by e^{-i r theta}, a global phase the correlated form drops.
