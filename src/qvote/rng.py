@@ -12,12 +12,16 @@ and the SECURE attacks give each trial's repetitions grandchildren.
 ``child_doubles`` returns the doubles those streams draw without building
 a Generator or a SeedSequence per stream. A child's pool is its parent's
 with one more entropy word, its index, mixed in, and a grandchild's adds
-its own index; the kernel mixes those words into every row at once. It
-then expands pools as ``generate_state(4, uint64)`` does, seeds PCG64 and
-computes every draw's 128-bit LCG state in closed form, then applies the
-XSL-RR output and the 53-bit double conversion, all as integer numpy
-arithmetic over every row. Only integer operations and one exact
-power-of-two scale touch the bits, so SIMD dispatch cannot change them.
+its own index; the kernel mixes those words into every row at once, and
+mixes no grandchildren when they draw nothing. It then expands pools as
+``generate_state(4, uint64)`` does, seeds PCG64 and computes every draw's
+128-bit LCG state in closed form, then applies the XSL-RR output and the
+53-bit double conversion. Every (stream, draw) pair of a call, the
+children's draws and then the grandchildren's, sits on one flat axis:
+each side writes its limb products there by broadcasting, and the rest
+of that arithmetic runs once per call whatever the shape. Only integer
+operations and one exact power-of-two scale touch the bits, so SIMD
+dispatch cannot change them.
 The parent's ``n_children_spawned`` moves as ``spawn`` would move it, in
 place, through one constructor call. A parent whose bit generator is not
 PCG64, or whose child indices would reach 2**32 - 1, raises
@@ -56,8 +60,18 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
 
 def _word_count(value) -> int:
     """How many uint32 words SeedSequence makes of an int or a sequence of ints."""
-    values = [value] if np.ndim(value) == 0 else value
+    values = [value] if isinstance(value, (int, np.integer)) else value
     return sum(max(1, -(-int(v).bit_length() // 32)) for v in values)
+
+
+@lru_cache(maxsize=None)
+def _mix_hashes(n: int, size: int):
+    """The hashes n, ..., n + size - 1 a mixed-in word takes, and their multipliers."""
+    hc = np.array([_INIT_A * pow(_MULT_A, n + dst, 1 << 32) & _M32 for dst in range(size)],
+                  dtype=np.uint64)
+    mult = hc * _MULT_A & _M32
+    hc.flags.writeable = mult.flags.writeable = False
+    return hc, mult
 
 
 def _mix(pools: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
@@ -66,47 +80,79 @@ def _mix(pools: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
     ``pools`` (..., P) broadcasts against ``words`` (...); each pool word
     takes the word's next hash, as entropy past the pool size is mixed in.
     """
-    size = pools.shape[-1]
-    hc = np.array([_INIT_A * pow(_MULT_A, n + dst, 1 << 32) & _M32 for dst in range(size)],
-                  dtype=np.uint64)
-    hashed = (words[..., None] ^ hc) * (hc * _MULT_A & _M32) & _M32
+    hc, mult = _mix_hashes(n, pools.shape[-1])
+    hashed = (words[..., None] ^ hc) * mult & _M32
     hashed ^= hashed >> 16
     mixed = (_MIX_L * pools - _MIX_R * hashed) & _M32
     return mixed ^ mixed >> 16
 
 
 @lru_cache(maxsize=None)
-def _lcg_columns(k: int):
-    """Limbs of (M^(j+2), 2 B_j) and of B_j, B_j = M^0 + ... + M^(j+2), for draws j < k.
+def _lcg_columns(k: int) -> np.ndarray:
+    """Limbs of M^(j+2), of 2 B_j and of B_j, B_j = M^0 + ... + M^(j+2), for draws j < k.
 
     Seeding sets inc = 2 initseq + 1 and steps the LCG twice around adding
     initstate; draw j steps once more, so it reads
-    M^(j+2) initstate + 2 B_j initseq + B_j (mod 2**128).
+    M^(j+2) initstate + 2 B_j initseq + B_j (mod 2**128). Shape (3, 4, k, 1):
+    factor, limb, draw.
     """
     mod = 1 << 128
     powers = [pow(_PCG_MULT, j, mod) for j in range(k + 2)]
     sums = [sum(powers[:j + 3]) % mod for j in range(k)]
     columns = [[powers[j + 2] for j in range(k)], [2 * s % mod for s in sums], sums]
     limbs = np.array([[[c >> 32 * l & _M32 for c in col] for l in range(4)] for col in columns],
-                     dtype=np.uint64).reshape(3, 4, 1, k)
+                     dtype=np.uint64).reshape(3, 4, k, 1)
     limbs.flags.writeable = False
-    return limbs[:2], limbs[2]
+    return limbs
 
 
-def _draws(pools: np.ndarray, k: int) -> np.ndarray:
-    """The first k doubles of the PCG64 generator seeded from each row's pool."""
-    words = pools[:, np.arange(8) % pools.shape[1]]
-    words = (words ^ _STATE_HASH[:8]) * _STATE_HASH[1:] & _M32
+# The 32-bit words of generate_state's four 64-bit outputs in limb order,
+# least significant first: initstate is outputs 1 then 0, initseq 3 then 2.
+_SEED_WORDS = np.array([2, 3, 0, 1, 6, 7, 4, 5])
+_SEED_XOR, _SEED_MULT = _STATE_HASH[_SEED_WORDS, None], _STATE_HASH[_SEED_WORDS + 1, None]
+
+
+def _draws(blocks: list) -> np.ndarray:
+    """The doubles of PCG64 generators seeded from pools, all on one flat axis.
+
+    ``blocks`` lists (pools, k) pairs: each row of ``pools`` seeds a
+    generator that draws k doubles. The flat axis holds block after block,
+    and within a block draw after draw, each draw's rows in order. A block
+    writes its limb products into that axis straight from its rows' seed
+    limbs and its draws' factor limbs, broadcast against each other; the
+    rest of the 128-bit limb arithmetic, the carries and the output then
+    run once over the whole axis.
+    """
+    pools = np.concatenate([rows for rows, _ in blocks])
+    words = pools.T[_SEED_WORDS % pools.shape[1]]
+    words = (words ^ _SEED_XOR) * _SEED_MULT & _M32
     words ^= words >> 16
     # 32-bit limbs, least significant first, of initstate and of initseq.
-    seeds = words[:, [2, 3, 0, 1, 6, 7, 4, 5]].reshape(-1, 2, 4).transpose(1, 2, 0)[..., None]
-    factors, acc = _lcg_columns(k)
-    acc = acc + np.zeros((1, len(pools), 1), dtype=np.uint64)
+    seeds = words.reshape(2, 4, 1, -1)
+    flat = sum(len(rows) * k for rows, k in blocks)
+    acc = np.empty((4, flat), np.uint64)
+    low, high = np.empty((2, 4, flat), np.uint64), np.empty((2, 3, flat), np.uint64)
+    products = []
+    row = at = 0
+    for rows, k in blocks:
+        n = len(rows)
+        columns = _lcg_columns(k)
+        # The sum starts at B_j.
+        acc[:, at:at + n * k].reshape(4, k, n)[...] = columns[2]
+        products.append((seeds[..., row:row + n], columns[:2],
+                         low[..., at:at + n * k].reshape(2, 4, k, n)))
+        row, at = row + n, at + n * k
     for i in range(4):
         # Limb i of each seed times the limbs of its factor that land below 2**128.
-        p = seeds[:, i, None] * factors[:, :4 - i]
-        acc[i:] += (p & _M32).sum(axis=0)
-        acc[i + 1:] += (p[:, :3 - i] >> 32).sum(axis=0)
+        for seed, factor, out in products:
+            np.multiply(seed[:, i, None], factor[:, :4 - i], out=out[:, :4 - i])
+        lo, hi = low[:, :4 - i], high[:, :3 - i]
+        np.right_shift(lo[:, :3 - i], 32, out=hi)
+        lo &= _M32
+        acc[i:] += lo[0]
+        acc[i:] += lo[1]
+        acc[i + 1:] += hi[0]
+        acc[i + 1:] += hi[1]
     for l in range(3):
         acc[l + 1] += acc[l] >> 32
     acc &= _M32
@@ -141,10 +187,18 @@ def child_doubles(rng: np.random.Generator, trials: int, k: int,
     # parent's spawn key, then one word i: its pool is the parent's with i
     # mixed in. A grandchild's adds one more word r.
     n = size * (max(_word_count(seed_seq.entropy), size) + _word_count(seed_seq.spawn_key))
-    pools = _mix(np.array(seed_seq.pool, dtype=np.uint64),
-                 np.arange(first, first + trials, dtype=np.uint64), n)
-    grand = _mix(pools[:, None], np.arange(reps, dtype=np.uint64), n + size)
+    blocks = []
+    if trials and (k or reps and rep_k):
+        pools = _mix(np.array(seed_seq.pool, dtype=np.uint64),
+                     np.arange(first, first + trials, dtype=np.uint64), n)
+        if k:
+            blocks.append((pools, k))
+        if reps and rep_k:
+            grand = _mix(pools[:, None], np.arange(reps, dtype=np.uint64), n + size)
+            blocks.append((grand.reshape(-1, size), rep_k))
+    out = _draws(blocks) if blocks else np.empty(0)
     seed_seq.__setstate__(type(seed_seq)(
         seed_seq.entropy, spawn_key=seed_seq.spawn_key, pool_size=size,
         n_children_spawned=first + trials).__reduce__()[2])
-    return _draws(pools, k), _draws(grand.reshape(-1, size), rep_k).reshape(trials, reps, rep_k)
+    u = out[:trials * k].reshape(k, trials).T.copy()
+    return u, out[trials * k:].reshape(rep_k, trials, reps).transpose(1, 2, 0).copy()

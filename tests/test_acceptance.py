@@ -205,6 +205,18 @@ def test_criterion_08_forgery_detection_rate(forgery_fixture, forgery_reports):
              f"unit difference no worse than 3")
 
 
+def test_forgery_eps_fill_the_uniform_range(forgery_fixture, forgery_reports):
+    # Each trial's estimate error is uniform on [-h, h], h = pi * scale / d,
+    # computed here from the fixture, not read back from the report. At 10k
+    # draws each extreme misses 0.99 h with probability about e^-50.
+    h = np.pi * forgery_fixture["error_scale"] / forgery_fixture["d"]
+    for report in forgery_reports:
+        eps = np.array([t["eps"] for t in report.extras["per_trial"]])
+        assert len(eps) == 10_000
+        assert np.all(np.abs(eps) <= h)
+        assert eps.min() <= -0.99 * h and eps.max() >= 0.99 * h
+
+
 def test_forgery_reports_replay_bit_exactly(forgery_reports):
     dumped = json.dumps([r.to_dict() for r in forgery_reports], sort_keys=True)
     assert hashlib.sha256(dumped.encode()).hexdigest() == FORGERY_REPORTS_SHA256
@@ -217,6 +229,8 @@ def test_criterion_09_qubit_nogo(nogo_fixture):
     minimum, _ = qubit_nogo_search(200, 500, rngmod.stream(7, rngmod.TRIAL))
     elapsed = time.monotonic() - start
     assert minimum >= eps0
+    # qubit_floor proves the minimum is exactly 1/2: the search must reach it.
+    assert 0.5 - 1e-12 <= minimum <= 0.5 + 1e-6
     assert qutrit_solution_check() <= 1e-12
     assert elapsed < 60
     _pass(9, f"qubit floor {minimum:.6f} >= {eps0:.3f}, qutrit zero, {elapsed:.1f}s")

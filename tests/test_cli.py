@@ -221,6 +221,7 @@ class TestCmdVerify:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["qubit_min_residual"] >= nogo_fixture["epsilon0"]
+        assert 0.5 - 1e-12 <= data["qubit_min_residual"] <= 0.5 + 1e-6
         assert data["qutrit_residual"] <= 1e-12
 
     def test_ansatz_default_roots(self, capsys):

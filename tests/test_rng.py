@@ -1,5 +1,7 @@
 """``rng.child_doubles`` against numpy's own child and grandchild Generators, bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -65,6 +67,12 @@ def same_children(a: list, b: list) -> bool:
          reps=2, rep_k=0)
 @example(entropy=7, spawn_key=[], spawned=("spawn", 0), pool_size=4, trials=4, k=0, reps=0,
          rep_k=0)
+# A child side wider than the grandchild side, and the mismatched voting
+# states' shape: no trial draws, many repetition draws.
+@example(entropy=[9, 2 ** 35], spawn_key=[], spawned=("spawn", 1), pool_size=4, trials=3, k=7,
+         reps=2, rep_k=1)
+@example(entropy=11, spawn_key=[1], spawned=("spawn", 0), pool_size=4, trials=4, k=0, reps=3,
+         rep_k=21)
 # Child indices that need all 32 bits, as close to the limit as the reference goes.
 @example(entropy=[5, 2 ** 64], spawn_key=[3], spawned=("counter", 2 ** 32 - 64), pool_size=4,
          trials=12, k=2, reps=2, rep_k=3)
@@ -133,3 +141,17 @@ def test_stream_children_match_at_criterion_size():
     u, rep_u = rngmod.child_doubles(got_rng, 2000, 1, 3, 4)
     ref_u, ref_rep_u = reference.child_doubles(ref_rng, 2000, 1, 3, 4)
     assert same_bits(u, ref_u) and same_bits(rep_u, ref_rep_u)
+
+
+def test_memory_at_forgery_criterion_size_stays_bounded():
+    # Every (stream, draw) pair of 10k trials with 3 repetitions holds its
+    # product and sum limbs on one flat axis: about 29 MB at this size.
+    rng = rngmod.stream(0, rngmod.TRIAL)
+    tracemalloc.start()
+    try:
+        u, rep_u = rngmod.child_doubles(rng, 10_000, 1, 3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (10_000, 1) and rep_u.shape == (10_000, 3, 4)
+    assert peak < 64e6
