@@ -9,11 +9,13 @@ Three quantum schemes share these primitives:
 * SECURE: DB plus single-use "voting qudits" in secret-angle states,
   which stop anyone from voting twice undetected.
 
-The yes phase has one definition, ``vote_phases``, and the omega_p reading
-one, ``phase_readings``. The dense ``phase_vote_unitary`` and ``cast_vote_db``
-(no run or attack calls it) serve verification, single qudits and the tests.
-SECURE trials cast in the correlated basis (``protocols._secure_trials``) and
-decode with ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast.
+The yes phase table has one definition, ``vote_phases``, and the omega_p
+reading one, ``phase_readings``; runs and ``verify.check_privacy`` cast the
+angle ``protocols._yes_angle``. The dense ``cast_vote_db`` (no run or attack
+calls it) serves single qudits and the tests. SECURE trials cast in the
+correlated basis (``protocols._secure_trials``) and decode with
+``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast and
+the dense yes and shift operators.
 """
 
 import math
@@ -27,7 +29,6 @@ from .errors import ConfigurationError
 from .qstate import (
     INVALID,
     CorrelatedState,
-    LocalUnitary,
     PureState,
     _cdf,
     _pick,
@@ -158,18 +159,6 @@ def prepare_tb_ballot(d: int) -> PureState:
 def vote_phases(d: int) -> np.ndarray:
     """Eigenphases e^{i 2 pi k / d} of the yes-vote operator; its one definition."""
     return np.exp(2j * np.pi * np.arange(d) / d)
-
-
-def phase_vote_unitary(d: int) -> LocalUnitary:
-    """Yes-vote operator diag(e^{i 2 pi k / d})."""
-    return LocalUnitary(d, np.diag(vote_phases(d)))
-
-
-def shift_unitary(d: int) -> LocalUnitary:
-    """Cyclic shift |k> -> |k+1 mod d>."""
-    mat = np.zeros((d, d), dtype=complex)
-    mat[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return LocalUnitary(d, mat)
 
 
 def voting_qudit_state(d: int, theta: float) -> PureState:

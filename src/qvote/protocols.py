@@ -191,6 +191,11 @@ def _log_round(transcript: Transcript, rep: int, prepare: dict, votes, outcome):
     transcript.event(rep, "MEASURE", outcome=outcome)
 
 
+def _yes_angle(d: int, exponent):
+    """The angle 2 pi (e mod d) / d cast for e yes votes; int arrays get the scalar bits."""
+    return 2 * np.pi * (exponent % d) / d
+
+
 def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.Generator,
                  transcript: Transcript | None = None):
     """One DB or SURVEY round in the correlated basis; returns the decoded tally.
@@ -199,7 +204,7 @@ def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.
     This costs O(d) per voter at any N.
     """
     d = config.d
-    thetas = [2 * np.pi * (exponent % d) / d for exponent in exponents]
+    thetas = [_yes_angle(d, exponent) for exponent in exponents]
     m = phase_readings(_cast(d, thetas)[None], [rng.random()])[0]
     if transcript:
         _log_round(transcript, 0, {"scheme": config.scheme.value, "d": d, "N": config.N},

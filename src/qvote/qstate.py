@@ -164,13 +164,6 @@ def apply_local(state: PureState, site: int, u: LocalUnitary) -> PureState:
     return PureState(state.dims, shaped.reshape(-1))
 
 
-def inner(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in ``a``."""
-    if a.dims != b.dims:
-        raise ConfigurationError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def reduced_density(state: PureState, keep_sites) -> DensityMatrix:
     """Partial trace onto ``keep_sites`` (order preserved)."""
     keep = [int(s) for s in keep_sites]

@@ -8,6 +8,10 @@ rounds at a time, and the swap test that drew from a three-entry CDF per
 pair. They make the same draws in the same order as the kernels, so
 tests require equal reports, draw for draw.
 
+``inner``, ``phase_vote_unitary`` and ``shift_unitary`` are the dense
+overlap and the dense yes and shift operators. No run or check in the
+package needs them; the dense references and the tests do.
+
 The dense anti-reuse cast and its decoder live here too. The cast
 follows the protocol's stated output state: after the voter's pairing
 measurement returns r and the shift correction is applied, the voting
@@ -37,18 +41,18 @@ from qvote.ballots import (
     cast_vote_db,
     decode_db,
     decode_tb,
-    phase_vote_unitary,
     prepare_db_ballot,
     prepare_tb_ballot,
     secure_tally,
-    shift_unitary,
     voting_qudit_state,
+    vote_phases,
 )
 from qvote.errors import ConfigurationError
 from qvote.protocols import _parse_votes, honest_thetas
 from qvote.qstate import (
     ATOL,
     CorrelatedState,
+    LocalUnitary,
     PureState,
     _cdf,
     _pick,
@@ -57,6 +61,25 @@ from qvote.qstate import (
     measure_computational,
     tensor,
 )
+
+
+def inner(a: PureState, b: PureState) -> complex:
+    """<a|b>, conjugate-linear in ``a``."""
+    if a.dims != b.dims:
+        raise ConfigurationError(f"dims mismatch: {a.dims} vs {b.dims}")
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def phase_vote_unitary(d: int) -> LocalUnitary:
+    """Yes-vote operator diag(e^{i 2 pi k / d})."""
+    return LocalUnitary(d, np.diag(vote_phases(d)))
+
+
+def shift_unitary(d: int) -> LocalUnitary:
+    """Cyclic shift |k> -> |k+1 mod d>."""
+    mat = np.zeros((d, d), dtype=complex)
+    mat[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
+    return LocalUnitary(d, mat)
 
 
 def _bump(hist: dict, key):

@@ -5,7 +5,9 @@ criterion; any assertion failure marks that criterion as failed.
 """
 
 import hashlib
+import importlib.util
 import json
+import math
 import time
 from itertools import combinations, product
 from pathlib import Path
@@ -26,6 +28,7 @@ from qvote.adversary import (
     phase_estimate_attack,
 )
 from qvote.ballots import (
+    CHEAT_DETECTED,
     BallotConfig,
     Scheme,
     SecureSecrets,
@@ -44,12 +47,19 @@ from qvote.protocols import (
     run_secure_vote,
     run_tb_vote,
 )
-from qvote.qstate import CorrelatedState, inner, reduced_density, tensor
+from qvote.qstate import INVALID, CorrelatedState, reduced_density, tensor
 from qvote.verify import check_privacy, qubit_nogo_search, qutrit_solution_check
 
 import reference
 
-SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
+FIXTURES = Path(__file__).parent / "fixtures"
+SCENARIOS = FIXTURES / "scenarios"
+
+# The forgery oracle's own model, for criterion 08's parts.
+_spec = importlib.util.spec_from_file_location("make_forgery_rate",
+                                               FIXTURES / "make_forgery_rate.py")
+forgery_model = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(forgery_model)
 
 DB_SWEEP = [(d, n) for d in (3, 5, 8) for n in (2, 3, 4) if d > n]
 
@@ -84,7 +94,7 @@ def test_criterion_01_db_tally_correctness():
                 state = cast_vote_db(state, site, v)
             c = np.exp(2j * np.pi * w * np.arange(d) / d) / np.sqrt(d)
             expected = CorrelatedState(d, n, c).to_pure()
-            prob = abs(inner(expected, state)) ** 2
+            prob = abs(reference.inner(expected, state)) ** 2
             assert abs(prob - 1) <= 1e-10
     elapsed = time.monotonic() - start
     assert elapsed < 30
@@ -188,7 +198,7 @@ def test_criterion_07_multi_vote_modulo():
 
 @pytest.fixture(scope="module")
 def forgery_reports(forgery_fixture):
-    """Criterion 08's 10k-trial forgery reports at unit differences 1 and 3."""
+    """Criterion 08's 10k-trial forgery reports at unit differences l_y - l_n = 1 and 3."""
     return [phase_estimate_attack(
         BallotConfig(forgery_fixture["d"], 3, Scheme.SECURE,
                      secrets=SecureSecrets(l_y, 0, 0.2)),
@@ -201,6 +211,12 @@ def test_criterion_08_forgery_detection_rate(forgery_fixture, forgery_reports):
     oracle = forgery_fixture["detection_rate"]
     assert abs(report1.detection_rate - oracle) <= 0.03
     assert report1.detection_rate >= report3.detection_rate
+    # Against the fixture's quadrature of the exact rate: within 4 binomial
+    # sigma, about 0.020 at 10k trials.
+    for report, exact in ((report1, forgery_fixture["detection_rate_quadrature"]),
+                          (report3, forgery_fixture["detection_rate_dl3_quadrature"])):
+        sigma = math.sqrt(exact * (1 - exact) / len(report.detection_verdicts))
+        assert abs(report.detection_rate - exact) <= 4 * sigma
     _pass(8, f"detection rate {report1.detection_rate:.4f} vs oracle {oracle:.4f}; "
              f"unit difference no worse than 3")
 
@@ -215,6 +231,18 @@ def test_forgery_eps_fill_the_uniform_range(forgery_fixture, forgery_reports):
         assert len(eps) == 10_000
         assert np.all(np.abs(eps) <= h)
         assert eps.min() <= -0.99 * h and eps.max() >= 0.99 * h
+
+
+def test_forgery_verdicts_follow_the_fixture_decoder(forgery_fixture, forgery_reports):
+    # Each trial's tallies and verdict, recomputed from its p readings with
+    # the oracle's decoder and its rule: detected when a p does not decode
+    # or the tallies disagree.
+    d = forgery_fixture["d"]
+    for report, dl in zip(forgery_reports, (1, 3)):
+        for trial in report.extras["per_trial"]:
+            ms = [None if p == INVALID else forgery_model.decode(p, dl, d) for p in trial["p"]]
+            assert trial["outcomes"] == [CHEAT_DETECTED if m is None else m for m in ms]
+            assert trial["detected"] is (None in ms or len(set(ms)) > 1)
 
 
 def test_forgery_reports_replay_bit_exactly(forgery_reports):
@@ -272,7 +300,7 @@ def test_criterion_11_malicious_authority():
     a = voting_qudit_state(5, 0.9)
     b = voting_qudit_state(5, 0.9 + 2 * np.pi / 5)
     # per-comparison failure rate is (1 - |<a|b>|^2)/2 = 1/2 exactly
-    assert abs(inner(a, b)) <= 1e-12
+    assert abs(reference.inner(a, b)) <= 1e-12
     detected = sum(detect_symmetry([a, b], g, comparisons=7) == CHEATING
                    for g in rngmod.stream(113, 2).spawn(10_000))
     assert detected / 10_000 >= 0.99

@@ -33,7 +33,6 @@ from qvote.qstate import (
     LocalUnitary,
     ProjectorSet,
     apply_local,
-    inner,
     measure_computational,
     measure_projective,
     tensor,
@@ -41,7 +40,7 @@ from qvote.qstate import (
 from qvote import rng as rngmod
 
 from conftest import random_state
-from reference import phase_basis_measure
+from reference import inner, phase_basis_measure
 
 
 def product_ballot(d, n):

@@ -19,11 +19,9 @@ from qvote.ballots import (
     decode_tb,
     draw_secrets,
     phase_readings,
-    phase_vote_unitary,
     prepare_db_ballot,
     prepare_tb_ballot,
     secure_tally,
-    shift_unitary,
     vote_phases,
     voting_qudit_state,
     _phase_basis_probs,
@@ -36,7 +34,6 @@ from qvote.qstate import (
     ProjectorSet,
     PureState,
     apply_local,
-    inner,
     measure_projective,
     reduced_density,
     tensor,
@@ -45,7 +42,14 @@ from qvote.qstate import (
     _with_invalid,
 )
 
-from reference import cast_vote_secure, decode_secure, solve_tally
+from reference import (
+    cast_vote_secure,
+    decode_secure,
+    inner,
+    phase_vote_unitary,
+    shift_unitary,
+    solve_tally,
+)
 
 
 def states_equal_up_to_phase(a, b, atol=1e-10):

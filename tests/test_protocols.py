@@ -354,6 +354,14 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def test_yes_angle_arrays_have_the_scalar_bits():
+    # ``check_privacy`` casts array angles, ``_phase_round`` one int at a time.
+    for d in (*range(2, 40), 101, 1009):
+        exponents = np.arange(2 * d + 1)
+        scalars = np.array([protocols._yes_angle(d, int(e)) for e in exponents])
+        assert _same_bits(protocols._yes_angle(d, exponents), scalars)
+
+
 class TestCastMatchesReference:
     """``_cast``, one phase row per distinct angle, against ``reference.cast``, one per voter.
 

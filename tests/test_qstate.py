@@ -14,7 +14,6 @@ from qvote.qstate import (
     ProjectorSet,
     PureState,
     apply_local,
-    inner,
     measure_computational,
     measure_projective,
     reduced_density,
@@ -25,13 +24,12 @@ from qvote.qstate import (
 )
 from qvote.ballots import (
     _correlated_overlaps,
-    phase_vote_unitary,
-    shift_unitary,
     voting_qudit_state,
 )
 from qvote.protocols import _cast
 
 from conftest import random_state, random_unitary
+from reference import inner, phase_vote_unitary, shift_unitary
 
 
 def ghz(d, n):

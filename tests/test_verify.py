@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvote.ballots import Vote, cast_vote_db, prepare_db_ballot
+from qvote.ballots import Vote, cast_vote_db, prepare_db_ballot, prepare_tb_ballot
 from qvote.errors import ConfigurationError
-from qvote.qstate import LocalUnitary, PureState, inner, reduced_density
-from qvote import verify
+from qvote.qstate import CorrelatedState, PureState, reduced_density
+from qvote import protocols, verify
 from qvote.verify import (
     AnsatzResult,
     QubitSchemeParams,
@@ -23,6 +23,8 @@ from qvote.verify import (
     qutrit_solution_check,
 )
 from qvote import rng as rngmod
+
+from reference import inner
 
 
 class TestCheckPrivacy:
@@ -49,19 +51,31 @@ class TestCheckPrivacy:
         assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
 
     def test_wrong_db_vote_operator_fails(self, monkeypatch):
-        # Half the yes phase: equal tallies still agree, but neighbouring
+        # Half the yes angle: equal tallies still agree, but neighbouring
         # tallies are no longer orthogonal.
-        monkeypatch.setattr(verify, "vote_phases", lambda d: np.exp(1j * np.pi * np.arange(d) / d))
+        monkeypatch.setattr(verify, "_yes_angle", lambda d, e: np.pi * (e % d) / d)
         report = check_privacy("DB", 5, 3)
         assert report.passed is False
         assert report.worst_cross_tally_overlap > 0.1
 
     def test_wrong_tb_vote_operator_fails(self, monkeypatch):
         # A yes vote that leaves the travelling qudit where it was.
-        monkeypatch.setattr(verify, "shift_unitary", lambda d: LocalUnitary(d, np.eye(d)))
+        pair = prepare_tb_ballot(5).amps
+        monkeypatch.setattr(verify, "_tb_classes", lambda d, n: np.stack([pair] * (n + 1)))
         report = check_privacy("TB", 5, 3)
         assert report.passed is False
         assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
+
+    def test_voter_dependent_cast_fails(self, monkeypatch):
+        # Every voter casts voter 0's angle, so equal tallies differ.
+        def cast(d, thetas):
+            thetas = np.asarray(thetas)
+            return protocols._cast(d, np.repeat(thetas[..., :1], thetas.shape[-1], axis=-1))
+
+        monkeypatch.setattr(verify, "_cast", cast)
+        report = check_privacy("DB", 5, 4)
+        assert report.passed is False
+        assert report.worst_same_tally_deviation > 0.1
 
     def test_enumeration_guard(self):
         with pytest.raises(ConfigurationError):
@@ -72,18 +86,23 @@ class TestCheckPrivacy:
             check_privacy("SECURE", 7, 2)
 
     def test_compact_states_match_dense_pipeline(self):
-        # the report's overlap values must agree with full-state runs
-        d, n = 5, 3
-        states = {}
-        for votes in product([Vote.YES, Vote.NO], repeat=n):
-            state = prepare_db_ballot(d, n)
-            for site, v in enumerate(votes):
-                state = cast_vote_db(state, site, v)
-            states[votes] = state
-        for a in states.values():
-            for b in states.values():
-                got = abs(inner(a, b))
-                assert got == pytest.approx(1.0, abs=1e-12) or got <= 1e-12
+        # the report's overlap values must agree with full-state runs,
+        # including the aliased d = n = 3
+        for d, n in ((5, 3), (3, 3)):
+            classes = {}
+            for votes in product([Vote.YES, Vote.NO], repeat=n):
+                state = CorrelatedState.uniform(d, n).to_pure()
+                for site, v in enumerate(votes):
+                    state = cast_vote_db(state, site, v)
+                classes.setdefault(votes.count(Vote.YES), []).append(state)
+            same = max(abs(1 - abs(inner(members[0], s)))
+                       for members in classes.values() for s in members)
+            cross = max(abs(inner(classes[a][0], classes[b][0]))
+                        for a in classes for b in classes if a < b)
+            report = check_privacy("DB", d, n)
+            assert report.worst_same_tally_deviation == pytest.approx(same, abs=1e-12)
+            assert report.worst_cross_tally_overlap == pytest.approx(cross, abs=1e-12)
+            assert report.passed is (max(same, cross) <= report.tolerance)
 
 
 class TestCheckReducedIdentity:
