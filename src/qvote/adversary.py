@@ -21,10 +21,12 @@ row of per-voter angles that every trial shares. Both run all trials
 through one ``_secure_trials`` call, which casts and reads each row once
 for all its repetitions, and zip its per-trial tallies, outcomes and
 ps into their report; histograms are ``collections.Counter`` counts in
-first-seen key order. The TB collusion attack
-follows the pair in its d amplitudes, where only the first colluder's
-reading is random; the product-ballot readout is ``_phase_basis_probs``
-of one voter's qudit, or uniform on the honest ballot.
+first-seen key order. No attack keeps its own vote math. The TB collusion
+attack casts the votes before the first colluder's reading, the only
+random one, by ``protocols._cast`` and decodes the one-hot pair that
+reading leaves. The product ballot casts each voter's qudit as a
+one-voter ``_cast`` row and reads every row's ``_phase_basis_probs`` in
+one ``_pick``, or reads uniformly on the honest ballot.
 The swap test compares each double with one threshold per pair, its
 symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
 (2001)). Only ``detect_subset_correlation`` measures a dense state, the
@@ -33,7 +35,6 @@ with their own histogram loop, and the per-call swap-test CDF that these
 kernels must match draw for draw.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -47,15 +48,16 @@ from .ballots import (
     Vote,
     _phase_basis_probs,
     phase_readings,
-    vote_phases,
 )
 from .errors import ConfigurationError
 from .protocols import (
     RunResult,
     _agree,
+    _cast,
     _parse_votes,
     _phase_round,
     _secure_trials,
+    _yes_angle,
     honest_thetas,
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
 )
@@ -116,11 +118,6 @@ def _trial_count(trials, least: int = 0) -> int:
     return int(trials)
 
 
-def _renormalized(c: np.ndarray) -> np.ndarray:
-    """Each amplitude over its modulus, rounded as ``np.linalg.norm`` rounds a one-hot state."""
-    return c / np.sqrt(c.real * c.real + c.imag * c.imag)
-
-
 def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
                         rng: np.random.Generator) -> AttackReport:
     """Two voters bracket the others by measuring the travelling qudit.
@@ -153,24 +150,14 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     inferred = [expected] * len(u)
     diff_hist = {sum(yes) % d: len(u)} if len(u) else {}
 
-    # Phase votes keep the pair diagonal. The first reading k leaves c_k on
-    # |k, k>, renormalized; the second reads k again (spending u[:, 4]) and
-    # renormalizes once more. The phase decode of that one-hot state spends
-    # u[:, 5]. Entry k of c follows the outcome-k branch.
-    c = np.full(d, 1 / math.sqrt(d), dtype=complex)
-    phase = vote_phases(d)
-    for t in range(i + 1):
-        if yes[t]:
-            c = c * phase
+    # Phase votes keep the pair diagonal, sum_k c_k |k, k>. The first reading
+    # k leaves |k, k> times a unit phase; later votes and the second reading
+    # (which spends u[:, 4]) only rotate that phase, which no omega_p reading
+    # sees, so the decode (u[:, 5]) reads the one-hot row |k>.
+    c = _cast(d, _yes_angle(d, np.array(yes[:i + 1], dtype=int)))
     first_phase = _pick(_cdf(np.abs(c) ** 2), u[:, 3])
-    c = _renormalized(c)
-    for t in range(i + 1, config.N):
-        if t == j:
-            c = _renormalized(c)
-        if yes[t]:
-            c = c * phase
     one_hot = np.zeros((len(u), d), dtype=complex)
-    one_hot[np.arange(len(u)), first_phase] = c[first_phase]
+    one_hot[np.arange(len(u)), first_phase] = 1
     phase_hist = dict(Counter(phase_readings(one_hot, u[:, 5])))
 
     return AttackReport(
@@ -281,11 +268,9 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
         guesses = _pick(np.full(d, 1 / d).cumsum(), u)
         guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
     else:
-        uniform, phases = np.full(d, 1 / math.sqrt(d), dtype=complex), vote_phases(d)
-        guesses = np.empty(u.shape, dtype=int)
-        for t, e in enumerate(actual):
-            probs = _phase_basis_probs(uniform * phases[e * np.arange(d) % d])
-            guesses[:, t] = _pick(_cdf(probs), u[:, t])
+        # One (1,)-angle row per voter: that voter's qudit after its vote.
+        rows = _cast(d, _yes_angle(d, np.array(actual)[:, None]))
+        guesses = _pick(_cdf(_phase_basis_probs(rows)), u)
     hits = guesses == np.array(actual)
     per_trial_correct = hits.sum(axis=1).tolist()
 

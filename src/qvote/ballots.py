@@ -9,10 +9,11 @@ Three quantum schemes share these primitives:
 * SECURE: DB plus single-use "voting qudits" in secret-angle states,
   which stop anyone from voting twice undetected.
 
-The yes phase table has one definition, ``vote_phases``, and the omega_p
-reading one, ``phase_readings``; runs and ``verify.check_privacy`` cast the
-angle ``protocols._yes_angle``. The dense ``cast_vote_db`` (no run or attack
-calls it) serves single qudits and the tests. SECURE trials cast in the
+Runs, attacks and ``verify.check_privacy`` build a vote's phase row in one
+place, ``protocols._cast`` at the angle ``protocols._yes_angle``, and read
+the omega_p basis through ``phase_readings``. The dense ``cast_vote_db`` (no
+run or attack calls it) computes its own phases e^{i 2 pi (e k mod d) / d}
+and serves single qudits and the tests. SECURE trials cast in the
 correlated basis (``protocols._secure_trials``) and decode with
 ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast and
 the dense yes and shift operators.
@@ -156,11 +157,6 @@ def prepare_tb_ballot(d: int) -> PureState:
     return CorrelatedState.uniform(d, 2).to_pure()
 
 
-def vote_phases(d: int) -> np.ndarray:
-    """Eigenphases e^{i 2 pi k / d} of the yes-vote operator; its one definition."""
-    return np.exp(2j * np.pi * np.arange(d) / d)
-
-
 def voting_qudit_state(d: int, theta: float) -> PureState:
     """Single-use vote token (1/sqrt d) sum_k e^{ik theta} |k>."""
     amps = np.exp(1j * np.arange(d) * theta) / math.sqrt(d)
@@ -187,7 +183,7 @@ def cast_vote_db(state: PureState, voter_site: int, choice) -> PureState:
         return state
     axis = [1] * state.num_sites
     axis[voter_site] = d
-    phase = vote_phases(d)[exponent * np.arange(d) % d].reshape(axis)
+    phase = np.exp(2j * np.pi * (exponent * np.arange(d) % d) / d).reshape(axis)
     return PureState(state.dims, (state.shaped() * phase).reshape(-1))
 
 

@@ -196,6 +196,14 @@ def _yes_angle(d: int, exponent):
     return 2 * np.pi * (exponent % d) / d
 
 
+def _tb_shift(d: int, yes):
+    """The travelling qudit's shift, the yes count mod d; ``yes`` has one entry per voter, 1 if yes.
+
+    Entries may be arrays, one pattern per element.
+    """
+    return sum(yes) % d
+
+
 def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.Generator,
                  transcript: Transcript | None = None):
     """One DB or SURVEY round in the correlated basis; returns the decoded tally.
@@ -226,13 +234,13 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
                 transcript: Transcript | None = None) -> RunResult:
     """Travelling-ballot round; yes votes shift the moving qudit (site 1).
 
-    The pair stays sum_k |k, k + s> / sqrt(d) with s the yes count mod d, so
+    The pair stays sum_k |k, k + s> / sqrt(d) with s = ``_tb_shift``, so
     ``decode_tb`` reads s whatever its one double is; the run draws that
     double and never builds the pair.
     """
     choices = _parse_votes(config, votes, Scheme.TB)
     rng.random()
-    m = sum(c is Vote.YES for c in choices) % config.d
+    m = _tb_shift(config.d, [c is Vote.YES for c in choices])
     if transcript:
         _log_round(transcript, 0, {"scheme": "TB", "d": config.d, "N": config.N},
                    [(1, {"commitment": transcript.commit(0, i, c.value)})

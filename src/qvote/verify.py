@@ -4,8 +4,8 @@ The privacy conditions require post-vote states to have unit-modulus
 overlap exactly when their tallies agree and zero overlap otherwise.
 ``check_privacy`` tests them on the states the runs produce: it casts
 every DB yes/no pattern by ``protocols._cast`` at the angles the runs
-use, and rolls the uniform TB pair by each tally along the travelling
-qudit.
+use, and rolls the uniform TB pair along the travelling qudit by each
+pattern's ``protocols._tb_shift``, the shift ``run_tb_vote`` reads.
 For two qubit voters those conditions reduce to four expectation-value
 equations with no solution; ``qubit_nogo_search`` witnesses that
 numerically by minimizing the summed violation, while
@@ -21,7 +21,7 @@ import numpy as np
 
 from .ballots import prepare_tb_ballot
 from .errors import ConfigurationError
-from .protocols import _cast, _yes_angle
+from .protocols import _cast, _tb_shift, _yes_angle
 from .qstate import PureState, reduced_density
 
 SIGMA = np.array([
@@ -108,26 +108,33 @@ def _same_tally_deviation(reps: np.ndarray, rows: np.ndarray) -> float:
     return float(np.abs(1 - np.abs((reps.conj() * rows).sum(axis=-1))).max())
 
 
-def _db_classes(d: int, N: int) -> tuple[np.ndarray, float]:
-    """Each DB tally's first pattern as ``_cast`` casts it, and the worst same-tally deviation.
-
-    Bit j of pattern i is voter j's vote, so tally w first occurs at i = 2^w - 1.
-    """
-    patterns = (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
+def _db_classes(d: int, patterns: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each DB tally's first pattern as ``_cast`` casts it, and the worst same-tally deviation."""
     tallies = patterns.sum(axis=1)
     angles = _yes_angle(d, patterns)
-    reps = _cast(d, angles[2 ** np.arange(N + 1) - 1])
+    reps = _cast(d, angles[first])
     worst = 0.0
-    for start in range(0, 2 ** N, CAST_BLOCK):
+    for start in range(0, len(patterns), CAST_BLOCK):
         block = slice(start, start + CAST_BLOCK)
         worst = max(worst, _same_tally_deviation(reps[tallies[block]], _cast(d, angles[block])))
     return reps, worst
 
 
-def _tb_classes(d: int, N: int) -> np.ndarray:
-    """The TB pair after s = 0..N yes votes, one row each: the uniform pair rolled on site 1."""
+def _tb_classes(d: int, patterns: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each TB tally's first pattern as the run shifts it, and the worst same-tally deviation.
+
+    A pattern's pair is the uniform pair rolled on site 1 by its
+    ``_tb_shift``. Each distinct (tally, shift) class is rolled once and
+    compared with its tally's first pattern, so at most one extra pair is
+    held at a time.
+    """
+    shifts = _tb_shift(d, patterns.T)
     pair = prepare_tb_ballot(d).shaped()
-    return np.stack([np.roll(pair, s, axis=1).ravel() for s in range(N + 1)])
+    reps = np.stack([np.roll(pair, s, axis=1).ravel() for s in shifts[first]])
+    classes = np.unique(patterns.sum(axis=1) * d + shifts)
+    worst = max(_same_tally_deviation(reps[t], np.roll(pair, s, axis=1).ravel())
+                for t, s in zip(*divmod(classes, d)))
+    return reps, worst
 
 
 def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> PrivacyReport:
@@ -152,11 +159,10 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
         raise ConfigurationError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
     check_tolerance(tolerance)
 
-    if scheme == "DB":
-        reps, worst_same = _db_classes(d, N)
-    else:
-        reps = _tb_classes(d, N)
-        worst_same = _same_tally_deviation(reps, reps)
+    # Bit j of pattern i is voter j's vote, so tally w first occurs at i = 2^w - 1.
+    patterns = (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
+    classes = _db_classes if scheme == "DB" else _tb_classes
+    reps, worst_same = classes(d, patterns, 2 ** np.arange(N + 1) - 1)
     cross = np.abs(reps.conj() @ reps.T)[np.triu_indices(N + 1, 1)]
     worst_cross = float(cross.max())
     passed = bool(worst_same <= tolerance and worst_cross <= tolerance)

@@ -45,7 +45,6 @@ from qvote.ballots import (
     prepare_tb_ballot,
     secure_tally,
     voting_qudit_state,
-    vote_phases,
 )
 from qvote.errors import ConfigurationError
 from qvote.protocols import _parse_votes, honest_thetas
@@ -72,7 +71,7 @@ def inner(a: PureState, b: PureState) -> complex:
 
 def phase_vote_unitary(d: int) -> LocalUnitary:
     """Yes-vote operator diag(e^{i 2 pi k / d})."""
-    return LocalUnitary(d, np.diag(vote_phases(d)))
+    return LocalUnitary(d, np.diag(np.exp(2j * np.pi * np.arange(d) / d)))
 
 
 def shift_unitary(d: int) -> LocalUnitary:

@@ -245,6 +245,24 @@ def test_forgery_verdicts_follow_the_fixture_decoder(forgery_fixture, forgery_re
             assert trial["detected"] is (None in ms or len(set(ms)) > 1)
 
 
+def test_forgery_p_counts_follow_the_fejer_law(forgery_fixture, forgery_reports):
+    # Given its eps, each of a trial's readings draws p from the fixture's
+    # Fejer law q_p(phi), phi = 2 pi ((m + 1) dl mod d) / d + eps. Pooled over
+    # the trials, the counts of p must fit sum_t R q_p(phi_t): a chi-square
+    # with d - 1 degrees of freedom at a false-alarm level of 1e-3 per report.
+    # Every expected count is above 100 at 10k trials.
+    d, honest = forgery_fixture["d"], forgery_fixture["honest_tally"]
+    for report, dl in zip(forgery_reports, (1, 3)):
+        observed, expected = np.zeros(d), np.zeros(d)
+        for trial in report.extras["per_trial"]:
+            assert INVALID not in trial["p"]
+            np.add.at(observed, trial["p"], 1)
+            phi = 2 * np.pi * ((honest + 1) * dl % d) / d + trial["eps"]
+            expected += len(trial["p"]) * forgery_model.outcome_probs(d, phi)
+        _, pvalue = chisquare(observed, expected * observed.sum() / expected.sum())
+        assert pvalue >= 1e-3, (dl, observed.tolist())
+
+
 def test_forgery_reports_replay_bit_exactly(forgery_reports):
     dumped = json.dumps([r.to_dict() for r in forgery_reports], sort_keys=True)
     assert hashlib.sha256(dumped.encode()).hexdigest() == FORGERY_REPORTS_SHA256

@@ -22,11 +22,11 @@ from qvote.ballots import (
     prepare_db_ballot,
     prepare_tb_ballot,
     secure_tally,
-    vote_phases,
     voting_qudit_state,
     _phase_basis_probs,
 )
 from qvote.errors import ConfigurationError
+from qvote.protocols import _cast, _yes_angle
 from qvote.qstate import (
     INVALID,
     CorrelatedState,
@@ -173,33 +173,40 @@ class TestVotingOperators:
 
 class TestVotePhases:
     def test_dense_operator_and_cast_carry_the_table_bits(self):
-        # The dense yes operator and the dense cast, which the tests and the
-        # benchmark tracer still use, must not drift from the one table.
+        # cast_vote_db computes e^{i 2 pi (e k mod d) / d} inline. It must
+        # keep the bits of the yes table e^{i 2 pi k / d} indexed at e k mod d,
+        # which the dense operator in reference.py holds.
         g = np.random.default_rng(31)
         for d in range(2, 65):
-            phases = vote_phases(d)
+            k = np.arange(d)
+            table = np.exp(2j * np.pi * k / d)
             assert np.array_equal(phase_vote_unitary(d).mat.diagonal().copy().view(np.uint64),
-                                  phases.view(np.uint64))
+                                  table.view(np.uint64))
             amps = g.normal(size=4 * d) + 1j * g.normal(size=4 * d)
             state = PureState.from_amplitudes((2, d, 2), amps)
             for e in range(2 * d + 1):
-                expected = state.shaped() * phases[e * np.arange(d) % d].reshape(1, d, 1)
+                expected = state.shaped() * table[e * k % d].reshape(1, d, 1)
                 assert np.array_equal(cast_vote_db(state, 1, e).amps.view(np.uint64),
                                       expected.reshape(-1).view(np.uint64)), (d, e)
 
 
 class TestPhaseBasisProbs:
     def test_product_ballot_cdfs_equal_the_orthonormal_fft(self):
-        # The product-ballot readout reads a voter's qudit through
-        # _phase_basis_probs; its CDFs must keep the bits of
-        # |fft(x, norm="ortho")|^2, here for every d up to 1009.
+        # The product ballot casts one (1,)-angle row per voter through
+        # protocols._cast and reads the rows' CDFs in one batch. Each row must
+        # be the uniform qudit times e^{ik theta}, exp for exp, and each CDF
+        # must keep the bits of |fft(row, norm="ortho")|^2 taken on its own,
+        # here for every d up to 1009.
         for d in range(2, 1010):
-            uniform = np.full(d, 1 / math.sqrt(d), dtype=complex)
-            for e in (0, 1):
-                x = uniform * vote_phases(d)[e * np.arange(d) % d]
-                got = _cdf(_phase_basis_probs(x))
+            k = np.arange(d)
+            angles = _yes_angle(d, np.array([[0], [1]]))
+            rows = _cast(d, angles)
+            got = _cdf(_phase_basis_probs(rows))
+            for e, row in enumerate(rows):
+                x = np.full(d, 1 / math.sqrt(d), dtype=complex) * np.exp(1j * k * angles[e, 0])
+                assert np.array_equal(row.view(np.uint64), x.view(np.uint64)), (d, e)
                 ref = _cdf(np.abs(np.fft.fft(x, norm="ortho")) ** 2)
-                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (d, e)
+                assert np.array_equal(got[e].view(np.uint64), ref.view(np.uint64)), (d, e)
 
 
 class TestVotingQuditState:

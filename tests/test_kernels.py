@@ -10,6 +10,8 @@ fails them. The Monte Carlo attacks take their trials' doubles from
 with a fresh ``rng.spawn`` loop that draws the stated count per stream.
 """
 
+import hashlib
+import json
 import tracemalloc
 from collections import Counter
 
@@ -476,3 +478,44 @@ def test_product_ballot_rejects_a_wrong_vote_count():
     with pytest.raises(ConfigurationError, match="expected 3 votes, got 2"):
         authority_product_ballot(BallotConfig(5, 3, Scheme.DB), "YN",
                                  np.random.default_rng(0), trials=5)
+
+
+class TestReportPins:
+    # sha256 of json.dumps(report.to_dict(), sort_keys=True) for 2000 trials
+    # on rngmod.stream(23, TRIAL). At d = 11 and 101 the bits of
+    # protocols._cast's yes row differ from those of the table
+    # exp(2j * pi * k / d) that these reports were first recorded with;
+    # a reading moves only if a double lands within about 1e-16 of a CDF step.
+    COLLUSION = {
+        (11, "YNYYNYYN", (1, 6)):
+            "0d7e90c2be2866e4157049bd61fa050eb7391eb7626e59bc0c447a40150ed7bc",
+        (101, "YYNYNYYNYY", (0, 8)):
+            "791b9d31ad9144baad4c85a4d55ded72477944f35dbb50aa5211d8692eac2c6b",
+    }
+    PRODUCT = {
+        (11, "YNYYN", False): "56846d24ac9d74acdc6ae95c5a625e7481d3a38eab72de27532cea5fe54b9f63",
+        (11, "YNYYN", True): "4efc821f8872391cd6d8361d76683993806b2e2c325434da9afb655df7adba41",
+        (101, "YYNYNNYNYY", False):
+            "d8074680f4bd07b453848221631d6f7356622377dfa86aa84c03b884a63dda4d",
+        (101, "YYNYNNYNYY", True):
+            "40f4db8282c6025fd654d56354759ddf15f85b3917f52ced64be07bd78959e9c",
+    }
+
+    @staticmethod
+    def digest(report) -> str:
+        return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("case", list(COLLUSION), ids=lambda c: f"d{c[0]}")
+    def test_collusion(self, case):
+        d, votes, colluders = case
+        report = collusion_attack_tb(BallotConfig(d, len(votes), Scheme.TB), votes, colluders,
+                                     2000, rngmod.stream(23, rngmod.TRIAL))
+        assert self.digest(report) == self.COLLUSION[case]
+
+    @pytest.mark.parametrize("case", list(PRODUCT), ids=lambda c: f"d{c[0]}-honest{c[2]}")
+    def test_product_ballot(self, case):
+        d, votes, honest = case
+        report = authority_product_ballot(BallotConfig(d, len(votes), Scheme.DB), votes,
+                                          rngmod.stream(23, rngmod.TRIAL), trials=2000,
+                                          honest_ballot=honest)
+        assert self.digest(report) == self.PRODUCT[case]

@@ -314,6 +314,23 @@ class TestSample:
                 assert picks.tolist() == [[int(_pick(row, x)) for x in us]
                                           for row, us in zip(cdf, u)]
 
+    def test_row_cdfs_broadcast_against_a_column_per_row(self):
+        # (N, m) CDFs against (T, N) doubles: column t of the doubles reads
+        # row t's CDF, so each pick must equal the 1-D pick of that double,
+        # at random doubles and on the steps.
+        gen = np.random.default_rng(79)
+        for trial in range(200):
+            n, t, m = (int(x) for x in gen.integers(1, [8, 20, 20]))
+            weights = gen.random((n, m)) ** 4 * (gen.random((n, m)) < 0.8)
+            weights[:, -1] += 1e-3
+            cdf = _cdf(weights)
+            on_steps = cdf[np.arange(n), gen.integers(0, m, (t, n))]
+            for u in (gen.random((t, n)), on_steps, np.nextafter(on_steps, 0.0)):
+                picks = _pick(cdf, u)
+                assert picks.shape == (t, n)
+                assert picks.tolist() == [[int(_pick(row, x)) for row, x in zip(cdf, us)]
+                                          for us in u]
+
     def test_invalid_complement_is_the_last_index(self):
         full = _with_invalid(np.array([0.0, -1e-17]))
         assert _pick(_cdf(full), np.random.default_rng(0).random()) == 2

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvote.ballots import Vote, cast_vote_db, prepare_db_ballot, prepare_tb_ballot
+from qvote.ballots import BallotConfig, Scheme, Vote, cast_vote_db, prepare_db_ballot
 from qvote.errors import ConfigurationError
 from qvote.qstate import CorrelatedState, PureState, reduced_density
 from qvote import protocols, verify
+from qvote.protocols import run_tb_vote
 from qvote.verify import (
     AnsatzResult,
     QubitSchemeParams,
@@ -60,11 +61,28 @@ class TestCheckPrivacy:
 
     def test_wrong_tb_vote_operator_fails(self, monkeypatch):
         # A yes vote that leaves the travelling qudit where it was.
-        pair = prepare_tb_ballot(5).amps
-        monkeypatch.setattr(verify, "_tb_classes", lambda d, n: np.stack([pair] * (n + 1)))
+        monkeypatch.setattr(verify, "_tb_shift", lambda d, yes: 0 * yes[0])
         report = check_privacy("TB", 5, 3)
         assert report.passed is False
         assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
+
+    def test_tb_shift_that_drops_a_voter_fails(self, monkeypatch):
+        # The run's shift ignores voter 0: equal tallies land on different
+        # shifts, and voter 0's lone yes reads as tally 0.
+        real = protocols._tb_shift
+        monkeypatch.setattr(verify, "_tb_shift", lambda d, yes: real(d, yes[1:]))
+        report = check_privacy("TB", 5, 3)
+        assert report.passed is False
+        assert report.worst_same_tally_deviation == pytest.approx(1, abs=1e-12)
+        assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
+
+    def test_tb_reads_the_runs_shift(self):
+        # Each pattern's shift is the tally run_tb_vote reports for it.
+        config = BallotConfig(5, 3, Scheme.TB)
+        for bits in product([0, 1], repeat=3):
+            votes = ["Y" if b else "N" for b in bits]
+            assert (run_tb_vote(config, votes, np.random.default_rng(0)).m
+                    == protocols._tb_shift(5, bits))
 
     def test_voter_dependent_cast_fails(self, monkeypatch):
         # Every voter casts voter 0's angle, so equal tallies differ.
