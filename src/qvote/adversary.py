@@ -57,6 +57,7 @@ from .protocols import (
     _parse_votes,
     _phase_round,
     _secure_trials,
+    _tb_shift,
     _yes_angle,
     honest_thetas,
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
@@ -148,7 +149,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     u = rngmod.child_doubles(rng, _trial_count(trials), 6)[0]
     # Shift variant: the readings differ by ``expected`` (< d) whatever u[:, 0:3] hold.
     inferred = [expected] * len(u)
-    diff_hist = {sum(yes) % d: len(u)} if len(u) else {}
+    diff_hist = {_tb_shift(d, yes): len(u)} if len(u) else {}
 
     # Phase votes keep the pair diagonal, sum_k c_k |k, k>. The first reading
     # k leaves |k, k> times a unit phase; later votes and the second reading

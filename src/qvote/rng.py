@@ -39,7 +39,6 @@ AUTHORITY = 0
 REPETITION = 1
 TRIAL = 2
 COMMITMENT = 3
-DETECTION = 4
 VOTES = 5
 
 _M32 = 0xFFFFFFFF

@@ -2,10 +2,11 @@
 
 The privacy conditions require post-vote states to have unit-modulus
 overlap exactly when their tallies agree and zero overlap otherwise.
-``check_privacy`` tests them on the states the runs produce: it casts
-every DB yes/no pattern by ``protocols._cast`` at the angles the runs
-use, and rolls the uniform TB pair along the travelling qudit by each
-pattern's ``protocols._tb_shift``, the shift ``run_tb_vote`` reads.
+``check_privacy`` tests them on the states the runs produce, one block
+of yes/no patterns at a time: a DB pattern is its ``protocols._cast``
+row at the angles the runs use, and a TB pattern is the unit row e_s of
+its ``protocols._tb_shift``, the shift ``run_tb_vote`` reports, which
+stands for the pair sum_k |k, k + s> / sqrt(d) with the same overlaps.
 For two qubit voters those conditions reduce to four expectation-value
 equations with no solution; ``qubit_nogo_search`` witnesses that
 numerically by minimizing the summed violation, while
@@ -19,7 +20,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ballots import prepare_tb_ballot
 from .errors import ConfigurationError
 from .protocols import _cast, _tb_shift, _yes_angle
 from .qstate import PureState, reduced_density
@@ -98,43 +98,15 @@ def check_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-# Rows per ``_cast`` call: a row's bits do not depend on its batch, and
-# 2^16 patterns cast about twice as fast in blocks of this size as in one.
+# Rows per block of the same-tally check: a ``_cast`` row's bits do not
+# depend on its batch, and 2^16 patterns cast about twice as fast in blocks
+# of this size as in one. TB unit rows use the same blocks.
 CAST_BLOCK = 1024
 
 
 def _same_tally_deviation(reps: np.ndarray, rows: np.ndarray) -> float:
     """Worst |1 - |<rep|row>||, row by row."""
     return float(np.abs(1 - np.abs((reps.conj() * rows).sum(axis=-1))).max())
-
-
-def _db_classes(d: int, patterns: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each DB tally's first pattern as ``_cast`` casts it, and the worst same-tally deviation."""
-    tallies = patterns.sum(axis=1)
-    angles = _yes_angle(d, patterns)
-    reps = _cast(d, angles[first])
-    worst = 0.0
-    for start in range(0, len(patterns), CAST_BLOCK):
-        block = slice(start, start + CAST_BLOCK)
-        worst = max(worst, _same_tally_deviation(reps[tallies[block]], _cast(d, angles[block])))
-    return reps, worst
-
-
-def _tb_classes(d: int, patterns: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each TB tally's first pattern as the run shifts it, and the worst same-tally deviation.
-
-    A pattern's pair is the uniform pair rolled on site 1 by its
-    ``_tb_shift``. Each distinct (tally, shift) class is rolled once and
-    compared with its tally's first pattern, so at most one extra pair is
-    held at a time.
-    """
-    shifts = _tb_shift(d, patterns.T)
-    pair = prepare_tb_ballot(d).shaped()
-    reps = np.stack([np.roll(pair, s, axis=1).ravel() for s in shifts[first]])
-    classes = np.unique(patterns.sum(axis=1) * d + shifts)
-    worst = max(_same_tally_deviation(reps[t], np.roll(pair, s, axis=1).ravel())
-                for t, s in zip(*divmod(classes, d)))
-    return reps, worst
 
 
 def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> PrivacyReport:
@@ -161,8 +133,24 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
 
     # Bit j of pattern i is voter j's vote, so tally w first occurs at i = 2^w - 1.
     patterns = (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
-    classes = _db_classes if scheme == "DB" else _tb_classes
-    reps, worst_same = classes(d, patterns, 2 ** np.arange(N + 1) - 1)
+    if scheme == "DB":
+        angles = _yes_angle(d, patterns)
+
+        def rows(i):
+            return _cast(d, angles[i])
+    else:
+        # e_s -> sum_k |k, k + s> / sqrt(d) is an isometry, so the unit rows
+        # of the run's shifts have exactly the overlaps of the TB pairs.
+        shifts, unit = _tb_shift(d, patterns.T), np.eye(d)
+
+        def rows(i):
+            return unit[shifts[i]]
+    tallies = patterns.sum(axis=1)
+    reps = rows(2 ** np.arange(N + 1) - 1)
+    worst_same = 0.0
+    for start in range(0, len(patterns), CAST_BLOCK):
+        block = slice(start, start + CAST_BLOCK)
+        worst_same = max(worst_same, _same_tally_deviation(reps[tallies[block]], rows(block)))
     cross = np.abs(reps.conj() @ reps.T)[np.triu_indices(N + 1, 1)]
     worst_cross = float(cross.max())
     passed = bool(worst_same <= tolerance and worst_cross <= tolerance)

@@ -23,8 +23,9 @@ phase cast with one exp per voter, which ``protocols._cast`` must match
 bit for bit with one exp per distinct angle. ``solve_tally`` is the
 per-reading tally map that ``secure_tally`` must reproduce, and
 ``agreed_tally`` the agreement rule ``protocols._secure_trials`` must
-apply to each trial's readings. The references count their histograms
-with their own ``_bump`` loop.
+apply to each trial's readings. ``tb_privacy`` is the TB privacy check
+on the dense pairs, which ``check_privacy`` replaces with unit rows. The
+references count their histograms with their own ``_bump`` loop.
 """
 
 import math
@@ -47,7 +48,7 @@ from qvote.ballots import (
     voting_qudit_state,
 )
 from qvote.errors import ConfigurationError
-from qvote.protocols import _parse_votes, honest_thetas
+from qvote.protocols import _parse_votes, _tb_shift, honest_thetas
 from qvote.qstate import (
     ATOL,
     CorrelatedState,
@@ -187,6 +188,24 @@ def tb_vote(config: BallotConfig, votes, rng: np.random.Generator, stage_hook=No
         if stage_hook:
             stage_hook(f"after_vote_{i}", state)
     return decode_tb(state, config.d, rng)
+
+
+def tb_privacy(d: int, N: int) -> tuple[float, float]:
+    """``check_privacy("TB", d, N)``'s (worst same-tally, worst cross-tally) values on dense pairs.
+
+    A pattern's pair is the uniform pair rolled on site 1 by its
+    ``_tb_shift``. Each distinct (tally, shift) class is rolled once and
+    compared with its tally's first pattern.
+    """
+    patterns = (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
+    shifts = _tb_shift(d, patterns.T)
+    pair = prepare_tb_ballot(d).shaped()
+    reps = np.stack([np.roll(pair, s, axis=1).ravel() for s in shifts[2 ** np.arange(N + 1) - 1]])
+    classes = np.unique(patterns.sum(axis=1) * d + shifts)
+    same = max(abs(1 - abs((reps[t].conj() * np.roll(pair, s, axis=1).ravel()).sum()))
+               for t, s in zip(*divmod(classes, d)))
+    cross = np.abs(reps.conj() @ reps.T)[np.triu_indices(N + 1, 1)]
+    return float(same), float(cross.max())
 
 
 def cast(d: int, thetas) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 from itertools import product
 
@@ -25,7 +26,7 @@ from qvote.verify import (
 )
 from qvote import rng as rngmod
 
-from reference import inner
+from reference import inner, tb_privacy
 
 
 class TestCheckPrivacy:
@@ -75,6 +76,26 @@ class TestCheckPrivacy:
         assert report.passed is False
         assert report.worst_same_tally_deviation == pytest.approx(1, abs=1e-12)
         assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
+
+    def test_tb_matches_the_dense_pairs(self):
+        # Unit rows e_s stand for the pairs sum_k |k, k + s> / sqrt(d).
+        for d in range(2, 12):
+            for n in range(1, 9):
+                report = check_privacy("TB", d, n)
+                same, cross = tb_privacy(d, n)
+                assert report.worst_same_tally_deviation == round(same, 12), (d, n)
+                assert report.worst_cross_tally_overlap == round(cross, 12), (d, n)
+                assert report.passed is (max(same, cross) <= report.tolerance), (d, n)
+
+    def test_tb_memory_stays_linear_in_d(self):
+        # N + 1 dense d x d pairs at d=509 peak near 150 MB.
+        tracemalloc.start()
+        try:
+            assert check_privacy("TB", 509, 16).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_tb_reads_the_runs_shift(self):
         # Each pattern's shift is the tally run_tb_vote reports for it.
