@@ -4,7 +4,11 @@ Exit codes: 0 clean / pass, 1 cheating detected or verification failed,
 2 configuration problem. Scenario configs are strict JSON (unknown keys,
 integral floats, NaN and Infinity rejected) and every run requires an
 explicit seed; ``run`` sets fields only by ``--override`` and reads no
-environment variable.
+environment variable. ``check_config`` checks a config by hand and reports
+its first problem as ``field <path>: <message>``: the object's type, its
+unknown keys, its missing keys, then each present field in the table's
+order, depth first; a value's type before its bounds, an array's length
+before its items.
 """
 
 import argparse
@@ -14,7 +18,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import rng as rngmod
@@ -59,52 +62,69 @@ EXIT_CLEAN = 0
 EXIT_CHEATING = 1
 EXIT_CONFIG = 2
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["scheme", "d", "n", "seed"],
-    "properties": {
-        "scheme": {"enum": ["DB", "TB", "SECURE", "SURVEY"]},
-        "d": {"type": "integer", "minimum": 2},
-        "n": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer", "minimum": 0},
-        "votes": {"type": "array", "items": {"type": ["string", "integer"]}},
-        "vote_distribution": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"p_yes": {"type": "number", "minimum": 0, "maximum": 1}},
-            "required": ["p_yes"],
-        },
-        "secrets": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"l_y": {"type": "integer"}, "l_n": {"type": "integer"},
-                           "delta": {"type": "number"}},
-            "required": ["l_y", "l_n", "delta"],
-        },
-        "repetitions": {"type": "integer", "minimum": 1},
-        "max_total": {"type": "integer", "minimum": 0},
-        "trials": {"type": "integer", "minimum": 1},
-        "attack": {
-            "type": "object", "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["collusion", "multi_vote", "phase_estimate",
-                                  "product_ballot", "mismatched_thetas"]},
-                "colluders": {"type": "array", "items": {"type": "integer"},
-                              "minItems": 2, "maxItems": 2},
-                "cheater": {"type": "integer", "minimum": 0},
-                "extra": {"type": "integer", "minimum": 0},
-                "scale": {"type": "number", "minimum": 0},
-                "honest_ballot": {"type": "boolean"},
-                "yes_l_shifts": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-    },
-}
-# Built once: jsonschema.validate would check the schema itself on every call.
-# JSON Schema's "integer" admits 7.0; a dimension, count or seed must be an int.
-_BASE = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-_INTEGER = _BASE.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
-CONFIG_VALIDATOR = jsonschema.validators.extend(_BASE, type_checker=_INTEGER)(CONFIG_SCHEMA)
+# JSON types by exact Python type: an integer is an int (not 7.0), a number never a bool.
+_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,),
+          "array": (list,), "object": (dict,)}
+
+
+def _fail(path: tuple, message: str):
+    raise ConfigurationError(f"field {'.'.join(map(str, path)) or '<root>'}: {message}")
+
+
+def _spec(*types, low=None, high=None, enum=None, items=None, size=None, required=(),
+          fields=None):
+    """A checker of one JSON value that raises on its first problem, in this order."""
+    def check(value, path=()):
+        if enum is not None and value not in enum:
+            _fail(path, f"{value!r} is not one of {enum!r}")
+        if types and not any(type(value) in _TYPES[t] for t in types):
+            _fail(path, f"{value!r} is not of type {', '.join(map(repr, types))}")
+        if low is not None and value < low:
+            _fail(path, f"{value!r} is less than the minimum of {low!r}")
+        if high is not None and value > high:
+            _fail(path, f"{value!r} is greater than the maximum of {high!r}")
+        if size is not None and len(value) != size:
+            _fail(path, f"{value!r} is too {'short' if len(value) < size else 'long'}")
+        for i, item in enumerate(value if items else ()):
+            items(item, path + (i,))
+        extra = sorted(k for k in value if k not in fields) if fields else ()
+        if extra:
+            _fail(path, f"Additional properties are not allowed ({', '.join(map(repr, extra))}"
+                        f" {'was' if len(extra) == 1 else 'were'} unexpected)")
+        for key in required:
+            if key not in value:
+                _fail(path, f"{key!r} is a required property")
+        for key, field in (fields or {}).items():
+            if key in value:
+                field(value[key], path + (key,))
+    return check
+
+
+_INT, _NONNEG = _spec("integer"), _spec("integer", low=0)
+check_config = _spec("object", required=("scheme", "d", "n", "seed"), fields=dict(
+    scheme=_spec(enum=["DB", "TB", "SECURE", "SURVEY"]),
+    d=_spec("integer", low=2), n=_NONNEG, seed=_NONNEG,
+    votes=_spec("array", items=_spec("string", "integer")),
+    vote_distribution=_spec("object", required=("p_yes",),
+                            fields=dict(p_yes=_spec("number", low=0, high=1))),
+    secrets=_spec("object", required=("l_y", "l_n", "delta"),
+                  fields=dict(l_y=_INT, l_n=_INT, delta=_spec("number"))),
+    repetitions=_spec("integer", low=1), max_total=_NONNEG, trials=_spec("integer", low=1),
+    attack=_spec("object", required=("name",), fields=dict(
+        name=_spec(enum=["collusion", "multi_vote", "phase_estimate", "product_ballot",
+                         "mismatched_thetas"]),
+        colluders=_spec("array", size=2, items=_INT), cheater=_NONNEG, extra=_NONNEG,
+        scale=_spec("number", low=0), honest_ballot=_spec("boolean"),
+        yes_l_shifts=_spec("array", items=_INT))),
+))
+
+
+def __getattr__(name: str):
+    # Imports jsonschema only when read: bench/tracing.py proxies cli.jsonschema
+    # until the bench refresh (ROADMAP item 1) drops that, and this hook with it.
+    if name != "jsonschema":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return __import__(name)
 
 
 def _no_constant(name: str):
@@ -141,10 +161,7 @@ def _load_scenario(args) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     _apply_overrides(cfg, args.override)
-    error = jsonschema.exceptions.best_match(CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigurationError(f"field {path}: {error.message}")
+    check_config(cfg)
     return cfg
 
 
@@ -214,7 +231,7 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
         # Hit counts are not tallies; the key keeps report from comparing them.
         outcomes = [{"hits": k} for k in report.extras["per_trial_correct"]]
         detected = False
-    else:  # mismatched_thetas: the schema admits no other name
+    else:  # mismatched_thetas: check_config admits no other name
         _require_scheme(config, Scheme.SECURE)  # before config.secrets is read
         shifts = attack.get("yes_l_shifts", list(range(config.N)))
         d, s = config.d, config.secrets

@@ -26,10 +26,16 @@ per-reading tally map that ``secure_tally`` must reproduce, and
 apply to each trial's readings. ``tb_privacy`` is the TB privacy check
 on the dense pairs, which ``check_privacy`` replaces with unit rows. The
 references count their histograms with their own ``_bump`` loop.
+
+``CONFIG_SCHEMA`` is the scenario config as a JSON Schema, and
+``CONFIG_VALIDATOR`` checks it with an int-only "integer" type: the
+reference that ``cli.check_config`` must agree with, accept for accept, and
+message for message where a config has exactly one error.
 """
 
 import math
 
+import jsonschema
 import numpy as np
 
 from qvote.adversary import CHEATING, CLEAN, AttackReport
@@ -61,6 +67,52 @@ from qvote.qstate import (
     measure_computational,
     tensor,
 )
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["scheme", "d", "n", "seed"],
+    "properties": {
+        "scheme": {"enum": ["DB", "TB", "SECURE", "SURVEY"]},
+        "d": {"type": "integer", "minimum": 2},
+        "n": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0},
+        "votes": {"type": "array", "items": {"type": ["string", "integer"]}},
+        "vote_distribution": {
+            "type": "object", "additionalProperties": False,
+            "properties": {"p_yes": {"type": "number", "minimum": 0, "maximum": 1}},
+            "required": ["p_yes"],
+        },
+        "secrets": {
+            "type": "object", "additionalProperties": False,
+            "properties": {"l_y": {"type": "integer"}, "l_n": {"type": "integer"},
+                           "delta": {"type": "number"}},
+            "required": ["l_y", "l_n", "delta"],
+        },
+        "repetitions": {"type": "integer", "minimum": 1},
+        "max_total": {"type": "integer", "minimum": 0},
+        "trials": {"type": "integer", "minimum": 1},
+        "attack": {
+            "type": "object", "additionalProperties": False,
+            "required": ["name"],
+            "properties": {
+                "name": {"enum": ["collusion", "multi_vote", "phase_estimate",
+                                  "product_ballot", "mismatched_thetas"]},
+                "colluders": {"type": "array", "items": {"type": "integer"},
+                              "minItems": 2, "maxItems": 2},
+                "cheater": {"type": "integer", "minimum": 0},
+                "extra": {"type": "integer", "minimum": 0},
+                "scale": {"type": "number", "minimum": 0},
+                "honest_ballot": {"type": "boolean"},
+                "yes_l_shifts": {"type": "array", "items": {"type": "integer"}},
+            },
+        },
+    },
+}
+# JSON Schema's "integer" admits 7.0; a dimension, count or seed must be an int.
+_BASE = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_INTEGER = _BASE.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+CONFIG_VALIDATOR = jsonschema.validators.extend(_BASE, type_checker=_INTEGER)(CONFIG_SCHEMA)
 
 
 def inner(a: PureState, b: PureState) -> complex:

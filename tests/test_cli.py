@@ -1,10 +1,14 @@
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from qvote.cli import CONFIG_SCHEMA, PARSER, main
+import reference
+from qvote.cli import PARSER, check_config, main
+from qvote.errors import ConfigurationError
 
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -233,8 +237,82 @@ class TestCmdVerify:
 
 
 def test_config_schema_is_valid():
-    # The validator is built once at import and no longer checks the schema.
-    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    # The reference validator is built once at import and does not check its schema.
+    schema = reference.CONFIG_SCHEMA
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+# Values of the wrong type or range for any field: integral floats, bools,
+# out-of-range numbers, strings, arrays and objects.
+ODD = [None, True, False, -1, 0, 1, 7.0, 0.5, 1.5, -0.5, "x", "Y", [], [1, 2, 3], {}, {"x": 1}]
+
+
+def _pick(*values):
+    return lambda rng: rng.choice(values)
+
+
+def _draw(rng, field):
+    return field(rng) if rng.random() < 0.96 else rng.choice(ODD)
+
+
+def _list(item, sizes=(0, 1, 2, 3)):
+    return lambda rng: [_draw(rng, item) for _ in range(rng.choice(sizes))]
+
+
+def _obj(required, fields):
+    """Required keys mostly present, others sometimes, an unknown key rarely; shuffled."""
+    def draw(rng):
+        keys = [k for k in fields if rng.random() < (0.97 if k in required else 0.25)]
+        keys += [k for k in ("aa", "typo") if rng.random() < 0.03]
+        return {k: _draw(rng, fields.get(k, _pick(1))) for k in rng.sample(keys, len(keys))}
+    return draw
+
+
+# Near-valid draws for every config key, each with values at and past its bounds.
+CONFIG_DRAW = _obj(("scheme", "d", "n", "seed"), {
+    "scheme": _pick("DB", "TB", "SECURE", "SURVEY", "db"),
+    "d": _pick(1, 2, 3, 5, 11, 11), "n": _pick(-1, 0, 2, 3, 4), "seed": _pick(-1, 0, 5, 7, 42),
+    "votes": _list(_pick("Y", "N", 0, 2)),
+    "vote_distribution": _obj(("p_yes",), {"p_yes": _pick(-0.5, 0, 0.5, 1, 0.25, 1.5)}),
+    "secrets": _obj(("l_y", "l_n", "delta"), {"l_y": _pick(-1, 0, 3), "l_n": _pick(0, 2),
+                                              "delta": _pick(-0.2, 0, 0.2)}),
+    "repetitions": _pick(0, 1, 3, 5), "max_total": _pick(-1, 0, 4, 6),
+    "trials": _pick(0, 1, 5, 9),
+    "attack": _obj(("name",), {
+        "name": _pick("collusion", "multi_vote", "phase_estimate", "product_ballot",
+                      "mismatched_thetas", "swap", "collusion"),
+        "colluders": _list(_pick(0, 2), sizes=(0, 1, 2, 2, 3)),
+        "cheater": _pick(-1, 0, 1, 2), "extra": _pick(-1, 0, 2, 3), "scale": _pick(-1, 0, 1.5, 2),
+        "honest_ballot": _pick(True, False), "yes_l_shifts": _list(_pick(0, -2))}),
+})
+
+
+def test_check_config_agrees_with_reference_schema(tmp_path, capsys):
+    # Accept exactly what the schema accepts; where it finds one error, print its text.
+    rng = random.Random(2025)
+    path = tmp_path / "config.json"
+    accepted, kinds, several = 0, Counter(), 0
+    for _ in range(4000):
+        cfg = _draw(rng, CONFIG_DRAW)
+        errors = list(reference.CONFIG_VALIDATOR.iter_errors(cfg))
+        try:
+            check_config(cfg)
+        except ConfigurationError:
+            assert errors, cfg
+        else:
+            assert not errors, cfg
+            accepted += 1
+        several += len(errors) > 1
+        if len(errors) == 1:
+            (error,) = errors
+            kinds[error.validator] += 1
+            where = ".".join(map(str, error.absolute_path)) or "<root>"
+            path.write_text(json.dumps(cfg))
+            assert run_cli("run", "--config", path) == 2
+            assert capsys.readouterr().err == f"config error: field {where}: {error.message}\n"
+    assert set(kinds) == {"type", "minimum", "maximum", "enum", "required",
+                          "additionalProperties", "minItems", "maxItems"}
+    assert min(accepted, sum(kinds.values()), several) > 400, (accepted, kinds, several)
 
 
 class TestCmdReport:

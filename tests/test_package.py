@@ -37,23 +37,29 @@ def test_attacks_and_runs_load_no_verification_or_cli():
 
 
 def test_only_verify_nogo_loads_scipy(tmp_path):
-    # (argv, expected exit code, scipy loaded after it), in order; the
-    # no-go search runs last because nothing unloads scipy.
+    # (argv, expected exit code, scipy loaded after it, jsonschema loaded after
+    # it), in order; the no-go search runs last because nothing unloads scipy.
+    # No command loads jsonschema; only reading cli.jsonschema does, last.
     assert sorted(SCENARIO_EXIT_CODES) == sorted(p.stem for p in SCENARIOS.glob("*.json"))
-    steps = [(["run", "--config", f"{SCENARIOS / name}.json", "--out", str(tmp_path)], code, False)
+    steps = [(["run", "--config", f"{SCENARIOS / name}.json", "--out", str(tmp_path)],
+              code, False, False)
              for name, code in SCENARIO_EXIT_CODES.items()]
-    steps += [(["report", str(tmp_path / "db-d5-n4-seed42.transcript.jsonl")], 0, False),
-              ("verify privacy --scheme tb --d 5 --n 4".split(), 0, False),
-              ("verify reduced --scheme db --d 5 --n 3".split(), 0, False),
-              ("verify ansatz --d 3".split(), 0, False),
-              ("verify nogo --restarts 1 --iterations 20".split(), 0, True)]
+    steps += [(["report", str(tmp_path / "db-d5-n4-seed42.transcript.jsonl")], 0, False, False),
+              ("verify privacy --scheme tb --d 5 --n 4".split(), 0, False, False),
+              ("verify reduced --scheme db --d 5 --n 3".split(), 0, False, False),
+              ("verify ansatz --d 3".split(), 0, False, False),
+              ("verify nogo --restarts 1 --iterations 20".split(), 0, True, False)]
     out = run_python(
         "import contextlib, io, json, sys\n"
         "import qvote.cli, qvote.verify\n"
-        "seen = [(['import'], 0, 'scipy' in sys.modules)]\n"
-        f"for argv in {[argv for argv, _, _ in steps]!r}:\n"
+        "def loaded(): return 'scipy' in sys.modules, 'jsonschema' in sys.modules\n"
+        "seen = [(['import'], 0, *loaded())]\n"
+        f"for argv in {[argv for argv, *_ in steps]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = qvote.cli.main(argv)\n"
-        "    seen.append((argv, code, 'scipy' in sys.modules))\n"
+        "    seen.append((argv, code, *loaded()))\n"
+        "seen.append((['cli.jsonschema'], qvote.cli.jsonschema is sys.modules['jsonschema'],"
+        " *loaded()))\n"
         "print(json.dumps(seen))")
-    assert [tuple(step) for step in json.loads(out)] == [(["import"], 0, False), *steps]
+    assert [tuple(step) for step in json.loads(out)] == [
+        (["import"], 0, False, False), *steps, (["cli.jsonschema"], True, True, True)]
