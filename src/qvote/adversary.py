@@ -21,7 +21,7 @@ row of per-voter angles that every trial shares. Both run all trials
 through one ``_secure_trials`` call, which casts and reads each row once
 for all its repetitions, and zip its per-trial tallies, outcomes and
 ps into their report; histograms are ``collections.Counter`` counts in
-first-seen key order. No attack keeps its own vote math. The TB collusion
+first-seen key order. The tag table reads ``protocols._vote_patterns``. The TB collusion
 attack casts the votes before the first colluder's reading, the only
 random one, by ``protocols._cast`` and decodes the one-hot pair that
 reading leaves. The product ballot casts each voter's qudit as a
@@ -49,7 +49,7 @@ from .ballots import (
     _phase_basis_probs,
     phase_readings,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _at_least
 from .protocols import (
     RunResult,
     _agree,
@@ -58,6 +58,7 @@ from .protocols import (
     _phase_round,
     _secure_trials,
     _tb_shift,
+    _vote_patterns,
     _yes_angle,
     honest_thetas,
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
@@ -112,13 +113,6 @@ class AttackReport:
         }
 
 
-def _trial_count(trials, least: int = 0) -> int:
-    """``trials`` as an int; fewer than ``least`` is a configuration error."""
-    if trials < least:
-        raise ConfigurationError(f"trials must be >= {least}, got {trials}")
-    return int(trials)
-
-
 def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
                         rng: np.random.Generator) -> AttackReport:
     """Two voters bracket the others by measuring the travelling qudit.
@@ -146,7 +140,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     expected = sum(yes[i + 1:j])
 
     d = config.d
-    u = rngmod.child_doubles(rng, _trial_count(trials), 6)[0]
+    u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), 6)[0]
     # Shift variant: the readings differ by ``expected`` (< d) whatever u[:, 0:3] hold.
     inferred = [expected] * len(u)
     diff_hist = {_tb_shift(d, yes): len(u)} if len(u) else {}
@@ -182,14 +176,13 @@ def multi_vote_plain(config: BallotConfig, votes, cheater: int, extra: int,
     choices = _parse_votes(config, votes, Scheme.DB)
     if not 0 <= cheater < config.N:
         raise ConfigurationError(f"cheater index {cheater} out of range")
-    if extra < 0:
-        raise ConfigurationError(f"extra must be >= 0, got {extra}")
+    extra = _at_least("extra", extra, 0)
     exponents = [int(c is Vote.YES) for c in choices]
-    exponents[cheater] += int(extra)
+    exponents[cheater] += extra
     m = _phase_round(config, exponents, [c.value for c in choices], rng)
     tally = sum(1 for c in choices if c is Vote.YES)
     return RunResult("DB", m, [m],
-                     statistics={"cheater": int(cheater), "extra": int(extra),
+                     statistics={"cheater": int(cheater), "extra": extra,
                                  "honest_tally": tally})
 
 
@@ -209,8 +202,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
                            Scheme.SECURE)
     if not 0 <= cheater < config.N:
         raise ConfigurationError(f"cheater index {cheater} out of range")
-    if repetitions < 1:
-        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
+    _at_least("repetitions", repetitions, 1)
     if not estimation_error_scale >= 0:  # NaN fails too
         raise ConfigurationError(f"error scale must be >= 0, got {estimation_error_scale}")
     delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
@@ -220,7 +212,8 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     # one child stream per repetition, as run_secure_vote spawns them. All
     # trials run as one batch, one angle row per trial shared by its
     # repetitions.
-    u, rep_u = rngmod.child_doubles(rng, _trial_count(trials), 1, repetitions, config.N + 1)
+    u, rep_u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), 1, repetitions,
+                                    config.N + 1)
     lo, hi = -half_width, half_width
     errors = lo + (hi - lo) * u[:, 0]
     theta_rows = np.tile(honest_thetas(config, choices), (len(u), 1))
@@ -264,9 +257,9 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
     actual = [1 if c is Vote.YES else 0 for c in choices]
 
     d = config.d
-    u = rngmod.child_doubles(rng, _trial_count(trials, least=1), config.N)[0]
+    u = rngmod.child_doubles(rng, _at_least("trials", trials, 1), config.N)[0]
     if honest_ballot:
-        guesses = _pick(np.full(d, 1 / d).cumsum(), u)
+        guesses = _pick(_cdf(np.ones(d)), u)
         guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
     else:
         # One (1,)-angle row per voter: that voter's qudit after its vote.
@@ -304,24 +297,24 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     choices = _parse_votes(config, votes, Scheme.SECURE)
     if len(per_voter_thetas) != config.N:
         raise ConfigurationError(f"need {config.N} theta pairs, got {len(per_voter_thetas)}")
-    if repetitions < 1:
-        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
+    _at_least("repetitions", repetitions, 1)
     thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
 
-    rep_u = rngmod.child_doubles(rng, _trial_count(trials), 0, repetitions, config.N + 1)[1]
+    trials = _at_least("trials", trials, 0)
+    rep_u = rngmod.child_doubles(rng, trials, 0, repetitions, config.N + 1)[1]
     tallies, outcomes, ps = _secure_trials(config, [thetas], rep_u)
     runs = [{"m": m, "outcomes": o, "p": p} for m, o, p in zip(tallies, outcomes, ps)]
 
     tags = {}
     if config.N <= 12:
-        d = config.d
-        for pattern in range(2 ** config.N):
-            bits = [(pattern >> t) & 1 for t in range(config.N)]
-            phase = sum(per_voter_thetas[t][0] if bits[t] else per_voter_thetas[t][1]
-                        for t in range(config.N)) - config.N * config.theta_no
-            x = (phase * d / (2 * np.pi)) % d
-            tag = int(round(x)) % d if abs(x - round(x)) < 1e-9 else None
-            tags["".join("YN"[1 - b] for b in bits)] = tag
+        # Summed from 0 in voter order, as Python's sum; np.remainder is float %, np.round half-even.
+        d, patterns = config.d, _vote_patterns(config.N)
+        phase = sum(np.where(patterns[:, t], *pair) for t, pair in enumerate(per_voter_thetas))
+        x = np.remainder((phase - config.N * config.theta_no) * d / (2 * np.pi), d)
+        nearest = np.round(x)
+        names = ["".join(row) for row in np.array(["N", "Y"])[patterns].tolist()]
+        tags = {name: int(n) % d if abs(off) < 1e-9 else None
+                for name, n, off in zip(names, nearest.tolist(), (x - nearest).tolist())}
     by_weight: dict = {}
     for pattern, tag in tags.items():
         by_weight.setdefault(pattern.count("Y"), set()).add(tag)
@@ -329,7 +322,7 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
 
     return AttackReport(
         attack="mismatched_voting_states",
-        trials=int(trials),
+        trials=trials,
         inferred_secrets={"phase_tags": tags,
                           "equal_weight_patterns_distinguishable": distinguishable},
         outcome_histogram=dict(Counter(tallies)),
@@ -356,9 +349,7 @@ def detect_symmetry(sampled_states, rng: np.random.Generator,
     states = list(sampled_states)
     if len(states) < 2:
         raise ConfigurationError("symmetry test needs at least two states")
-    comparisons = int(comparisons)
-    if comparisons < 1:
-        raise ConfigurationError(f"comparisons must be >= 1, got {comparisons}")
+    comparisons = _at_least("comparisons", comparisons, 1)
     d = states[0].dims[0]
     for s in states:
         if s.num_sites != 1 or s.dims[0] != d:
@@ -380,9 +371,7 @@ def detect_subset_correlation(ballot_state: PureState, subset, rng: np.random.Ge
     product ballot gives independent ones, so any mismatch convicts.
     Single-site subsets have nothing to correlate.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    trials = _at_least("trials", trials, 1)
     sites = [int(s) for s in subset]
     if len(sites) < 2:
         return INCONCLUSIVE

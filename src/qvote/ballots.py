@@ -16,7 +16,8 @@ run or attack calls it) computes its own phases e^{i 2 pi (e k mod d) / d}
 and serves single qudits and the tests. SECURE trials cast in the
 correlated basis (``protocols._secure_trials``) and decode with
 ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast and
-the dense yes and shift operators.
+the dense yes and shift operators. ``BallotConfig.theta`` is the one
+secret-angle formula, and ``_secrets_problem`` the one check of l_y and l_n.
 """
 
 import math
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _at_least
 from .qstate import (
     INVALID,
     CorrelatedState,
@@ -84,10 +85,8 @@ class BallotConfig:
 
     def __post_init__(self):
         d, N = self.d, self.N
-        if d < 2:
-            raise ConfigurationError(f"d must be >= 2, got {d}")
-        if N < 0:
-            raise ConfigurationError(f"N must be >= 0, got {N}")
+        _at_least("d", d, 2)
+        _at_least("N", N, 0)
         scheme = Scheme(self.scheme)
         object.__setattr__(self, "scheme", scheme)
         if scheme in (Scheme.DB, Scheme.SURVEY, Scheme.SECURE):
@@ -109,35 +108,45 @@ class BallotConfig:
             s = SecureSecrets(int(self.secrets[0]), int(self.secrets[1]),
                               float(self.secrets[2]))
             object.__setattr__(self, "secrets", s)
-            if not (0 <= s.l_y < d and 0 <= s.l_n < d):
-                raise ConfigurationError(f"l_y, l_n must lie in [0, d), got {s.l_y}, {s.l_n}")
-            if s.l_y == s.l_n:
-                raise ConfigurationError("l_y and l_n must differ")
-            if abs(s.l_y - s.l_n) * N >= d:
-                raise ConfigurationError(
-                    f"|l_y - l_n| * N must stay below d, got {abs(s.l_y - s.l_n) * N} >= {d}")
+            if problem := _secrets_problem(d, N, s.l_y, s.l_n):
+                raise ConfigurationError(problem)
             if not 0 <= s.delta < 2 * np.pi / d:
                 raise ConfigurationError(f"delta must lie in [0, 2pi/d), got {s.delta}")
         elif self.secrets is not None:
             raise ConfigurationError(f"secrets are only meaningful for SECURE, not {scheme}")
 
+    def theta(self, l) -> float:
+        """The secret angle 2 pi l / d + delta of index ``l``."""
+        return 2 * np.pi * l / self.d + self.secrets.delta
+
     @property
     def theta_yes(self) -> float:
-        s = self.secrets
-        return 2 * np.pi * s.l_y / self.d + s.delta
+        return self.theta(self.secrets.l_y)
 
     @property
     def theta_no(self) -> float:
-        s = self.secrets
-        return 2 * np.pi * s.l_n / self.d + s.delta
+        return self.theta(self.secrets.l_n)
+
+
+def _secrets_problem(d: int, N: int, l_y: int, l_n: int) -> str | None:
+    """The first rule that indices (l_y, l_n) break at (d, N), or None; the last stops aliasing."""
+    if not (0 <= l_y < d and 0 <= l_n < d):
+        return f"l_y, l_n must lie in [0, d), got {l_y}, {l_n}"
+    if l_y == l_n:
+        return "l_y and l_n must differ"
+    if abs(l_y - l_n) * N >= d:
+        return f"|l_y - l_n| * N must stay below d, got {abs(l_y - l_n) * N} >= {d}"
+    return None
 
 
 def draw_secrets(d: int, N: int, rng: np.random.Generator) -> SecureSecrets:
     """Draw valid SECURE secrets from the authority's stream."""
+    if problem := _secrets_problem(d, N, 1, 0):  # the smallest gap: if it fails, all do
+        raise ConfigurationError(problem)
     while True:
         l_y = int(rng.integers(0, d))
         l_n = int(rng.integers(0, d))
-        if l_y != l_n and abs(l_y - l_n) * N < d:
+        if _secrets_problem(d, N, l_y, l_n) is None:
             break
     delta = float(rng.uniform(0, 2 * np.pi / d))
     return SecureSecrets(l_y, l_n, delta)
@@ -173,9 +182,7 @@ def cast_vote_db(state: PureState, voter_site: int, choice) -> PureState:
     if not 0 <= voter_site < state.num_sites:
         raise ConfigurationError(f"voter_site {voter_site} out of range")
     if isinstance(choice, (int, np.integer)) and not isinstance(choice, bool):
-        if choice < 0:
-            raise ConfigurationError(f"survey multiplicity must be >= 0, got {choice}")
-        exponent = int(choice)
+        exponent = _at_least("survey multiplicity", choice, 0)
     else:
         exponent = int(Vote.parse(choice) is Vote.YES)
     d = state.dims[voter_site]

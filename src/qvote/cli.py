@@ -18,8 +18,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import rng as rngmod
 from .adversary import (
     authority_product_ballot,
@@ -160,7 +158,8 @@ def _load_scenario(args) -> dict:
         cfg = json.loads(text, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    _apply_overrides(cfg, args.override)
+    if isinstance(cfg, dict):  # any other root fails check_config on its type
+        _apply_overrides(cfg, args.override)
     check_config(cfg)
     return cfg
 
@@ -234,8 +233,7 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
     else:  # mismatched_thetas: check_config admits no other name
         _require_scheme(config, Scheme.SECURE)  # before config.secrets is read
         shifts = attack.get("yes_l_shifts", list(range(config.N)))
-        d, s = config.d, config.secrets
-        thetas = [(2 * np.pi * (s.l_y + shift) / d + s.delta, config.theta_no)
+        thetas = [(config.theta(config.secrets.l_y + shift), config.theta_no)
                   for shift in shifts]
         report = mismatched_voting_states(config, thetas, votes, rng, trials=trials,
                                           repetitions=cfg.get("repetitions", 3))
@@ -413,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     nogo.add_argument("--restarts", type=int, default=200)
     nogo.add_argument("--iterations", type=int, default=500)
     nogo.add_argument("--seed", type=int, default=0)
-    nogo.add_argument("--floor", type=float, default=0.0,
-                      help="fail if the minimum residual drops below this")
+    nogo.add_argument("--floor", type=float, default=0.5 - 1e-12,
+                      help="fail if the minimum residual drops below this (default 1/2 - 1e-12)")
     nogo.set_defaults(func=cmd_verify_nogo)
 
     ansatz = vsub.add_parser("ansatz", help="eigenphase condition check")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the one count check shared across the package."""
 
 
 class ConfigurationError(ValueError):
@@ -7,3 +7,10 @@ class ConfigurationError(ValueError):
     The CLI maps this to exit code 2; everything else that goes wrong in a
     run is reported through result values, not exceptions.
     """
+
+
+def _at_least(name: str, value, least: int) -> int:
+    """``value`` as an int; below ``least`` is a configuration error."""
+    if value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    return int(value)

@@ -33,8 +33,8 @@ from .ballots import (
     phase_readings,
     secure_tally,
 )
-from .errors import ConfigurationError
-from .qstate import ATOL, INVALID, _pick
+from .errors import ConfigurationError, _at_least
+from .qstate import ATOL, INVALID, _cdf, _pick
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
 # json.dumps builds an encoder per call; transcripts reuse this one.
@@ -196,6 +196,11 @@ def _yes_angle(d: int, exponent):
     return 2 * np.pi * (exponent % d) / d
 
 
+def _vote_patterns(N: int) -> np.ndarray:
+    """All 2^N yes/no patterns, (2^N, N): bit j of pattern i is voter j's vote, 1 if yes."""
+    return (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
+
+
 def _tb_shift(d: int, yes):
     """The travelling qudit's shift, the yes count mod d; ``yes`` has one entry per voter, 1 if yes.
 
@@ -258,8 +263,7 @@ def honest_thetas(config: BallotConfig, choices) -> list[float]:
 
 def _pairing_outcomes(config: BallotConfig, u) -> list:
     """Each voter's pairing outcome r, uniform on 0..d-1, from its double in ``u[..., :N]``."""
-    d = config.d
-    return _pick(np.full(d, 1 / d).cumsum(), np.asarray(u)[..., :config.N]).tolist()
+    return _pick(_cdf(np.ones(config.d)), np.asarray(u)[..., :config.N]).tolist()
 
 
 def _secure_trials(config: BallotConfig, theta_rows, u) -> tuple[list, list, list]:
@@ -297,8 +301,7 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
     carries the voter's pairing outcome r.
     """
     choices = _parse_votes(config, votes, Scheme.SECURE)
-    if repetitions < 1:
-        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
+    _at_least("repetitions", repetitions, 1)
     u = [g.random(config.N + 1) for g in rng.spawn(repetitions)]
     [m], [outcomes], [ps] = _secure_trials(config, [honest_thetas(config, choices)], [u])
     if transcript:
@@ -324,9 +327,7 @@ def run_survey(config: BallotConfig, euros, rng: np.random.Generator,
     if any(e < 0 for e in amounts):
         raise ConfigurationError("amounts must be non-negative")
     total = sum(amounts)
-    if total >= config.d:
-        raise ConfigurationError(f"total {total} would alias modulo d={config.d}")
-    if total > config.max_total:
+    if total > config.max_total:  # BallotConfig keeps max_total below d, so no alias
         raise ConfigurationError(f"total {total} exceeds the declared max {config.max_total}")
     m = _phase_round(config, amounts, amounts, rng, transcript)
     return RunResult("SURVEY", m, [m], statistics={"total": m})

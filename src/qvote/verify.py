@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .protocols import _cast, _tb_shift, _yes_angle
+from .errors import ConfigurationError, _at_least
+from .protocols import _cast, _tb_shift, _vote_patterns, _yes_angle
 from .qstate import PureState, reduced_density
 
 SIGMA = np.array([
@@ -132,7 +132,7 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
     check_tolerance(tolerance)
 
     # Bit j of pattern i is voter j's vote, so tally w first occurs at i = 2^w - 1.
-    patterns = (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
+    patterns = _vote_patterns(N)
     if scheme == "DB":
         angles = _yes_angle(d, patterns)
 
@@ -277,18 +277,16 @@ def qubit_nogo_search(restarts: int, iterations: int,
 
     which equals ``qubit_residual``.
     """
-    if restarts < 1:
-        raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
-    if iterations < 1:
-        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
+    restarts = _at_least("restarts", restarts, 1)
+    iterations = _at_least("iterations", iterations, 1)
 
     best_val, best_x = np.inf, None
-    for _ in range(int(restarts)):
+    for _ in range(restarts):
         x0 = np.empty(16)
         x0[0:2] = rng.uniform(0, 2 * np.pi, 2)
         x0[2:] = rng.standard_normal(14)
         res = minimize(_residual_and_grad, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": int(iterations)})
+                       options={"maxiter": iterations})
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
     return best_val, _unpack(best_x)
@@ -344,8 +342,7 @@ def ansatz_check(d: int, etas=None, alphas=None, tolerance: float = 1e-10) -> An
     sum |a_j|^2 e^{i eta_j} = 0, and sum |a_j|^2 = 1. ``etas`` defaults
     to the d-th roots of unity and ``alphas`` to uniform moduli 1/sqrt(d).
     """
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
+    _at_least("d", d, 1)
     check_tolerance(tolerance)
     if etas is None:
         etas = [2 * np.pi * j / d for j in range(d)]

@@ -91,6 +91,8 @@ class TestBallotConfig:
             BallotConfig(7, 2, Scheme.SECURE, secrets=SecureSecrets(1, 1, 0.3))
         with pytest.raises(ConfigurationError):  # |l_y - l_n| * N >= d
             BallotConfig(7, 2, Scheme.SECURE, secrets=SecureSecrets(5, 1, 0.3))
+        with pytest.raises(ConfigurationError, match="got 8 >= 8"):  # |l_y - l_n| * N == d
+            BallotConfig(8, 2, Scheme.SECURE, secrets=SecureSecrets(4, 0, 0.1))
         with pytest.raises(ConfigurationError):  # delta out of [0, 2pi/d)
             BallotConfig(7, 2, Scheme.SECURE, secrets=SecureSecrets(1, 0, 1.0))
 
@@ -102,11 +104,29 @@ class TestBallotConfig:
         with pytest.raises(ConfigurationError):
             BallotConfig(5, 2, Scheme.DB, max_total=4)
 
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_every_accepted_secret_pair_decodes_every_tally(self, d):
+        # The aliasing rule is sharp: at |l_y - l_n| * N = d, N yes votes read as 0.
+        for n in range(1, min(d, 5)):
+            for l_y, l_n in product(range(d), repeat=2):
+                try:
+                    config = BallotConfig(d, n, Scheme.SECURE,
+                                          secrets=SecureSecrets(l_y, l_n, 0.1 / d))
+                except ConfigurationError:
+                    continue
+                rows = [[config.theta_yes] * w + [config.theta_no] * (n - w)
+                        for w in range(n + 1)]
+                readings = secure_tally(_cast(d, rows), config, [0.5] * (n + 1))
+                assert [m for m, _ in readings] == list(range(n + 1)), (d, n, l_y, l_n)
+
     def test_drawn_secrets_are_valid(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = draw_secrets(11, 4, rng)
             BallotConfig(11, 4, Scheme.SECURE, secrets=s)
+        for d, n in ((2, 2), (3, 4)):  # no valid pair: refused, not drawn forever
+            with pytest.raises(ConfigurationError, match="must stay below d"):
+                draw_secrets(d, n, rng)
 
 
 class TestPrepare:

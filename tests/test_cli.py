@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import reference
+from qvote import verify
 from qvote.cli import PARSER, check_config, main
 from qvote.errors import ConfigurationError
 
@@ -176,13 +177,17 @@ class TestCmdRun:
      "--override", "attack.scale=Infinity"],
     ["run", "--config", SCENARIOS / "db_honest.json",
      "--override", "vote_distribution.p_yes=NaN"],
+    ["run", "--config", "root-list.json", "--override", "d=5"],
+    ["run", "--config", "root-string.json", "--override", "a.b=5"],
+    ["run", "--config", "secure-drawn-d-le-n.json"],
 ], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas",
         "ansatz-d-zero", "ansatz-d-negative", "nogo-no-iterations",
         "privacy-negative-tolerance", "reduced-negative-tolerance", "ansatz-negative-tolerance",
         "privacy-over-guard", "report-missing-file", "report-no-measure", "report-not-utf8",
         "mismatched-not-secure", "mismatched-shifts-wrong-length", "d-float", "seed-float",
         "n-float", "trials-float", "repetitions-float", "config-nan", "override-infinity",
-        "override-nan"])
+        "override-nan", "root-list-override", "root-string-override-path",
+        "secure-drawn-secrets-d-le-n"])
 def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     # Exit 1 means cheating detected or a failed check; bad input must not read as that.
     monkeypatch.chdir(tmp_path)
@@ -192,6 +197,9 @@ def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
         {"run_id": "x", "rep": 0, "step": "PREPARE", "site": None,
          "payload": {"scheme": "DB", "d": 5, "N": 2}, "outcome": None}) + "\n")
     Path("not-utf8.jsonl").write_bytes(b"\x80\x81\n")
+    Path("root-list.json").write_text("[1, 2]")
+    Path("root-string.json").write_text('"x"')
+    Path("secure-drawn-d-le-n.json").write_text('{"scheme": "SECURE", "d": 3, "n": 4, "seed": 1}')
     assert run_cli(*argv) == 2
     assert "config error:" in capsys.readouterr().err
 
@@ -227,6 +235,14 @@ class TestCmdVerify:
         assert data["qubit_min_residual"] >= nogo_fixture["epsilon0"]
         assert 0.5 - 1e-12 <= data["qubit_min_residual"] <= 0.5 + 1e-6
         assert data["qutrit_residual"] <= 1e-12
+
+    def test_nogo_default_floor_catches_a_search_below_one_half(self, monkeypatch, capsys):
+        # verify.qubit_floor proves every two-qubit residual >= 1/2; a lower minimum is a bug.
+        exact = verify._residual_and_grad
+        monkeypatch.setattr(verify, "_residual_and_grad",
+                            lambda x: (exact(x)[0] - 0.1, exact(x)[1]))
+        assert run_cli("verify", "nogo", "--restarts", 1, "--iterations", 20) == 1
+        assert json.loads(capsys.readouterr().out)["floor"] == 0.5 - 1e-12
 
     def test_ansatz_default_roots(self, capsys):
         assert run_cli("verify", "ansatz", "--d", 3) == 0
@@ -313,6 +329,44 @@ def test_check_config_agrees_with_reference_schema(tmp_path, capsys):
     assert set(kinds) == {"type", "minimum", "maximum", "enum", "required",
                           "additionalProperties", "minItems", "maxItems"}
     assert min(accepted, sum(kinds.values()), several) > 400, (accepted, kinds, several)
+
+
+# Dotted override paths: fields, nested fields, unknown keys, and paths into
+# scalars and lists; values are JSON of every type, bad literals and bare text.
+OVERRIDE_KEYS = ["d", "n", "seed", "scheme", "votes", "trials", "repetitions", "max_total",
+                 "secrets", "secrets.l_y", "secrets.delta", "attack", "attack.name",
+                 "attack.colluders", "attack.yes_l_shifts", "vote_distribution.p_yes",
+                 "d.x", "votes.0", "attack.colluders.1", "seed.a.b", "zz", "a.b", ""]
+OVERRIDE_VALUES = ["0", "1", "2", "3", "5", "-1", "7.0", "0.25", "true", "null", '"Y"', "x",
+                   "[]", '["Y", "N", "Y"]', "[0, 2]", "{}", '{"name": "mismatched_thetas"}',
+                   '{"l_y": 1, "l_n": 0, "delta": 0.1}', "NaN", "Infinity"]
+NON_OBJECT_ROOTS = [[1, 2], [], "x", 5, 1.5, None, True]
+
+
+def test_run_never_raises_on_configs_and_overrides(tmp_path, capsys):
+    # Any config file and overrides end in exit 0, 1 or 2, never a traceback; a
+    # non-object root reports its type, with or without overrides.
+    rng = random.Random(26)
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    scenarios = [json.loads(f.read_text()) for f in sorted(SCENARIOS.glob("*.json"))]
+    codes = Counter()
+    for case in range(400):
+        root = (rng.choice(NON_OBJECT_ROOTS), rng.choice(scenarios),
+                _draw(rng, CONFIG_DRAW), _draw(rng, CONFIG_DRAW))[case % 4]
+        path.write_text(json.dumps(root))
+        overrides = []
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            key = rng.choice(OVERRIDE_KEYS)
+            overrides += ["--override", key if rng.random() < 0.03
+                          else f"{key}={rng.choice(OVERRIDE_VALUES)}"]
+        code = run_cli("run", "--config", path, "--out", out, *overrides)
+        assert code in (0, 1, 2), (root, overrides)
+        codes[code] += 1
+        err = capsys.readouterr().err
+        if not isinstance(root, dict):
+            assert code == 2
+            assert err == f"config error: field <root>: {root!r} is not of type 'object'\n"
+    assert len(codes) == 3 and min(codes.values()) >= 5, codes  # pass, convict, refuse
 
 
 class TestCmdReport:
