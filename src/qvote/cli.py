@@ -1,14 +1,15 @@
 """Command-line front end: run scenarios, verify invariants, read reports.
 
 Exit codes: 0 clean / pass, 1 cheating detected or verification failed,
-2 configuration problem. Scenario configs are strict JSON (unknown keys,
-integral floats, NaN and Infinity rejected) and every run requires an
-explicit seed; ``run`` sets fields only by ``--override`` and reads no
-environment variable. ``check_config`` checks a config by hand and reports
-its first problem as ``field <path>: <message>``: the object's type, its
-unknown keys, its missing keys, then each present field in the table's
-order, depth first; a value's type before its bounds, an array's length
-before its items.
+2 configuration problem; ``run`` and ``report`` exit by one rule,
+``verdict`` on a transcript's MEASURE events. Scenario configs are
+strict JSON (unknown keys, integral floats, NaN and Infinity rejected)
+and every run requires an explicit seed; ``run`` sets fields only by
+``--override`` and reads no environment variable. ``check_config``
+checks a config by hand and reports its first problem as
+``field <path>: <message>``: the object's type, its unknown keys, its
+missing keys, then each present field in the table's order, depth first;
+a value's type before its bounds, an array's length before its items.
 """
 
 import argparse
@@ -20,6 +21,8 @@ from pathlib import Path
 
 from . import rng as rngmod
 from .adversary import (
+    CHEATING,
+    CLEAN,
     authority_product_ballot,
     collusion_attack_tb,
     detect_inconsistent_results,
@@ -28,7 +31,6 @@ from .adversary import (
     phase_estimate_attack,
 )
 from .ballots import (
-    CHEAT_DETECTED,
     BallotConfig,
     Scheme,
     SecureSecrets,
@@ -48,10 +50,11 @@ from .protocols import (
     run_tb_vote,
 )
 from .verify import (
+    NOGO_FLOOR,
+    TOLERANCE,
     ansatz_check,
     check_privacy,
     check_reduced_identity,
-    check_tolerance,
     qubit_nogo_search,
     qutrit_solution_check,
 )
@@ -211,25 +214,21 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
             raise ConfigurationError("collusion attack requires 'colluders'")
         report = collusion_attack_tb(config, votes, attack["colluders"], trials, rng)
         outcomes = report.inferred_secrets["in_between_yes_counts"]
-        detected = False
     elif name == "multi_vote":
         report = multi_vote_plain(config, votes, attack.get("cheater", 0),
                                   attack.get("extra", 1), rng)
         outcomes = [report.m]
-        detected = report.m == CHEAT_DETECTED
     elif name == "phase_estimate":
         report = phase_estimate_attack(config, attack.get("cheater", 0),
                                        attack.get("scale", 1.0), trials, rng,
                                        votes=votes,
                                        repetitions=cfg.get("repetitions", 3))
         outcomes = [t["outcomes"] for t in report.extras["per_trial"]]
-        detected = any(report.detection_verdicts)
     elif name == "product_ballot":
         report = authority_product_ballot(config, votes, rng, trials=trials,
                                           honest_ballot=attack.get("honest_ballot", False))
-        # Hit counts are not tallies; the key keeps report from comparing them.
+        # Hit counts are not tallies; the key keeps verdict from comparing them.
         outcomes = [{"hits": k} for k in report.extras["per_trial_correct"]]
-        detected = False
     else:  # mismatched_thetas: check_config admits no other name
         _require_scheme(config, Scheme.SECURE)  # before config.secrets is read
         shifts = attack.get("yes_l_shifts", list(range(config.N)))
@@ -238,10 +237,29 @@ def _run_attack(cfg: dict, config: BallotConfig, votes):
         report = mismatched_voting_states(config, thetas, votes, rng, trials=trials,
                                           repetitions=cfg.get("repetitions", 3))
         outcomes = [r["m"] for r in report.extras["runs"]]
-        detected = any(m == CHEAT_DETECTED for m in outcomes)
     payload = report.to_dict()
     payload["seed"] = cfg["seed"]
-    return payload, outcomes, detected
+    return payload, outcomes
+
+
+def verdict(events) -> tuple[list, list, str | None]:
+    """The exit rule of ``run`` and ``report``: (outcomes, tallies, CLEAN or CHEATING).
+
+    The tallies of a transcript's MEASURE outcomes must agree: a list
+    outcome holds one attack trial's repetition tallies, a dict one
+    round's ``m``. Product-ballot trials log {"hits": k}, votes the
+    authority read that differ between trials by design: the hit counts
+    come back uncompared, with verdict None.
+    """
+    outcomes = [e["outcome"] for e in events if e["step"] == "MEASURE"]
+    if not outcomes:
+        raise ConfigurationError("transcript holds no MEASURE events")
+    hits = [o["hits"] for o in outcomes if isinstance(o, dict) and "hits" in o]
+    if hits:
+        return outcomes, hits, None
+    tallies = [t for o in outcomes
+               for t in (o if isinstance(o, list) else [o.get("m") if isinstance(o, dict) else o])]
+    return outcomes, tallies, detect_inconsistent_results(tallies)
 
 
 def cmd_run(args) -> int:
@@ -255,7 +273,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if "attack" in cfg:
-        result_payload, outcomes, detected = _run_attack(cfg, config, votes)
+        result_payload, outcomes = _run_attack(cfg, config, votes)
         transcript = _attack_transcript(run_id, seed, config, outcomes)
     else:
         transcript = Transcript(run_id, seed)
@@ -272,7 +290,6 @@ def cmd_run(args) -> int:
             result = run_survey(config, votes, run_rng, transcript=transcript)
         result_payload = result.to_dict()
         result_payload["seed"] = seed
-        detected = result.m == CHEAT_DETECTED
 
     transcript_path = out_dir / f"{run_id}.transcript.jsonl"
     result_path = out_dir / f"{run_id}.result.json"
@@ -282,7 +299,7 @@ def cmd_run(args) -> int:
     print(f"wrote {transcript_path}")
     print(f"wrote {result_path}")
     print(json.dumps(result_payload, sort_keys=True))
-    return EXIT_CHEATING if detected else EXIT_CLEAN
+    return EXIT_CHEATING if verdict(transcript.events)[2] == CHEATING else EXIT_CLEAN
 
 
 def _floats(name: str, text: str) -> list[float]:
@@ -293,20 +310,19 @@ def _floats(name: str, text: str) -> list[float]:
 
 
 def cmd_verify_privacy(args) -> int:
-    report = check_privacy(args.scheme, args.d, args.n, tolerance=args.tolerance)
+    report = check_privacy(args.scheme, args.d, args.n)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_CLEAN if report.passed else EXIT_CHEATING
 
 
 def cmd_verify_reduced(args) -> int:
-    tolerance = check_tolerance(args.tolerance)
     state = (prepare_db_ballot(args.d, args.n) if args.scheme.upper() == "DB"
              else prepare_tb_ballot(args.d))
     deviations = {site: check_reduced_identity(state, [site])
                   for site in range(state.num_sites)}
     print(json.dumps({"single_site_deviations": deviations,
-                      "tolerance": tolerance}, sort_keys=True, indent=2))
-    return EXIT_CLEAN if max(deviations.values()) <= tolerance else EXIT_CHEATING
+                      "tolerance": TOLERANCE}, sort_keys=True, indent=2))
+    return EXIT_CLEAN if max(deviations.values()) <= TOLERANCE else EXIT_CHEATING
 
 
 def cmd_verify_nogo(args) -> int:
@@ -316,18 +332,18 @@ def cmd_verify_nogo(args) -> int:
     print(json.dumps({
         "qubit_min_residual": minimum,
         "qutrit_residual": qutrit,
-        "floor": args.floor,
+        "floor": NOGO_FLOOR,
         "best": {"nu": params.nu, "theta": params.theta,
                  "m_hat": params.m_hat.tolist(), "n_hat": params.n_hat.tolist()},
     }, sort_keys=True, indent=2))
-    ok = minimum >= args.floor and qutrit <= 1e-12
+    ok = minimum >= NOGO_FLOOR and qutrit <= 1e-12
     return EXIT_CLEAN if ok else EXIT_CHEATING
 
 
 def cmd_verify_ansatz(args) -> int:
     etas = _floats("etas", args.etas) if args.etas else None
     alphas = _floats("alphas", args.alphas) if args.alphas else None
-    result = ansatz_check(args.d, etas, alphas, tolerance=args.tolerance)
+    result = ansatz_check(args.d, etas, alphas)
     print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
     return EXIT_CLEAN if result.passed else EXIT_CHEATING
 
@@ -340,30 +356,16 @@ def cmd_report(args) -> int:
 
     prepare = next((e for e in events if e["step"] == "PREPARE"), None)
     meta = (prepare or {}).get("payload") or {}
-    outcomes = [e["outcome"] for e in events if e["step"] == "MEASURE"]
-    if not outcomes:
-        raise ConfigurationError("transcript holds no MEASURE events")
-
-    def tallies_of(outcome):
-        # A list outcome holds one attack trial's repetition tallies.
-        if isinstance(outcome, list):
-            return outcome
-        return [outcome.get("m") if isinstance(outcome, dict) else outcome]
-
-    # Product-ballot trials log {"hits": k}, the votes the authority read:
-    # counts that differ between trials by design, so nothing is compared.
-    hits = [o["hits"] for o in outcomes if isinstance(o, dict) and "hits" in o]
-    tallies = hits or [t for o in outcomes for t in tallies_of(o)]
+    outcomes, tallies, found = verdict(events)
     histogram = Counter(map(str, tallies))
-    verdict = "CLEAN" if hits else detect_inconsistent_results(tallies)
 
     print(f"scheme: {meta.get('scheme', '?')}  d={meta.get('d', '?')}  N={meta.get('N', '?')}")
     print(f"repetitions: {len(tallies)}")
     print(f"outcomes: {tallies}")
     print(f"histogram: {json.dumps(histogram, sort_keys=True)}")
-    if hits:
+    if found is None:
         print("verdict: CLEAN, hit counts of a product-ballot attack are not tallies")
-    elif verdict == "CLEAN":
+    elif found == CLEAN:
         ps = [o.get("p") for o in outcomes if isinstance(o, dict)]
         suffix = f", p={ps[0]}" if ps else ""
         print(f"verdict: CLEAN, m={tallies[0]}{suffix}")
@@ -375,7 +377,7 @@ def cmd_report(args) -> int:
         # log2 of the option count in, log2 of the result count out.
         print(f"I_i = N log2|X| = {n * math.log2(2):.3f} bits")
         print(f"I_f = log2|Y| = {math.log2(n + 1):.3f} bits")
-    return EXIT_CLEAN if verdict == "CLEAN" else EXIT_CHEATING
+    return EXIT_CHEATING if found == CHEATING else EXIT_CLEAN
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,29 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
     privacy.add_argument("--scheme", required=True, choices=["db", "tb", "DB", "TB"])
     privacy.add_argument("--d", type=int, required=True)
     privacy.add_argument("--n", type=int, required=True)
-    privacy.add_argument("--tolerance", type=float, default=1e-10)
     privacy.set_defaults(func=cmd_verify_privacy)
 
     reduced = vsub.add_parser("reduced", help="single-site total-mixture check")
     reduced.add_argument("--scheme", default="db", choices=["db", "tb", "DB", "TB"])
     reduced.add_argument("--d", type=int, required=True)
     reduced.add_argument("--n", type=int, required=True)
-    reduced.add_argument("--tolerance", type=float, default=1e-10)
     reduced.set_defaults(func=cmd_verify_reduced)
 
     nogo = vsub.add_parser("nogo", help="two-qubit feasibility search")
     nogo.add_argument("--restarts", type=int, default=200)
     nogo.add_argument("--iterations", type=int, default=500)
     nogo.add_argument("--seed", type=int, default=0)
-    nogo.add_argument("--floor", type=float, default=0.5 - 1e-12,
-                      help="fail if the minimum residual drops below this (default 1/2 - 1e-12)")
     nogo.set_defaults(func=cmd_verify_nogo)
 
     ansatz = vsub.add_parser("ansatz", help="eigenphase condition check")
     ansatz.add_argument("--d", type=int, required=True)
     ansatz.add_argument("--etas", default=None, help="comma-separated eigenphases")
     ansatz.add_argument("--alphas", default=None, help="comma-separated moduli")
-    ansatz.add_argument("--tolerance", type=float, default=1e-10)
     ansatz.set_defaults(func=cmd_verify_ansatz)
 
     report = sub.add_parser("report", help="summarize a transcript JSONL file")

@@ -149,8 +149,9 @@ def _agree(outcomes) -> bool:
 def _cast(d: int, thetas) -> np.ndarray:
     """Correlated amplitudes after voter i multiplies c_k by e^{ik thetas[..., i]}, in order.
 
-    ``thetas`` is (N,) for one round or (rows, N); every voter's cast must
-    keep each row's norm within ATOL of 1. There is one phase row
+    ``thetas`` is (N,) for one round or (rows, N); each cast row's norm
+    must be within ATOL of 1. A non-finite angle makes its phase row, and
+    so its cast row, NaN, which fails that check. There is one phase row
     e^{ik theta} per distinct angle, matched by bit pattern (0.0 and -0.0
     stay apart), so a DB or honest SECURE row, which holds at most two
     angles, takes at most two complex exps. numpy's complex exp is
@@ -171,11 +172,10 @@ def _cast(d: int, thetas) -> np.ndarray:
     which = np.searchsorted(distinct, bits)
     phases = np.exp(1j * np.arange(d) * distinct.view(float)[:, None])
     c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
-    norms = np.empty(thetas.shape)
     for i in range(thetas.shape[-1]):
         c = np.multiply(c, phases[which[..., i]])
-        # np.linalg.norm's own formula for complex rows, without its dispatch.
-        norms[..., i] = np.sqrt(np.add.reduce((c.conj() * c).real, axis=-1))
+    # np.linalg.norm's own formula for complex rows, without its dispatch.
+    norms = np.sqrt(np.add.reduce((c.conj() * c).real, axis=-1))
     if not (np.abs(norms - 1.0) <= ATOL).all():
         raise ConfigurationError("correlated amplitudes are not normalized")
     return c

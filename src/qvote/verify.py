@@ -11,8 +11,11 @@ For two qubit voters those conditions reduce to four expectation-value
 equations with no solution; ``qubit_nogo_search`` witnesses that
 numerically by minimizing the summed violation, while
 ``qutrit_solution_check`` confirms the explicit qutrit solution reaches
-zero residual. scipy, which only that search needs, loads on the first
-search, so importing this module (or ``qvote.cli``) does not load it.
+zero residual. Every check passes by a fixed bound: ``TOLERANCE`` for
+overlaps, reduced states and the ansatz; ``NOGO_FLOOR``, 1e-12 under the
+1/2 that ``qubit_floor`` proves, for the search's minimum. scipy, which
+only that search needs, loads on the first search, so importing this
+module (or ``qvote.cli``) does not load it.
 """
 
 import math
@@ -36,6 +39,8 @@ PAULI_PAIRS_REAL = np.array([np.block([[k.real, -k.imag], [k.imag, k.real]])
                              for k in (np.kron(a, b) for a in (I2, *SIGMA) for b in (I2, *SIGMA))])
 
 ENUMERATION_GUARD = 16
+TOLERANCE = 1e-10
+NOGO_FLOOR = 0.5 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,13 +96,6 @@ class PrivacyReport:
         return asdict(self)
 
 
-def check_tolerance(tolerance: float) -> float:
-    """A check's pass bound; a negative or NaN one could never pass."""
-    if not tolerance >= 0:
-        raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
-    return tolerance
-
-
 # Rows per block of the same-tally check: a ``_cast`` row's bits do not
 # depend on its batch, and 2^16 patterns cast about twice as fast in blocks
 # of this size as in one. TB unit rows use the same blocks.
@@ -109,7 +107,7 @@ def _same_tally_deviation(reps: np.ndarray, rows: np.ndarray) -> float:
     return float(np.abs(1 - np.abs((reps.conj() * rows).sum(axis=-1))).max())
 
 
-def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> PrivacyReport:
+def check_privacy(scheme: str, d: int, N: int) -> PrivacyReport:
     """Exhaustively test the overlap conditions over all 2^N vote vectors.
 
     States of equal tally must coincide up to phase (checked against a
@@ -117,7 +115,7 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
     and states of different tally must be orthogonal. The tally map is the
     plain yes count, so undersized d is reported as a failure, not an
     error: aliased tallies produce unit cross-tally overlaps. ``passed``
-    compares the exact values with ``tolerance``; the report holds them
+    compares the exact values with ``TOLERANCE``; the report holds them
     rounded to 12 decimals, since their low bits depend on numpy's SIMD
     target and the BLAS kernel.
     """
@@ -129,7 +127,6 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
             f"refusing to enumerate 2^{N} vote vectors (guard is N <= {ENUMERATION_GUARD})")
     if d < 2 or N < 1:
         raise ConfigurationError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
-    check_tolerance(tolerance)
 
     # Bit j of pattern i is voter j's vote, so tally w first occurs at i = 2^w - 1.
     patterns = _vote_patterns(N)
@@ -153,8 +150,8 @@ def check_privacy(scheme: str, d: int, N: int, tolerance: float = 1e-10) -> Priv
         worst_same = max(worst_same, _same_tally_deviation(reps[tallies[block]], rows(block)))
     cross = np.abs(reps.conj() @ reps.T)[np.triu_indices(N + 1, 1)]
     worst_cross = float(cross.max())
-    passed = bool(worst_same <= tolerance and worst_cross <= tolerance)
-    return PrivacyReport(scheme, d, N, tolerance, passed, round(worst_same, 12),
+    passed = bool(worst_same <= TOLERANCE and worst_cross <= TOLERANCE)
+    return PrivacyReport(scheme, d, N, TOLERANCE, passed, round(worst_same, 12),
                          round(worst_cross, 12), 2 ** N, len(cross))
 
 
@@ -334,7 +331,7 @@ class AnsatzResult:
         return asdict(self)
 
 
-def ansatz_check(d: int, etas=None, alphas=None, tolerance: float = 1e-10) -> AnsatzResult:
+def ansatz_check(d: int, etas=None, alphas=None) -> AnsatzResult:
     """Test eigenphases and weights against the correlated-state conditions.
 
     With U = sum_j e^{i eta_j}|j><j| and the ballot carrying weights
@@ -343,7 +340,6 @@ def ansatz_check(d: int, etas=None, alphas=None, tolerance: float = 1e-10) -> An
     to the d-th roots of unity and ``alphas`` to uniform moduli 1/sqrt(d).
     """
     _at_least("d", d, 1)
-    check_tolerance(tolerance)
     if etas is None:
         etas = [2 * np.pi * j / d for j in range(d)]
     if alphas is None:
@@ -355,5 +351,5 @@ def ansatz_check(d: int, etas=None, alphas=None, tolerance: float = 1e-10) -> An
     second = float(abs(np.sum(weights * np.exp(2j * etas))))
     first = float(abs(np.sum(weights * np.exp(1j * etas))))
     norm = float(abs(np.sum(weights) - 1.0))
-    passed = second <= tolerance and first <= tolerance and norm <= tolerance
+    passed = second <= TOLERANCE and first <= TOLERANCE and norm <= TOLERANCE
     return AnsatzResult(second, first, norm, bool(passed))

@@ -103,11 +103,11 @@ def test_criterion_01_db_tally_correctness():
 
 def test_criterion_02_privacy_conditions():
     for d, n in DB_SWEEP:
-        report = check_privacy("DB", d, n, tolerance=1e-10)
+        report = check_privacy("DB", d, n)
         assert report.passed
         assert report.worst_same_tally_deviation <= 1e-10
         assert report.worst_cross_tally_overlap <= 1e-10
-        report = check_privacy("TB", d, n, tolerance=1e-10)
+        report = check_privacy("TB", d, n)
         assert report.passed
     _pass(2, "overlap conditions hold across the exhaustive sweep")
 

@@ -155,10 +155,7 @@ class TestCmdRun:
     ["verify", "ansatz", "--d", 2, "--alphas", "0.7,x"],
     ["verify", "ansatz", "--d", 0],
     ["verify", "ansatz", "--d", -1],
-    ["verify", "nogo", "--restarts", 1, "--iterations", 0, "--floor", 0.45],
-    ["verify", "privacy", "--scheme", "db", "--d", 5, "--n", 4, "--tolerance", -0.001],
-    ["verify", "reduced", "--scheme", "db", "--d", 5, "--n", 3, "--tolerance", -0.001],
-    ["verify", "ansatz", "--d", 3, "--tolerance", -0.001],
+    ["verify", "nogo", "--restarts", 1, "--iterations", 0],
     ["verify", "privacy", "--scheme", "db", "--d", 19, "--n", 17],
     ["report", "missing.jsonl"],
     ["report", "no-measure.jsonl"],
@@ -181,9 +178,8 @@ class TestCmdRun:
     ["run", "--config", "root-string.json", "--override", "a.b=5"],
     ["run", "--config", "secure-drawn-d-le-n.json"],
 ], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas",
-        "ansatz-d-zero", "ansatz-d-negative", "nogo-no-iterations",
-        "privacy-negative-tolerance", "reduced-negative-tolerance", "ansatz-negative-tolerance",
-        "privacy-over-guard", "report-missing-file", "report-no-measure", "report-not-utf8",
+        "ansatz-d-zero", "ansatz-d-negative", "nogo-no-iterations", "privacy-over-guard",
+        "report-missing-file", "report-no-measure", "report-not-utf8",
         "mismatched-not-secure", "mismatched-shifts-wrong-length", "d-float", "seed-float",
         "n-float", "trials-float", "repetitions-float", "config-nan", "override-infinity",
         "override-nan", "root-list-override", "root-string-override-path",
@@ -202,6 +198,20 @@ def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     Path("secure-drawn-d-le-n.json").write_text('{"scheme": "SECURE", "d": 3, "n": 4, "seed": 1}')
     assert run_cli(*argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "privacy", "--scheme", "db", "--d", 5, "--n", 4, "--tolerance", 0.1],
+    ["verify", "reduced", "--scheme", "db", "--d", 5, "--n", 3, "--tolerance", 0.1],
+    ["verify", "ansatz", "--d", 3, "--tolerance", 0.1],
+    ["verify", "nogo", "--restarts", 1, "--iterations", 1, "--floor", 0.45],
+], ids=["privacy-tolerance", "reduced-tolerance", "ansatz-tolerance", "nogo-floor"])
+def test_pass_bounds_are_not_options(argv, capsys):
+    # The bounds are verify.TOLERANCE and verify.NOGO_FLOOR; argparse rejects the flags.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(map(str, argv[-2:])) in capsys.readouterr().err
 
 
 def test_wrong_vote_count_names_both_counts(capsys):
@@ -228,8 +238,7 @@ class TestCmdVerify:
         assert max(data["single_site_deviations"].values()) <= 1e-10
 
     def test_nogo_quick(self, capsys, nogo_fixture):
-        code = run_cli("verify", "nogo", "--restarts", 8, "--iterations", 200,
-                       "--seed", 7, "--floor", nogo_fixture["epsilon0"])
+        code = run_cli("verify", "nogo", "--restarts", 8, "--iterations", 200, "--seed", 7)
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["qubit_min_residual"] >= nogo_fixture["epsilon0"]
@@ -414,19 +423,25 @@ class TestCmdReport:
                                   f"{e['scenario']}{'+override' if e['override'] else ''}"
                                   for e in GOLDEN_RUNS])
     def test_golden_transcript_exit_matches_run(self, entry, tmp_path):
-        # Rerun only to learn the transcript's name, then report the committed copy.
+        # Report the written transcript and its committed copy.
         overrides = [arg for item in entry["override"] for arg in ("--override", item)]
-        run_cli("run", "--config", SCENARIOS / entry["scenario"], "--out", tmp_path,
-                *overrides)
-        name = next(tmp_path.glob("*.transcript.jsonl")).name
-        assert run_cli("report", GOLDEN / name) == entry["exit"]
+        assert run_cli("run", "--config", SCENARIOS / entry["scenario"], "--out", tmp_path,
+                       *overrides) == entry["exit"]
+        written = next(tmp_path.glob("*.transcript.jsonl"))
+        assert run_cli("report", written) == entry["exit"]
+        assert run_cli("report", GOLDEN / written.name) == entry["exit"]
 
     @pytest.mark.parametrize("scenario,overrides", [
         # One trial: its lone CHEAT_DETECTED tally must still convict.
         ("secure_honest.json", ["d=8", "secrets.l_y=2", 'attack={"name":"mismatched_thetas"}']),
         # Per-trial hit counts differ by design and are not tallies.
         ("product_ballot_control.json", []),
-    ], ids=["single-cheat-tally", "product-ballot-hits"])
+        # One repetition per forgery trial: no trial disagrees with itself, but
+        # the trials decode tallies [1, 1, 1, 0, 1, 1].
+        ("secure_honest.json", ["seed=2", 'attack={"name":"phase_estimate","scale":0.2}',
+                                "trials=6", "d=11", "n=3", 'votes=["N","N","N"]',
+                                "secrets.l_y=1", "secrets.l_n=0", "repetitions=1"]),
+    ], ids=["single-cheat-tally", "product-ballot-hits", "forgery-trials-disagree"])
     def test_report_exit_matches_run(self, scenario, overrides, tmp_path, capsys):
         args = [arg for item in overrides for arg in ("--override", item)]
         code = run_cli("run", "--config", SCENARIOS / scenario, "--out", tmp_path, *args)
