@@ -15,18 +15,18 @@ trial from the trial's own child stream. They take every trial's doubles
 from one ``rng.child_doubles`` call, which computes what ``rng.spawn``
 children would draw without building a Generator per trial, and map them
 through closed forms; so their ``rng`` must be PCG64, or they raise
-ConfigurationError. The forgery casts one angle row per trial, the
-honest row plus its estimated phase; mismatched voting states cast one
-row of per-voter angles that every trial shares. Both run all trials
-through one ``_secure_trials`` call, which casts and reads each row once
-for all its repetitions, and zip its per-trial tallies, outcomes and
-ps into their report; histograms are ``collections.Counter`` counts in
-first-seen key order. The tag table reads ``protocols._vote_patterns``. The TB collusion
-attack casts the votes before the first colluder's reading, the only
-random one, by ``protocols._cast`` and decodes the one-hot pair that
-reading leaves. The product ballot casts each voter's qudit as a
-one-voter ``_cast`` row and reads every row's ``_phase_basis_probs`` in
-one ``_pick``, or reads uniformly on the honest ballot.
+ConfigurationError. Only the SECURE attacks cast: the forgery casts one
+angle row per trial, the honest row plus its estimated phase; mismatched
+voting states cast one row of per-voter angles that every trial shares.
+Both run all trials through one ``_secure_trials`` call, which casts and
+reads each row once for all its repetitions, and zip its per-trial
+tallies, outcomes and ps into their report; histograms are
+``collections.Counter`` counts in first-seen key order. The tag table
+reads ``protocols._vote_patterns``. The TB collusion attack's phase
+decode and the product ballot read distributions the physics fixes: the
+collapsed pair |k, k> reads uniformly in the omega_p basis, and a product
+ballot's phase-basis reading is each vote, exactly; on the honest ballot
+the control reads uniformly.
 The swap test compares each double with one threshold per pair, its
 symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
 (2001)). Only ``detect_subset_correlation`` measures a dense state, the
@@ -46,20 +46,16 @@ from .ballots import (
     BallotConfig,
     Scheme,
     Vote,
-    _phase_basis_probs,
-    phase_readings,
 )
 from .errors import ConfigurationError, _at_least
 from .protocols import (
     RunResult,
     _agree,
-    _cast,
     _parse_votes,
     _phase_round,
     _secure_trials,
     _tb_shift,
     _vote_patterns,
-    _yes_angle,
     honest_thetas,
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
 )
@@ -130,7 +126,11 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     sum_k c_k |k, k + s>, so the first reading is the only random one; it
     leaves a product state on which the rest is determined. In the shift
     variant the difference is ``expected`` whatever the first reading is,
-    so its doubles ``u[:, 0:3]`` are drawn but not read.
+    so its doubles ``u[:, 0:3]`` are drawn but not read. In the phase
+    variant the first reading k leaves |k, k> times a unit phase, which
+    reads uniformly on 0..d-1 in the omega_p basis whatever k is, so only
+    the decode's double ``u[:, 5]`` is read and ``u[:, 3:5]`` are drawn but
+    not read.
     """
     choices = _parse_votes(config, votes, Scheme.TB)
     i, j = int(colluders[0]), int(colluders[1])
@@ -144,16 +144,8 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     # Shift variant: the readings differ by ``expected`` (< d) whatever u[:, 0:3] hold.
     inferred = [expected] * len(u)
     diff_hist = {_tb_shift(d, yes): len(u)} if len(u) else {}
-
-    # Phase votes keep the pair diagonal, sum_k c_k |k, k>. The first reading
-    # k leaves |k, k> times a unit phase; later votes and the second reading
-    # (which spends u[:, 4]) only rotate that phase, which no omega_p reading
-    # sees, so the decode (u[:, 5]) reads the one-hot row |k>.
-    c = _cast(d, _yes_angle(d, np.array(yes[:i + 1], dtype=int)))
-    first_phase = _pick(_cdf(np.abs(c) ** 2), u[:, 3])
-    one_hot = np.zeros((len(u), d), dtype=complex)
-    one_hot[np.arange(len(u)), first_phase] = 1
-    phase_hist = dict(Counter(phase_readings(one_hot, u[:, 5])))
+    # Phase variant: |<omega_p|k, k>|^2 = 1/d for every p, whatever u[:, 3:5] read.
+    phase_hist = dict(Counter(_pick(_cdf(np.ones(d)), u[:, 5]).tolist()))
 
     return AttackReport(
         attack="collusion_tb",
@@ -246,9 +238,9 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
     identification (the control).
 
     The authority reads the sites in order, one double each from the
-    trial's stream. A product ballot's sites are independent, so each
-    reading is drawn from the orthonormal FFT of that voter's qudit. On
-    the honest ballot, a reading l is uniform and leaves
+    trial's stream. A product ballot's voter qudit sits on the phase-basis
+    state of its vote, so each reading is that vote whatever its double.
+    On the honest ballot, a reading l is uniform and leaves
     c_k e^{-i 2 pi k l / d} on the other sites, so the last site reads the
     tally minus the earlier readings, mod d; that reading is determined
     but still spends its double.
@@ -262,9 +254,7 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
         guesses = _pick(_cdf(np.ones(d)), u)
         guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
     else:
-        # One (1,)-angle row per voter: that voter's qudit after its vote.
-        rows = _cast(d, _yes_angle(d, np.array(actual)[:, None]))
-        guesses = _pick(_cdf(_phase_basis_probs(rows)), u)
+        guesses = np.tile(actual, (len(u), 1))
     hits = guesses == np.array(actual)
     per_trial_correct = hits.sum(axis=1).tolist()
 

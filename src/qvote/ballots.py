@@ -9,11 +9,11 @@ Three quantum schemes share these primitives:
 * SECURE: DB plus single-use "voting qudits" in secret-angle states,
   which stop anyone from voting twice undetected.
 
-Runs, attacks and ``verify.check_privacy`` build a vote's phase row in one
-place, ``protocols._cast`` at the angle ``protocols._yes_angle``, and read
-the omega_p basis through ``phase_readings``. The dense ``cast_vote_db`` (no
-run or attack calls it) computes its own phases e^{i 2 pi (e k mod d) / d}
-and serves single qudits and the tests. SECURE trials cast in the
+Runs, the SECURE attacks and ``verify.check_privacy`` build a vote's phase
+row in one place, ``protocols._cast`` at the angle ``protocols._yes_angle``,
+and read the omega_p basis through ``phase_readings``. The dense
+``cast_vote_db`` (no run or attack calls it) computes its own phases
+e^{i 2 pi (e k mod d) / d} and serves single qudits and the tests. SECURE trials cast in the
 correlated basis (``protocols._secure_trials``) and decode with
 ``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast and
 the dense yes and shift operators. ``BallotConfig.theta`` is the one

@@ -316,8 +316,9 @@ def cmd_verify_privacy(args) -> int:
 
 
 def cmd_verify_reduced(args) -> int:
-    state = (prepare_db_ballot(args.d, args.n) if args.scheme.upper() == "DB"
-             else prepare_tb_ballot(args.d))
+    config = BallotConfig(args.d, args.n, Scheme(args.scheme.upper()))
+    state = (prepare_db_ballot(config.d, config.N) if config.scheme is Scheme.DB
+             else prepare_tb_ballot(config.d))
     deviations = {site: check_reduced_identity(state, [site])
                   for site in range(state.num_sites)}
     print(json.dumps({"single_site_deviations": deviations,

@@ -185,10 +185,9 @@ def _pick(cdf: np.ndarray, u):
 
     A 1-D ``cdf`` serves every double in ``u``. Otherwise the CDFs run along
     the last axis and broadcast against ``u``: (rows, d) CDFs take one double
-    per row, or column r of (T, rows) doubles reads row r; a (rows, 1, d)
-    stack serves each row's (rows, R) doubles. The
-    outcome counts the steps before the last that are <= u, so a ``u`` at or
-    past the last step picks the last index.
+    per row, and a (rows, 1, d) stack serves each row's (rows, R) doubles.
+    The outcome counts the steps before the last that are <= u, so a ``u``
+    at or past the last step picks the last index.
     """
     if cdf.ndim == 1:
         return cdf[:-1].searchsorted(u, side="right")

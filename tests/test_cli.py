@@ -177,13 +177,15 @@ class TestCmdRun:
     ["run", "--config", "root-list.json", "--override", "d=5"],
     ["run", "--config", "root-string.json", "--override", "a.b=5"],
     ["run", "--config", "secure-drawn-d-le-n.json"],
+    ["verify", "reduced", "--scheme", "tb", "--d", 5, "--n", 99],
+    ["verify", "reduced", "--scheme", "tb", "--d", 5, "--n", -3],
 ], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas",
         "ansatz-d-zero", "ansatz-d-negative", "nogo-no-iterations", "privacy-over-guard",
         "report-missing-file", "report-no-measure", "report-not-utf8",
         "mismatched-not-secure", "mismatched-shifts-wrong-length", "d-float", "seed-float",
         "n-float", "trials-float", "repetitions-float", "config-nan", "override-infinity",
         "override-nan", "root-list-override", "root-string-override-path",
-        "secure-drawn-secrets-d-le-n"])
+        "secure-drawn-secrets-d-le-n", "reduced-tb-n-above-d", "reduced-tb-n-negative"])
 def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     # Exit 1 means cheating detected or a failed check; bad input must not read as that.
     monkeypatch.chdir(tmp_path)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 import reference
 from conftest import random_state
 from qvote import rng as rngmod
-from qvote import adversary
 from qvote.adversary import (
     CHEATING,
     CLEAN,
@@ -318,38 +318,58 @@ class TestKernelsMatchReferences:
         assert _pairing_outcomes(config, np.zeros((0, 3, 4))) == []
 
 
+@contextmanager
+def fed(doubles):
+    """``rng.child_doubles`` patched to return each array of ``doubles`` in turn, for any rng."""
+    feed = iter(doubles)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rngmod, "child_doubles", lambda rng, t, k: (next(feed), None))
+        yield
+
+
 class TestCollusionBatch:
     # Shrinking thousands of trials takes minutes and finds nothing simpler.
-    @given(tb_case(), st.booleans(), SEEDS)
+    @given(tb_case(), SEEDS)
     @settings(max_examples=6, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    def test_trials_equal_their_one_trial_runs(self, case, above, seed):
-        # The phase variant reads a (trials, d) batch of one-hot rows; on
-        # both sides of 16384 complex elements each row, and its reading,
-        # must equal the one-trial run's.
+    def test_trials_equal_their_one_trial_runs(self, case, seed):
+        # A T-trial batch must report what T one-trial runs on the same
+        # doubles report: each trial's count, and the histograms of the
+        # trials' readings in first-seen order.
         config, votes, colluders = case
-        d = config.d
-        trials = 16384 // d + 1 + seed % 64 if above else 1 + seed % (16384 // d)
+        trials = 1 + seed % 3000
         u = np.random.default_rng(seed).random((trials, 6))
-        feed = iter([u] + [u[t:t + 1] for t in range(trials)])
-        reads, real = [], adversary.phase_readings
-
-        def record(rows, draws):
-            reads.append((rows, real(rows, draws)))
-            return reads[-1][1]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rngmod, "child_doubles", lambda rng, t, k: (next(feed), None))
-            patch.setattr(adversary, "phase_readings", record)
+        with fed([u] + [u[t:t + 1] for t in range(trials)]):
             batch = collusion_attack_tb(config, votes, colluders, trials, None)
             singles = [collusion_attack_tb(config, votes, colluders, 1, None)
                        for _ in range(trials)]
-        (rows, readings), one_row = reads[0], reads[1:]
-        assert np.array_equal(rows.view(np.uint64),
-                              np.concatenate([r for r, _ in one_row]).view(np.uint64))
-        assert readings == [p for _, [p] in one_row]
         assert batch.inferred_secrets["in_between_yes_counts"] == [
             s.inferred_secrets["in_between_yes_counts"][0] for s in singles]
+        readings = [p for s in singles for p in s.outcome_histogram]
+        assert list(batch.outcome_histogram.items()) == list(Counter(readings).items())
+        for name in ("difference_decoder_histogram", "phase_decoder_histogram"):
+            counts = Counter(k for s in singles for k in s.extras[name])
+            assert list(batch.extras[name].items()) == list(counts.items())
+
+
+class TestEdgeDoubles:
+    """The closed-form readings hold at the extreme doubles 0.0 and 1 - 2**-53."""
+
+    def test_collusion_phase_decode_stays_on_the_tallies(self):
+        # First colluder reads 0; the decode double passes every CDF step
+        # but the last, so it must read d - 1, never INVALID.
+        config, last = BallotConfig(5, 4, Scheme.TB), 1 - 2 ** -53
+        u = np.random.default_rng(0).random((4, 6))
+        u[:, 3], u[:, 5] = 0.0, last
+        with fed([u]):
+            report = collusion_attack_tb(config, "YNYY", (0, 3), 4, None)
+        assert report.outcome_histogram == {config.d - 1: 4}
+
+    def test_product_ballot_reads_every_vote_at_zero(self):
+        config = BallotConfig(5, 3, Scheme.DB)
+        with fed([np.zeros((6, 3))]):
+            report = authority_product_ballot(config, "YNY", None, trials=6)
+        assert report.inferred_secrets["per_voter_accuracy"] == [1.0, 1.0, 1.0]
 
 
 def parent(seed: int, spawned: int) -> np.random.Generator:
@@ -482,10 +502,10 @@ def test_product_ballot_rejects_a_wrong_vote_count():
 
 class TestReportPins:
     # sha256 of json.dumps(report.to_dict(), sort_keys=True) for 2000 trials
-    # on rngmod.stream(23, TRIAL). At d = 11 and 101 the bits of
-    # protocols._cast's yes row differ from those of the table
-    # exp(2j * pi * k / d) that these reports were first recorded with;
-    # a reading moves only if a double lands within about 1e-16 of a CDF step.
+    # on rngmod.stream(23, TRIAL). Both attacks read closed forms: the
+    # collusion decode and the honest control read the uniform CDF, and the
+    # product ballot reads every vote, so these hashes move only with the
+    # doubles the trials draw.
     COLLUSION = {
         (11, "YNYYNYYN", (1, 6)):
             "0d7e90c2be2866e4157049bd61fa050eb7391eb7626e59bc0c447a40150ed7bc",
