@@ -10,11 +10,11 @@ Conventions fixed here:
   half-width pi * scale / d, the single-copy estimation floor.
 
 No attack builds a dense state. The forgery, mismatched-state, TB
-collusion and product-ballot attacks spend a fixed number of doubles per
-trial from the trial's own child stream. They take every trial's doubles
-from one ``rng.child_doubles`` call, which computes what ``rng.spawn``
-children would draw without building a Generator per trial, and map them
-through closed forms; so their ``rng`` must be PCG64, or they raise
+collusion and product-ballot attacks draw a fixed number of doubles per
+trial from the trial's own child stream and read only the named ones.
+One ``rng.child_doubles`` call computes those, as ``rng.spawn`` children
+would draw them, without a Generator per trial or the unread draws, and
+closed forms map them; so their ``rng`` must be PCG64, or they raise
 ConfigurationError. Only the SECURE attacks cast: the forgery casts one
 angle row per trial, the honest row plus its estimated phase; mismatched
 voting states cast one row of per-voter angles that every trial shares.
@@ -50,7 +50,6 @@ from .ballots import (
 from .errors import ConfigurationError, _at_least
 from .protocols import (
     RunResult,
-    _agree,
     _parse_votes,
     _phase_round,
     _secure_trials,
@@ -60,6 +59,7 @@ from .protocols import (
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
 )
 from .qstate import (
+    INVALID,
     PureState,
     _cdf,
     _pick,
@@ -126,11 +126,10 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     sum_k c_k |k, k + s>, so the first reading is the only random one; it
     leaves a product state on which the rest is determined. In the shift
     variant the difference is ``expected`` whatever the first reading is,
-    so its doubles ``u[:, 0:3]`` are drawn but not read. In the phase
-    variant the first reading k leaves |k, k> times a unit phase, which
-    reads uniformly on 0..d-1 in the omega_p basis whatever k is, so only
-    the decode's double ``u[:, 5]`` is read and ``u[:, 3:5]`` are drawn but
-    not read.
+    so its doubles 0-2 are drawn but not read. In the phase variant the
+    first reading k leaves |k, k> times a unit phase, which reads uniformly
+    on 0..d-1 in the omega_p basis whatever k is, so only the decode's
+    double 5 is read, and doubles 3-4 are drawn but not read.
     """
     choices = _parse_votes(config, votes, Scheme.TB)
     i, j = int(colluders[0]), int(colluders[1])
@@ -140,12 +139,12 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     expected = sum(yes[i + 1:j])
 
     d = config.d
-    u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), 6)[0]
-    # Shift variant: the readings differ by ``expected`` (< d) whatever u[:, 0:3] hold.
+    u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), (5,))[0]
+    # Shift variant: the readings differ by ``expected`` (< d) whatever doubles 0-2 hold.
     inferred = [expected] * len(u)
     diff_hist = {_tb_shift(d, yes): len(u)} if len(u) else {}
-    # Phase variant: |<omega_p|k, k>|^2 = 1/d for every p, whatever u[:, 3:5] read.
-    phase_hist = dict(Counter(_pick(_cdf(np.ones(d)), u[:, 5]).tolist()))
+    # Phase variant: |<omega_p|k, k>|^2 = 1/d for every p, whatever doubles 3-4 hold.
+    phase_hist = dict(Counter(_pick(_cdf(np.ones(d)), u[:, 0]).tolist()))
 
     return AttackReport(
         attack="collusion_tb",
@@ -201,11 +200,11 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     half_width = np.pi * float(estimation_error_scale) / config.d
 
     # Per trial: the estimate error, drawn as numpy's uniform draws it, then
-    # one child stream per repetition, as run_secure_vote spawns them. All
-    # trials run as one batch, one angle row per trial shared by its
-    # repetitions.
-    u, rep_u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), 1, repetitions,
-                                    config.N + 1)
+    # one child stream per repetition, as run_secure_vote spawns them, of
+    # which only the tally double N is read. All trials run as one batch,
+    # one angle row per trial shared by its repetitions.
+    u, rep_u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), (0,), repetitions,
+                                    (config.N,))
     lo, hi = -half_width, half_width
     errors = lo + (hi - lo) * u[:, 0]
     theta_rows = np.tile(honest_thetas(config, choices), (len(u), 1))
@@ -239,17 +238,18 @@ def authority_product_ballot(config: BallotConfig, votes, rng: np.random.Generat
 
     The authority reads the sites in order, one double each from the
     trial's stream. A product ballot's voter qudit sits on the phase-basis
-    state of its vote, so each reading is that vote whatever its double.
+    state of its vote, so each reading is that vote and no double is read.
     On the honest ballot, a reading l is uniform and leaves
     c_k e^{-i 2 pi k l / d} on the other sites, so the last site reads the
     tally minus the earlier readings, mod d; that reading is determined
-    but still spends its double.
+    but still reads its double.
     """
     choices = _parse_votes(config, votes, Scheme.DB)
     actual = [1 if c is Vote.YES else 0 for c in choices]
 
     d = config.d
-    u = rngmod.child_doubles(rng, _at_least("trials", trials, 1), config.N)[0]
+    reads = tuple(range(config.N)) if honest_ballot else ()
+    u = rngmod.child_doubles(rng, _at_least("trials", trials, 1), reads)[0]
     if honest_ballot:
         guesses = _pick(_cdf(np.ones(d)), u)
         guesses[:, -1] = (sum(actual) - guesses[:, :-1].sum(axis=1)) % d
@@ -281,8 +281,8 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     pattern so equal-weight patterns can be compared.
 
     All trials cast the same angle row and run as one batch; repetition r
-    of trial t reads the N + 1 doubles of
-    ``rng.spawn(trials)[t].spawn(repetitions)[r]``, as ``run_secure_vote`` would.
+    of trial t reads the tally double, double N, of
+    ``rng.spawn(trials)[t].spawn(repetitions)[r]``, as ``run_secure_vote`` does.
     """
     choices = _parse_votes(config, votes, Scheme.SECURE)
     if len(per_voter_thetas) != config.N:
@@ -291,7 +291,7 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
 
     trials = _at_least("trials", trials, 0)
-    rep_u = rngmod.child_doubles(rng, trials, 0, repetitions, config.N + 1)[1]
+    rep_u = rngmod.child_doubles(rng, trials, (), repetitions, (config.N,))[1]
     tallies, outcomes, ps = _secure_trials(config, [thetas], rep_u)
     runs = [{"m": m, "outcomes": o, "p": p} for m, o, p in zip(tallies, outcomes, ps)]
 
@@ -377,8 +377,8 @@ def detect_subset_correlation(ballot_state: PureState, subset, rng: np.random.Ge
 
 
 def detect_inconsistent_results(outcomes) -> str:
-    """Repeated runs must agree, by the rule SECURE runs use; a lone run agrees with itself."""
-    outs = list(outcomes)
-    if not outs:
+    """Runs agree as SECURE repetitions do: one outcome, not CHEAT_DETECTED or INVALID."""
+    distinct = set(outcomes)
+    if not distinct:
         raise ConfigurationError("need at least one outcome")
-    return CLEAN if _agree(outs) else CHEATING
+    return CLEAN if len(distinct) == 1 and not distinct & {CHEAT_DETECTED, INVALID} else CHEATING

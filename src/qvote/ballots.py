@@ -23,6 +23,7 @@ secret-angle formula, and ``_secrets_problem`` the one check of l_y and l_n.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -211,24 +212,31 @@ def _phase_basis_probs(corr: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.fft(corr) / math.sqrt(corr.shape[-1])) ** 2
 
 
-def phase_readings(corr_rows: np.ndarray, u) -> list:
-    """Read correlated amplitudes in the omega_p basis; INVALID is the complement.
+def phase_readings(corr_rows: np.ndarray, u) -> np.ndarray:
+    """Read correlated amplitudes in the omega_p basis; d stands for INVALID, the complement.
 
     ``corr_rows`` holds one state per row, shape (rows, d), and ``u`` one
     uniform double per row; or (rows, 1, d) states, each read once for its
-    row of (rows, R) doubles. Each double reads the p that ``_pick`` returns,
-    or INVALID for the last entry; the readings come flat, row-major.
+    row of (rows, R) doubles. Returns each double's ``_pick`` index, p or
+    d for INVALID, shaped as ``u``; ``_labels`` gives the report's values.
     """
-    picks = _pick(_cdf(_with_invalid(_phase_basis_probs(corr_rows))), u)
-    d = corr_rows.shape[-1]
-    return [INVALID if p == d else p for p in picks.ravel().tolist()]
+    return _pick(_cdf(_with_invalid(_phase_basis_probs(corr_rows))), u)
+
+
+@lru_cache(maxsize=64)
+def _labels(d: int, label) -> np.ndarray:
+    """0, ..., d - 1, then ``label``; indexed by picks, its ``tolist()`` is the report's values."""
+    table = np.array([*range(d), label], dtype=object)
+    table.flags.writeable = False
+    return table
 
 
 def decode_db(state: PureState, d: int, N: int, rng: np.random.Generator):
     """Project onto the tally states; INVALID covers the complement."""
     if state.dims != (d,) * N:
         raise ConfigurationError(f"expected {N} sites of dimension {d}, got {state.dims}")
-    return phase_readings(_correlated_overlaps(state)[None], [rng.random()])[0]
+    [p] = phase_readings(_correlated_overlaps(state)[None], [rng.random()])
+    return _labels(d, INVALID)[p]
 
 
 def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
@@ -241,18 +249,28 @@ def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
     return int(_pick(_cdf(probs), rng.random()))
 
 
-def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> list[tuple]:
-    """Compensate the known no-phase, read p, and map it to a tally; one (m, p) per double.
+@lru_cache(maxsize=64)
+def _tally_table(d: int, dl: int) -> np.ndarray:
+    """Each reading p's tally, d for CHEAT_DETECTED: p = m dl mod d, solved by one gcd and inverse.
 
-    m is the tally or CHEAT_DETECTED and p is the raw phase index or
-    INVALID. The authority knows N, l_n and delta, so it removes
-    e^{i k N theta_n} before ``phase_readings`` projects onto the p-states.
-    p inverts p = m (l_y - l_n) mod d by one gcd and inverse; non-multiples signal cheating.
+    Non-multiples of the gcd and INVALID (p = d) signal cheating.
+    """
+    g = math.gcd(dl, d)
+    p = np.arange(d + 1)
+    table = np.where((p % g == 0) & (p < d), p // g * pow(dl // g, -1, d // g) % (d // g), d)
+    table.flags.writeable = False
+    return table
+
+
+def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> tuple:
+    """Compensate the known no-phase, read p, and map it to a tally; (ms, ps), shaped as ``u``.
+
+    ps holds ``phase_readings``' indices, d for INVALID, and ms the
+    tallies ``_tally_table`` maps them to, d for CHEAT_DETECTED. The
+    authority knows N, l_n and delta, so it removes e^{i k N theta_n}
+    before ``phase_readings`` projects onto the p-states.
     """
     d = config.d
-    dl = (config.secrets.l_y - config.secrets.l_n) % d
-    g = math.gcd(dl, d)
-    inv = pow(dl // g, -1, d // g)
     compensation = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
-    return [(CHEAT_DETECTED, p) if p == INVALID or p % g else (p // g * inv % (d // g), p)
-            for p in phase_readings(corr_rows * compensation, u)]
+    ps = phase_readings(corr_rows * compensation, u)
+    return _tally_table(d, (config.secrets.l_y - config.secrets.l_n) % d)[ps], ps

@@ -30,6 +30,7 @@ from .ballots import (
     Scheme,
     TWO_VOTER_TB_LABELS,
     Vote,
+    _labels,
     phase_readings,
     secure_tally,
 )
@@ -140,12 +141,6 @@ def _parse_votes(config: BallotConfig, votes, scheme: Scheme) -> list[Vote]:
     return parsed
 
 
-def _agree(outcomes) -> bool:
-    """The agreement rule: one distinct outcome, and no CHEAT_DETECTED or INVALID."""
-    distinct = set(outcomes)
-    return len(distinct) == 1 and not distinct & {CHEAT_DETECTED, INVALID}
-
-
 def _cast(d: int, thetas) -> np.ndarray:
     """Correlated amplitudes after voter i multiplies c_k by e^{ik thetas[..., i]}, in order.
 
@@ -218,7 +213,7 @@ def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.
     """
     d = config.d
     thetas = [_yes_angle(d, exponent) for exponent in exponents]
-    m = phase_readings(_cast(d, thetas)[None], [rng.random()])[0]
+    m = _labels(d, INVALID)[phase_readings(_cast(d, thetas)[None], [rng.random()])[0]]
     if transcript:
         _log_round(transcript, 0, {"scheme": config.scheme.value, "d": d, "N": config.N},
                    [(i, {"commitment": transcript.commit(0, i, value)})
@@ -269,26 +264,25 @@ def _pairing_outcomes(config: BallotConfig, u) -> list:
 def _secure_trials(config: BallotConfig, theta_rows, u) -> tuple[list, list, list]:
     """Anti-reuse trials in the correlated basis; per-trial (tallies, outcomes, ps) lists.
 
-    ``u`` is (T, R, N + 1): trial, then repetition, then the doubles that
-    repetition's stream draws, the N pairing outcomes and then the tally.
-    ``theta_rows`` holds one angle row per trial, or one row every trial
-    shares. Voter i's pairing outcome r_i is uniform for any ballot state
-    and only multiplies the state by the global phase e^{-i r_i theta_i},
-    so the cast is c_k *= e^{ik theta_i} and the engine never reads r_i;
-    ``run_secure_vote`` picks it for its transcript. Each row is cast and
-    read once, and its CDF serves all its repetitions. ``outcomes[t]`` and
-    ``ps[t]`` are trial t's R readings (m, then p), and ``tallies[t]`` is
-    their common m if they ``_agree``, else CHEAT_DETECTED.
+    ``u`` is (T, R, k): trial, repetition, then doubles of that repetition's
+    stream, of which only the last, the tally double (N of all N + 1, or
+    the one an attack computes), is read. ``theta_rows`` holds one angle
+    row per trial, or one row every trial shares. Voter i's pairing outcome
+    r_i only multiplies the state by the global phase e^{-i r_i theta_i},
+    so the cast is c_k *= e^{ik theta_i} and ``run_secure_vote`` alone picks
+    r_i, for its transcript. Each row is cast and read once for all its
+    repetitions, and the (T, R) readings stay index arrays until the lists
+    are built: ``outcomes[t]`` and ``ps[t]`` are trial t's R readings (m,
+    then p), and ``tallies[t]`` their common m if all R are equal, else
+    CHEAT_DETECTED. So a trial agrees when its R tallies are one valid m.
     """
     u = np.asarray(u, dtype=float)
-    n, reps = config.N, u.shape[1]
-    readings = secure_tally(_cast(config.d, np.reshape(theta_rows, (-1, n)))[:, None],
-                            config, u[..., n])
-    ms, ps = [m for m, _ in readings], [p for _, p in readings]
-    cuts = range(0, len(readings), reps)
-    outcomes = [ms[i:i + reps] for i in cuts]
-    return ([o[0] if _agree(o) else CHEAT_DETECTED for o in outcomes], outcomes,
-            [ps[i:i + reps] for i in cuts])
+    d = config.d
+    ms, ps = secure_tally(_cast(d, np.reshape(theta_rows, (-1, config.N)))[:, None], config,
+                          u[..., -1])
+    agreed = np.where(np.logical_and.reduce(ms == ms[:, :1], axis=1), ms[:, 0], d)
+    cheat = _labels(d, CHEAT_DETECTED)
+    return cheat[agreed].tolist(), cheat[ms].tolist(), _labels(d, INVALID)[ps].tolist()
 
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
@@ -297,7 +291,7 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
 
     Each repetition prepares a fresh ballot and fresh voting qudits from
     its own child stream, and every voter casts ``honest_thetas``; tallies
-    that do not ``_agree`` report CHEAT_DETECTED. A logged VOTE event
+    that are not one valid m report CHEAT_DETECTED. A logged VOTE event
     carries the voter's pairing outcome r.
     """
     choices = _parse_votes(config, votes, Scheme.SECURE)

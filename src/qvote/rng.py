@@ -9,15 +9,16 @@ share a stream.
 
 Monte Carlo attacks give each trial its own child stream, ``rng.spawn(T)``,
 and the SECURE attacks give each trial's repetitions grandchildren.
-``child_doubles`` returns the doubles those streams draw without building
-a Generator or a SeedSequence per stream. A child's pool is its parent's
-with one more entropy word, its index, mixed in, and a grandchild's adds
-its own index; the kernel mixes those words into every row at once, and
-mixes no grandchildren when they draw nothing. It then expands pools as
-``generate_state(4, uint64)`` does, seeds PCG64 and computes every draw's
-128-bit LCG state in closed form, then applies the XSL-RR output and the
-53-bit double conversion. Every (stream, draw) pair of a call, the
-children's draws and then the grandchildren's, sits on one flat axis:
+``child_doubles`` returns the doubles those streams draw at the positions
+its caller reads, without building a Generator or a SeedSequence per
+stream. A child's pool is its parent's with one more entropy word, its
+index, mixed in, and a grandchild's adds its own index; the kernel mixes
+those words into every row at once, and mixes no grandchildren when none
+is read. It then expands pools as ``generate_state(4, uint64)`` does,
+seeds PCG64 and computes each read draw's 128-bit LCG state alone, in
+closed form, then applies the XSL-RR output and the 53-bit double
+conversion. Every (stream, read) pair of a call, the children's and then the
+grandchildren's, sits on one flat axis:
 each side writes its limb products there by broadcasting, and the rest
 of that arithmetic runs once per call whatever the shape. Only integer
 operations and one exact power-of-two scale touch the bits, so SIMD
@@ -29,6 +30,7 @@ ConfigurationError and is left as it was.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,20 +89,21 @@ def _mix(pools: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _lcg_columns(k: int) -> np.ndarray:
-    """Limbs of M^(j+2), of 2 B_j and of B_j, B_j = M^0 + ... + M^(j+2), for draws j < k.
+def _lcg_columns(reads: tuple) -> np.ndarray:
+    """Limbs of M^(j+2), of 2 B_j and of B_j, B_j = M^0 + ... + M^(j+2), for each draw j in reads.
 
     Seeding sets inc = 2 initseq + 1 and steps the LCG twice around adding
     initstate; draw j steps once more, so it reads
-    M^(j+2) initstate + 2 B_j initseq + B_j (mod 2**128). Shape (3, 4, k, 1):
-    factor, limb, draw.
+    M^(j+2) initstate + 2 B_j initseq + B_j (mod 2**128) (Brown's
+    arbitrary-stride jump). Shape (3, 4, len(reads), 1): factor, limb, draw.
     """
     mod = 1 << 128
-    powers = [pow(_PCG_MULT, j, mod) for j in range(k + 2)]
-    sums = [sum(powers[:j + 3]) % mod for j in range(k)]
-    columns = [[powers[j + 2] for j in range(k)], [2 * s % mod for s in sums], sums]
+    powers = [pow(_PCG_MULT, i, mod) for i in range(max(reads, default=-1) + 3)]
+    sums = list(accumulate(powers, lambda a, b: (a + b) % mod))
+    columns = [[powers[j + 2] for j in reads], [2 * sums[j + 2] % mod for j in reads],
+               [sums[j + 2] for j in reads]]
     limbs = np.array([[[c >> 32 * l & _M32 for c in col] for l in range(4)] for col in columns],
-                     dtype=np.uint64).reshape(3, 4, k, 1)
+                     dtype=np.uint64).reshape(3, 4, len(reads), 1)
     limbs.flags.writeable = False
     return limbs
 
@@ -114,9 +117,10 @@ _SEED_XOR, _SEED_MULT = _STATE_HASH[_SEED_WORDS, None], _STATE_HASH[_SEED_WORDS 
 def _draws(blocks: list) -> np.ndarray:
     """The doubles of PCG64 generators seeded from pools, all on one flat axis.
 
-    ``blocks`` lists (pools, k) pairs: each row of ``pools`` seeds a
-    generator that draws k doubles. The flat axis holds block after block,
-    and within a block draw after draw, each draw's rows in order. A block
+    ``blocks`` lists (pools, reads) pairs: each row of ``pools`` seeds a
+    generator, read at the draw positions ``reads``. The flat axis holds
+    block after block, and within a block read after read, each read's
+    rows in order. A block
     writes its limb products into that axis straight from its rows' seed
     limbs and its draws' factor limbs, broadcast against each other; the
     rest of the 128-bit limb arithmetic, the carries and the output then
@@ -128,14 +132,14 @@ def _draws(blocks: list) -> np.ndarray:
     words ^= words >> 16
     # 32-bit limbs, least significant first, of initstate and of initseq.
     seeds = words.reshape(2, 4, 1, -1)
-    flat = sum(len(rows) * k for rows, k in blocks)
+    flat = sum(len(rows) * len(reads) for rows, reads in blocks)
     acc = np.empty((4, flat), np.uint64)
     low, high = np.empty((2, 4, flat), np.uint64), np.empty((2, 3, flat), np.uint64)
     products = []
     row = at = 0
-    for rows, k in blocks:
-        n = len(rows)
-        columns = _lcg_columns(k)
+    for rows, reads in blocks:
+        n, k = len(rows), len(reads)
+        columns = _lcg_columns(reads)
         # The sum starts at B_j.
         acc[:, at:at + n * k].reshape(4, k, n)[...] = columns[2]
         products.append((seeds[..., row:row + n], columns[:2],
@@ -160,12 +164,14 @@ def _draws(blocks: list) -> np.ndarray:
     return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
 
 
-def child_doubles(rng: np.random.Generator, trials: int, k: int,
-                  reps: int = 0, rep_k: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The doubles ``rng.spawn(trials)`` children and their ``spawn(reps)`` children draw.
+def child_doubles(rng: np.random.Generator, trials: int, reads=(),
+                  reps: int = 0, rep_reads=()) -> tuple[np.ndarray, np.ndarray]:
+    """The doubles ``rng.spawn(trials)`` children and their ``spawn(reps)`` children read.
 
-    Returns (u, rep_u): row t of u is ``children[t].random(k)``, and
-    ``rep_u[t, r]`` is ``children[t].spawn(reps)[r].random(rep_k)``.
+    ``reads`` and ``rep_reads`` are tuples of draw positions, 0 for the
+    first. Returns (u, rep_u): ``u[t, i]`` is double ``reads[i]`` of
+    ``children[t]``, ``rep_u[t, r, i]`` double ``rep_reads[i]`` of
+    ``children[t].spawn(reps)[r]``, and a draw no one reads costs nothing.
     The parent advances as ``rng.spawn(trials)`` advances it, in place:
     ``n_children_spawned`` is read-only, and unpickling's ``__setstate__``
     is the one writer that works in place, so the state of a fresh
@@ -186,15 +192,16 @@ def child_doubles(rng: np.random.Generator, trials: int, k: int,
     # parent's spawn key, then one word i: its pool is the parent's with i
     # mixed in. A grandchild's adds one more word r.
     n = size * (max(_word_count(seed_seq.entropy), size) + _word_count(seed_seq.spawn_key))
+    k, rep_k = len(reads), len(rep_reads)
     blocks = []
     if trials and (k or reps and rep_k):
         pools = _mix(np.array(seed_seq.pool, dtype=np.uint64),
                      np.arange(first, first + trials, dtype=np.uint64), n)
         if k:
-            blocks.append((pools, k))
+            blocks.append((pools, reads))
         if reps and rep_k:
             grand = _mix(pools[:, None], np.arange(reps, dtype=np.uint64), n + size)
-            blocks.append((grand.reshape(-1, size), rep_k))
+            blocks.append((grand.reshape(-1, size), rep_reads))
     out = _draws(blocks) if blocks else np.empty(0)
     seed_seq.__setstate__(type(seed_seq)(
         seed_seq.entropy, spawn_key=seed_seq.spawn_key, pool_size=size,

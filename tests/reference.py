@@ -6,7 +6,10 @@ product-ballot attacks, the dense TB round, the scalar SECURE round, the
 forgery and mismatched-state attacks run one trial of scalar SECURE
 rounds at a time, and the swap test that drew from a three-entry CDF per
 pair. They make the same draws in the same order as the kernels, so
-tests require equal reports, draw for draw.
+tests require equal reports, draw for draw. The dense collusion and
+product-ballot loops measure through ``reading``, which zeroes the 1e-16
+rounding tails of dense sums, so they read what the state allows at the
+extreme doubles 0.0 and 1 - 2**-53 too.
 
 ``inner``, ``phase_vote_unitary`` and ``shift_unitary`` are the dense
 overlap and the dense yes and shift operators. No run or check in the
@@ -45,8 +48,8 @@ from qvote.ballots import (
     Scheme,
     Vote,
     _correlated_overlaps,
+    _phase_basis_probs,
     cast_vote_db,
-    decode_db,
     decode_tb,
     prepare_db_ballot,
     prepare_tb_ballot,
@@ -57,6 +60,7 @@ from qvote.errors import ConfigurationError
 from qvote.protocols import _parse_votes, _tb_shift, honest_thetas
 from qvote.qstate import (
     ATOL,
+    INVALID,
     CorrelatedState,
     LocalUnitary,
     PureState,
@@ -64,7 +68,6 @@ from qvote.qstate import (
     _pick,
     _with_invalid,
     apply_local,
-    measure_computational,
     tensor,
 )
 
@@ -147,6 +150,29 @@ def child_doubles(rng: np.random.Generator, trials: int, k: int, reps: int = 0,
     return u, rep_u.reshape(len(kids), reps, rep_k)
 
 
+def reading(probs: np.ndarray, u: float) -> int:
+    """The outcome ``u`` reads from ``probs`` once their rounding tails, below 1e-12, are zeroed.
+
+    Dense sums leave weights near 1e-16 on outcomes the state rules out,
+    INVALID included. A zero-weight outcome is never read, so 0.0 reads
+    the first outcome the state allows and 1 - 2**-53 the last.
+    """
+    live = np.flatnonzero(probs >= 1e-12)
+    return int(live[_pick(_cdf(probs[live]), u)])
+
+
+def measure(state: PureState, site: int, rng: np.random.Generator):
+    """A computational-basis measurement of one site through ``reading``; returns (digit, post)."""
+    shaped = state.shaped()
+    marginal = np.sum(np.abs(shaped) ** 2,
+                      axis=tuple(a for a in range(state.num_sites) if a != site))
+    k = reading(marginal, rng.random())
+    at = (slice(None),) * site + (k,)
+    collapsed = np.zeros_like(shaped)
+    collapsed[at] = shaped[at]
+    return k, PureState.from_amplitudes(state.dims, collapsed.reshape(-1))
+
+
 def phase_basis_measure(state: PureState, site: int, rng: np.random.Generator):
     """Measure one site in the {|psi(2 pi l / d)>} basis; returns (l, post).
 
@@ -154,7 +180,13 @@ def phase_basis_measure(state: PureState, site: int, rng: np.random.Generator):
     FFT along the site rotates the basis onto the computational one.
     """
     rotated = np.fft.fft(state.shaped(), axis=site, norm="ortho")
-    return measure_computational(PureState(state.dims, rotated.reshape(-1)), site, rng)
+    return measure(PureState(state.dims, rotated.reshape(-1)), site, rng)
+
+
+def phase_decode(state: PureState, d: int, rng: np.random.Generator):
+    """``decode_db``'s omega_p reading with INVALID as the complement, through ``reading``."""
+    p = reading(_with_invalid(_phase_basis_probs(_correlated_overlaps(state))), rng.random())
+    return INVALID if p == d else p
 
 
 def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
@@ -171,16 +203,16 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
             state = prepare_tb_ballot(d)
             for t, choice in enumerate(choices):
                 if t == j:
-                    second, state = measure_computational(state, 1, trial_rng)
+                    second, state = measure(state, 1, trial_rng)
                 if choice is Vote.YES:
                     state = apply_local(state, 1, op)
                 if t == i:
-                    first, state = measure_computational(state, 1, trial_rng)
+                    first, state = measure(state, 1, trial_rng)
             if op is shift_op:
                 inferred.append((second - first) % d)
                 _bump(diff_hist, decode_tb(state, d, trial_rng))
             else:
-                _bump(phase_hist, decode_db(state, d, 2, trial_rng))
+                _bump(phase_hist, phase_decode(state, d, trial_rng))
     return AttackReport(
         attack="collusion_tb",
         trials=int(trials),
@@ -282,7 +314,13 @@ def secure_round(config: BallotConfig, thetas, rep_rng):
     for theta in thetas:
         rs.append(int(_pick(np.full(d, 1 / d).cumsum(), rep_rng.random())))
         state = CorrelatedState(d, state.sites, state.c * np.exp(1j * np.arange(d) * theta))
-    return (*secure_tally(state.c[None], config, [rep_rng.random()])[0], rs)
+    return (*secure_reading(state.c, config, rep_rng.random()), rs)
+
+
+def secure_reading(corr: np.ndarray, config: BallotConfig, u: float):
+    """One (m, p) reading of a correlated row: ``secure_tally``'s p, labelled and solved here."""
+    _, [p] = secure_tally(corr[None], config, [u])
+    return (CHEAT_DETECTED, INVALID) if p == config.d else (solve_tally(int(p), config), int(p))
 
 
 def secure_vote(config: BallotConfig, thetas, trial_rng: np.random.Generator,
@@ -299,7 +337,7 @@ def secure_vote(config: BallotConfig, thetas, trial_rng: np.random.Generator,
 def agreed_tally(outcomes):
     """The common tally if every repetition decodes the same valid multiple, else CHEAT_DETECTED.
 
-    This is the rule written out on its own, not ``protocols._agree``.
+    This is the rule written out on its own, not ``protocols._secure_trials``' array form.
     """
     agree = len(set(outcomes)) == 1 and CHEAT_DETECTED not in outcomes
     return outcomes[0] if agree else CHEAT_DETECTED
@@ -425,7 +463,7 @@ def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generat
     if state.dims != (config.d,) * (2 * config.N):
         raise ConfigurationError(
             f"expected {2 * config.N} sites of dimension {config.d}, got {state.dims}")
-    return secure_tally(_correlated_overlaps(state)[None], config, [rng.random()])[0]
+    return secure_reading(_correlated_overlaps(state), config, rng.random())
 
 
 def solve_tally(p: int, config: BallotConfig):

@@ -116,8 +116,8 @@ class TestBallotConfig:
                     continue
                 rows = [[config.theta_yes] * w + [config.theta_no] * (n - w)
                         for w in range(n + 1)]
-                readings = secure_tally(_cast(d, rows), config, [0.5] * (n + 1))
-                assert [m for m, _ in readings] == list(range(n + 1)), (d, n, l_y, l_n)
+                tallies, _ = secure_tally(_cast(d, rows), config, [0.5] * (n + 1))
+                assert tallies.tolist() == list(range(n + 1)), (d, n, l_y, l_n)
 
     def test_drawn_secrets_are_valid(self):
         rng = np.random.default_rng(0)
@@ -402,14 +402,15 @@ class TestDecodeDb:
         assert prob == pytest.approx(1, abs=1e-12)
 
     def test_phase_readings_break_ties_as_pick_does(self):
-        # A double equal to a CDF step reads the next outcome, as _pick does.
+        # A double equal to a CDF step reads the next outcome, as _pick does;
+        # the index d = 7 is INVALID.
         rng = np.random.default_rng(21)
         corr = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
         corr *= 0.999 / np.linalg.norm(corr, axis=1, keepdims=True)
         cdf = _cdf(_with_invalid(_phase_basis_probs(corr)))
         for steps in cdf.T:
             picks = [int(_pick(row, u)) for row, u in zip(cdf, steps)]
-            assert phase_readings(corr, steps) == [INVALID if p == 7 else p for p in picks]
+            assert phase_readings(corr, steps).tolist() == picks
 
 
 class TestDecodeTb:
@@ -487,26 +488,30 @@ class TestDecodeSecure:
         assert solve_tally(3, config) == 1
         assert solve_tally(6, config) == 2
         assert solve_tally(4, config) == CHEAT_DETECTED
-        monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: [3, 6, 4])
-        assert secure_tally(np.zeros((3, 9)), config, []) == [
-            (1, 3), (2, 6), (CHEAT_DETECTED, 4)]
+        monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: np.array([3, 6, 4]))
+        tallies, ps = secure_tally(np.zeros((3, 9)), config, [])
+        # The tally index d = 9 is CHEAT_DETECTED.
+        assert tallies.tolist() == [1, 2, 9] and ps.tolist() == [3, 6, 4]
 
     def test_secure_tally_maps_every_reading_as_solve_tally(self, monkeypatch):
         # Every p in 0..d-1 and INVALID, for every secret pair: gcd(l_y - l_n, d) > 1 included.
         # The reference is tests/reference.py's solve_tally, one solve per reading.
+        # Both index arrays write INVALID and CHEAT_DETECTED as d.
         for d in range(2, 61):
-            readings = [*range(d), INVALID]
+            readings = np.arange(d + 1)
             monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: readings)
             # solve_tally reads the secrets only as (l_y - l_n) mod d.
-            want = {dl: [*((solve_tally(p, config), p) for p in range(d)),
-                         (CHEAT_DETECTED, INVALID)]
+            want = {dl: [d if m == CHEAT_DETECTED else m
+                         for m in (solve_tally(p, config) for p in range(d))] + [d]
                     for dl in range(1, d)
                     for config in [BallotConfig(d, 1, Scheme.SECURE, secrets=(dl, 0, 0.0))]}
             for l_y, l_n in product(range(d), repeat=2):
                 if l_y == l_n:
                     continue
                 config = BallotConfig(d, 1, Scheme.SECURE, secrets=SecureSecrets(l_y, l_n, 0.0))
-                assert secure_tally(np.zeros((1, d)), config, []) == want[(l_y - l_n) % d]
+                tallies, ps = secure_tally(np.zeros((1, d)), config, [])
+                assert tallies.tolist() == want[(l_y - l_n) % d]
+                assert np.array_equal(ps, readings)
 
 
 class TestOrthogonalityInvariant:
@@ -645,8 +650,8 @@ class TestReadBatch:
         probs = np.array([_phase_basis_probs(row[None])[0] for row in corr])
         assert np.array_equal(_phase_basis_probs(corr).view(np.uint64), probs.view(np.uint64))
         u = step_doubles(corr, rng)
-        assert phase_readings(corr, u) == [phase_readings(row[None], [x])[0]
-                                           for row, x in zip(corr, u)]
+        assert phase_readings(corr, u).tolist() == [int(phase_readings(row[None], [x])[0])
+                                                    for row, x in zip(corr, u)]
 
     @given(st.integers(3, 16), st.data(), st.booleans(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=8, deadline=None, phases=NO_SHRINK)
@@ -658,5 +663,7 @@ class TestReadBatch:
         corr = leaky_rows(batch_rows(d, above, seed), d, rng)
         # Steps of the rows secure_tally reads: compensated by e^{-ik N theta_n}.
         u = step_doubles(corr * np.exp(-1j * np.arange(d) * n * config.theta_no), rng)
-        assert secure_tally(corr, config, u) == [secure_tally(row[None], config, [x])[0]
-                                                 for row, x in zip(corr, u)]
+        tallies, ps = secure_tally(corr, config, u)
+        assert list(zip(tallies.tolist(), ps.tolist())) == [
+            tuple(int(a[0]) for a in secure_tally(row[None], config, [x]))
+            for row, x in zip(corr, u)]

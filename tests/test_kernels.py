@@ -1,13 +1,14 @@
 """Closed-form attack kernels against their dense references, and RNG stream use.
 
 Each kernel must return the report its per-trial reference in
-``reference.py`` returns, and each trial must take a fixed number of
-draws from its stream: transcripts replay bit-exactly only while that
-holds. The stream tests compare ``bit_generator.state`` with a fresh
-generator that made exactly that many draws, so one extra or missing draw
-fails them. The Monte Carlo attacks take their trials' doubles from
-``rng.child_doubles``; their tests record those doubles and compare them
-with a fresh ``rng.spawn`` loop that draws the stated count per stream.
+``reference.py`` returns, and each trial must read fixed draws of its
+stream: transcripts replay bit-exactly only while that holds. The stream
+tests compare ``bit_generator.state`` with a fresh generator that made
+exactly that many draws, so one extra or missing draw fails them. The
+Monte Carlo attacks take their trials' doubles from ``rng.child_doubles``,
+naming the draw positions they read; their tests record those positions
+and doubles and compare the doubles with the same columns of a fresh
+``rng.spawn`` loop's draws.
 """
 
 import hashlib
@@ -33,9 +34,17 @@ from qvote.adversary import (
     mismatched_voting_states,
     phase_estimate_attack,
 )
-from qvote.ballots import BallotConfig, Scheme, SecureSecrets, voting_qudit_state
+from qvote.ballots import (
+    CHEAT_DETECTED,
+    BallotConfig,
+    Scheme,
+    SecureSecrets,
+    _phase_basis_probs,
+    voting_qudit_state,
+)
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
+    _cast,
     _pairing_outcomes,
     _secure_trials,
     run_db_vote,
@@ -43,6 +52,7 @@ from qvote.protocols import (
     run_survey,
     run_tb_vote,
 )
+from qvote.qstate import INVALID, _cdf, _with_invalid
 
 # Dense product-ballot references hold d**N amplitudes per trial.
 REFERENCE_BUDGET = 20_000
@@ -66,12 +76,12 @@ class Recording:
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Each ``rng.child_doubles`` call made during the test: its counts and its arrays."""
+    """Each ``rng.child_doubles`` call made during the test: the positions it reads, its arrays."""
     calls, real = [], rngmod.child_doubles
 
-    def record(rng, trials, k, reps=0, rep_k=0):
-        out = real(rng, trials, k, reps, rep_k)
-        calls.append({"counts": (trials, k, reps, rep_k), "u": out[0], "rep_u": out[1]})
+    def record(rng, trials, reads=(), reps=0, rep_reads=()):
+        out = real(rng, trials, reads, reps, rep_reads)
+        calls.append({"reads": (trials, reads, reps, rep_reads), "u": out[0], "rep_u": out[1]})
         return out
 
     monkeypatch.setattr(rngmod, "child_doubles", record)
@@ -82,13 +92,20 @@ def parent_state(rng: np.random.Generator) -> tuple:
     return rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned
 
 
-def assert_consumed(rng, calls, seed, counts):
-    """One ``child_doubles`` call with ``counts`` that drew what a fresh spawn loop draws."""
+def assert_consumed(rng, calls, seed, reads):
+    """One ``child_doubles`` call that read ``reads``: (trials, positions, reps, rep positions).
+
+    Its doubles must be those columns of a fresh spawn loop's draws, and
+    the parent must stand where that loop leaves it.
+    """
     [call] = calls
-    assert call["counts"] == counts
+    assert call["reads"] == reads
+    trials, positions, reps, rep_positions = reads
     fresh = np.random.default_rng(seed)
-    u, rep_u = reference.child_doubles(fresh, *counts)
-    assert np.array_equal(call["u"], u) and np.array_equal(call["rep_u"], rep_u)
+    u, rep_u = reference.child_doubles(fresh, trials, max(positions, default=-1) + 1, reps,
+                                       max(rep_positions, default=-1) + 1)
+    assert np.array_equal(call["u"], u[:, list(positions)])
+    assert np.array_equal(call["rep_u"], rep_u[..., list(rep_positions)])
     assert parent_state(rng) == parent_state(fresh)
 
 
@@ -183,6 +200,22 @@ class Scripted:
 
     def random(self):
         return self.doubles.pop(0)
+
+
+class Fixed:
+    """A stand-in generator whose every draw, and every draw of its children, is one double."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def spawn(self, n):
+        return [self] * n
+
+    def random(self):
+        return self.u
+
+
+EXTREMES = pytest.mark.parametrize("u", [0.0, 1 - 2 ** -53], ids=["zero", "last"])
 
 
 class TestKernelsMatchReferences:
@@ -311,6 +344,33 @@ class TestKernelsMatchReferences:
             assert got == reference.detect_symmetry(pair, Scripted([u]), comparisons=1)
             assert got == (CHEATING if u >= s else CLEAN)
 
+    @EXTREMES
+    def test_collusion_at_the_extreme_doubles(self, u):
+        # Every double of every trial is u; the dense reference's rounding
+        # tails must not turn u into a reading the state rules out.
+        for d in range(3, 11):
+            for n in sorted({2, d - 1}):
+                config, votes = BallotConfig(d, n, Scheme.TB), ("YYN" * d)[:n]
+                with fed([np.full((3, 6), u)]):
+                    got = collusion_attack_tb(config, votes, (0, n - 1), 3, None)
+                ref = reference.collusion_attack_tb(config, votes, (0, n - 1), 3, Fixed(u))
+                assert got.to_dict() == ref.to_dict(), (d, n)
+
+    @EXTREMES
+    @pytest.mark.parametrize("honest", [False, True])
+    def test_product_ballot_at_the_extreme_doubles(self, u, honest):
+        for d in range(2, 9):
+            for n in range(1, d):
+                if d ** n > REFERENCE_BUDGET:
+                    break
+                config, votes = BallotConfig(d, n, Scheme.DB), ("YNY" * d)[:n]
+                with fed([np.full((3, n), u)]):
+                    got = authority_product_ballot(config, votes, None, trials=3,
+                                                   honest_ballot=honest)
+                ref = reference.authority_product_ballot(config, votes, Fixed(u), trials=3,
+                                                         honest_ballot=honest)
+                assert got.to_dict() == ref.to_dict(), (d, n)
+
     def test_zero_rows_give_no_rounds(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
         assert _secure_trials(config, [], np.zeros((0, 3, 4))) == ([], [], [])
@@ -320,10 +380,18 @@ class TestKernelsMatchReferences:
 
 @contextmanager
 def fed(doubles):
-    """``rng.child_doubles`` patched to return each array of ``doubles`` in turn, for any rng."""
+    """``rng.child_doubles`` patched to return each array of ``doubles`` in turn, for any rng.
+
+    Each array holds one row of draws per trial; a call gets the columns
+    at the positions it reads, and no repetition doubles.
+    """
     feed = iter(doubles)
+
+    def child_doubles(rng, trials, reads, reps=0, rep_reads=()):
+        return next(feed)[:, list(reads)], None
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rngmod, "child_doubles", lambda rng, t, k: (next(feed), None))
+        patch.setattr(rngmod, "child_doubles", child_doubles)
         yield
 
 
@@ -370,6 +438,30 @@ class TestEdgeDoubles:
         with fed([np.zeros((6, 3))]):
             report = authority_product_ballot(config, "YNY", None, trials=6)
         assert report.inferred_secrets["per_voter_accuracy"] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("d", [11, 12])
+    def test_secure_readout_on_every_step(self, d):
+        # A forged row read by 0.0, each CDF step below 1, the double just
+        # below each step and 1 - 2**-53, one repetition each. At d=12,
+        # l_y - l_n = 2 shares the gcd 2 with d, so odd p are no tally; this
+        # row's CDF stops short of 1, so its last step reads INVALID.
+        config = BallotConfig(d, 3, Scheme.SECURE, secrets=SecureSecrets(2, 0, 0.2 / d))
+        row = [config.theta_yes + 0.03, config.theta_no, config.theta_yes]
+        compensation = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
+        cdf = _cdf(_with_invalid(_phase_basis_probs(_cast(d, [row])[:, None] * compensation)))
+        steps = cdf[cdf < 1.0]
+        doubles = [0.0, *steps, *np.nextafter(steps, 0.0), 1 - 2 ** -53]
+        u = np.zeros((1, len(doubles), config.N + 1))
+        u[0, :, -1] = doubles
+        [tally], [outcomes], [ps] = _secure_trials(config, [row], u)
+        ref = [reference.secure_round(config, row, Scripted([0.0] * config.N + [x]))[:2]
+               for x in doubles]
+        assert list(zip(outcomes, ps)) == ref
+        gcd = 2 if d == 12 else 1
+        cheats = [m for m, p in zip(outcomes, ps) if p == INVALID or p % gcd]
+        assert INVALID in ps and (d == 11 or any(p != INVALID and p % 2 for p in ps))
+        assert cheats and set(cheats) == {CHEAT_DETECTED}
+        assert set(ps) - {INVALID} == set(range(d)) and tally == CHEAT_DETECTED
 
 
 def parent(seed: int, spawned: int) -> np.random.Generator:
@@ -431,27 +523,30 @@ class TestStreamConsumption:
     def test_collusion_trial_makes_six_draws(self, drawn):
         rng = np.random.default_rng(5)
         collusion_attack_tb(BallotConfig(5, 4, Scheme.TB), "YNYY", (0, 3), 8, rng)
-        assert_consumed(rng, drawn, 5, (8, 6, 0, 0))
+        # Six doubles per trial, of which the phase decode reads the last.
+        assert_consumed(rng, drawn, 5, (8, (5,), 0, ()))
 
     @pytest.mark.parametrize("honest", [False, True])
     def test_product_ballot_trial_makes_n_draws(self, drawn, honest):
         rng = np.random.default_rng(6)
         authority_product_ballot(BallotConfig(7, 4, Scheme.DB), "YNYY", rng, trials=8,
                                  honest_ballot=honest)
-        assert_consumed(rng, drawn, 6, (8, 4, 0, 0))
+        # Four doubles per trial, one per site; the product ballot reads none.
+        assert_consumed(rng, drawn, 6, (8, (0, 1, 2, 3) if honest else (), 0, ()))
 
     def test_forgery_trial_makes_one_draw_and_spawns_repetitions(self, drawn):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
         rng = np.random.default_rng(7)
         phase_estimate_attack(config, 0, 1.0, 6, rng, repetitions=3)
-        assert_consumed(rng, drawn, 7, (6, 1, 3, config.N + 1))
+        # The eps double, then N + 1 per repetition, of which the tally double is read.
+        assert_consumed(rng, drawn, 7, (6, (0,), 3, (config.N,)))
 
     def test_mismatched_trial_spawns_repetitions(self, drawn):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
         rng = np.random.default_rng(11)
         mismatched_voting_states(config, mismatched_pairs(config), "YNY", rng, trials=6,
                                  repetitions=3)
-        assert_consumed(rng, drawn, 11, (6, 0, 3, config.N + 1))
+        assert_consumed(rng, drawn, 11, (6, (), 3, (config.N,)))
 
     def test_secure_repetition_makes_n_plus_one_draws(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))

@@ -146,9 +146,15 @@ class TestRunSecureVote:
         assert result.p == [(3 * 3) % 13] * 3
 
 
-# (m, p) readings as secure_tally returns them: tallies, a p that is no
-# multiple of l_y - l_n, and an unreadable row.
-SCRIPTED_READINGS = [(2, 4), (1, 2), (0, 0), (CHEAT_DETECTED, 3), (CHEAT_DETECTED, INVALID)]
+# (m, p) readings as secure_tally returns them at d = 11: tallies, a p that
+# is no multiple of l_y - l_n, and an unreadable row. The index d is
+# CHEAT_DETECTED as a tally and INVALID as a p.
+SCRIPTED_D = 11
+SCRIPTED_READINGS = [(2, 4), (1, 2), (0, 0), (SCRIPTED_D, 3), (SCRIPTED_D, SCRIPTED_D)]
+
+
+def scripted_label(index, label):
+    return label if index == SCRIPTED_D else index
 
 
 class TestSecureTrialsSlicing:
@@ -163,7 +169,7 @@ class TestSecureTrialsSlicing:
             reading.map(lambda r: [r] * repetitions)
             | st.lists(reading, min_size=repetitions, max_size=repetitions),
             max_size=5))
-        config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        config = BallotConfig(SCRIPTED_D, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
         trials = len(script)
         rows = [[0.1, 0.2, 0.3]] if shared else [[0.1 * t, 0.2, -0.3] for t in range(trials)]
         u = np.random.default_rng(trials).random((trials, repetitions, config.N + 1))
@@ -171,7 +177,8 @@ class TestSecureTrialsSlicing:
 
         def scripted_tally(corr_rows, tally_config, tally_u):
             calls.append((corr_rows.shape, tally_config, np.array(tally_u)))
-            return [r for trial in script for r in trial]
+            readings = np.array(script, dtype=int).reshape(trials, repetitions, 2)
+            return readings[..., 0], readings[..., 1]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocols, "secure_tally", scripted_tally)
@@ -180,8 +187,9 @@ class TestSecureTrialsSlicing:
         [(shape, tally_config, tally_u)] = calls
         assert shape == (len(rows), 1, config.d) and tally_config is config
         assert np.array_equal(tally_u, u[..., config.N])
-        assert outcomes == [[m for m, _ in trial] for trial in script]
-        assert ps == [[p for _, p in trial] for trial in script]
+        assert outcomes == [[scripted_label(m, CHEAT_DETECTED) for m, _ in trial]
+                            for trial in script]
+        assert ps == [[scripted_label(p, INVALID) for _, p in trial] for trial in script]
         assert tallies == [reference.agreed_tally(o) for o in outcomes]
 
 

@@ -314,22 +314,28 @@ class TestSample:
                 assert picks.tolist() == [[int(_pick(row, x)) for x in us]
                                           for row, us in zip(cdf, u)]
 
-    def test_row_cdfs_broadcast_against_a_column_per_row(self):
-        # (N, m) CDFs against (T, N) doubles: column t of the doubles reads
-        # row t's CDF, so each pick must equal the 1-D pick of that double,
-        # at random doubles and on the steps.
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-row", "row-per-trial"])
+    def test_row_stacks_read_each_trials_repetitions(self, shared):
+        # How the SECURE engine reads: a (rows, 1, m) CDF stack against (T, R)
+        # doubles, with one row every trial shares or one row per trial. Each
+        # pick must equal the 1-D pick of its trial's row, at random doubles,
+        # at 0.0 and 1 - 2**-53, and exactly on and just below every step.
         gen = np.random.default_rng(79)
         for trial in range(200):
-            n, t, m = (int(x) for x in gen.integers(1, [8, 20, 20]))
-            weights = gen.random((n, m)) ** 4 * (gen.random((n, m)) < 0.8)
+            t, reps, m = (int(x) for x in gen.integers(1, [20, 6, 20]))
+            rows = 1 if shared else t
+            weights = gen.random((rows, m)) ** 4 * (gen.random((rows, m)) < 0.8)
             weights[:, -1] += 1e-3
-            cdf = _cdf(weights)
-            on_steps = cdf[np.arange(n), gen.integers(0, m, (t, n))]
-            for u in (gen.random((t, n)), on_steps, np.nextafter(on_steps, 0.0)):
-                picks = _pick(cdf, u)
-                assert picks.shape == (t, n)
-                assert picks.tolist() == [[int(_pick(row, x)) for row, x in zip(cdf, us)]
-                                          for us in u]
+            scale = np.where(gen.random((rows, 1)) < 0.5, 1.02, 1.0)
+            cdf = (weights / (weights.sum(axis=1, keepdims=True) * scale)).cumsum(axis=1)
+            row_of = np.zeros(t, dtype=int) if shared else np.arange(t)
+            on_steps = cdf[row_of[:, None], gen.integers(0, m, (t, reps))]
+            for u in (gen.random((t, reps)), np.zeros((t, reps)), np.full((t, reps), 1 - 2 ** -53),
+                      on_steps, np.nextafter(on_steps, 0.0)):
+                picks = _pick(cdf[:, None], u)
+                assert picks.shape == (t, reps)
+                assert picks.tolist() == [[int(_pick(cdf[r], x)) for x in us]
+                                          for r, us in zip(row_of, u)]
 
     def test_invalid_complement_is_the_last_index(self):
         full = _with_invalid(np.array([0.0, -1e-17]))

@@ -1,4 +1,9 @@
-"""``rng.child_doubles`` against numpy's own child and grandchild Generators, bit for bit."""
+"""``rng.child_doubles`` against numpy's own child and grandchild Generators, bit for bit.
+
+The kernel computes only the draw positions its caller names. Reading
+every position up to k must give numpy's first k doubles, and reading any
+set of positions must give those columns of the full draws.
+"""
 
 import tracemalloc
 
@@ -85,7 +90,7 @@ def test_child_doubles_match_spawned_generators(entropy, spawn_key, spawned, poo
     got_rng, ref_rng = (parent(entropy, spawn_key, spawned, pool_size) for _ in range(2))
     seed_seq = got_rng.bit_generator.seed_seq
     before = (seed_seq.entropy, seed_seq.spawn_key, seed_seq.pool_size, seed_seq.pool.copy())
-    u, rep_u = rngmod.child_doubles(got_rng, trials, k, reps, rep_k)
+    u, rep_u = rngmod.child_doubles(got_rng, trials, tuple(range(k)), reps, tuple(range(rep_k)))
     ref_u, ref_rep_u = reference.child_doubles(ref_rng, trials, k, reps, rep_k)
     assert same_bits(u, ref_u) and same_bits(rep_u, ref_rep_u)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -97,6 +102,36 @@ def test_child_doubles_match_spawned_generators(entropy, spawn_key, spawned, poo
     assert same_children(got_rng.spawn(2), ref_rng.spawn(2))
 
 
+# A sorted set of draw positions, possibly empty.
+POSITIONS = st.sets(st.integers(0, 9), max_size=6).map(sorted).map(tuple)
+
+
+@given(entropy=WORDS | st.lists(WORDS, min_size=1, max_size=4), spawned=SPAWNED,
+       trials=st.integers(0, 12), reads=POSITIONS, reps=st.integers(0, 4), rep_reads=POSITIONS)
+# The attacks' positions at N = 3: the forgery's (0,) and (N,), mismatched
+# voting states' () and (N,), collusion's (5,), and the malicious product
+# ballot's () against the honest one's (0, ..., N - 1).
+@example(entropy=3, spawned=("spawn", 0), trials=6, reads=(0,), reps=3, rep_reads=(3,))
+@example(entropy=3, spawned=("spawn", 2), trials=6, reads=(), reps=3, rep_reads=(3,))
+@example(entropy=3, spawned=("spawn", 0), trials=8, reads=(5,), reps=0, rep_reads=())
+@example(entropy=3, spawned=("spawn", 0), trials=8, reads=(), reps=0, rep_reads=())
+@example(entropy=3, spawned=("spawn", 0), trials=8, reads=(0, 1, 2), reps=0, rep_reads=())
+@settings(max_examples=150, deadline=None)
+def test_selected_reads_equal_the_full_draws_columns(entropy, spawned, trials, reads, reps,
+                                                     rep_reads):
+    # The full side reads every position up to the largest one named.
+    got_rng, full_rng = (parent(entropy, [], spawned, 4) for _ in range(2))
+    u, rep_u = rngmod.child_doubles(got_rng, trials, reads, reps, rep_reads)
+    full, rep_full = (tuple(range(max(p, default=-1) + 1)) for p in (reads, rep_reads))
+    full_u, full_rep_u = rngmod.child_doubles(full_rng, trials, full, reps, rep_full)
+    assert same_bits(u, full_u[:, list(reads)])
+    assert same_bits(rep_u, full_rep_u[..., list(rep_reads)])
+    assert got_rng.bit_generator.state == full_rng.bit_generator.state
+    assert (got_rng.bit_generator.seed_seq.n_children_spawned
+            == full_rng.bit_generator.seed_seq.n_children_spawned)
+    assert same_children(got_rng.spawn(2), full_rng.spawn(2))
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64DXSM,
                                            np.random.SFC64, np.random.MT19937])
 def test_parents_that_are_not_pcg64_raise_untouched(bit_generator):
@@ -104,7 +139,7 @@ def test_parents_that_are_not_pcg64_raise_untouched(bit_generator):
     rng = np.random.Generator(bit_generator(np.random.SeedSequence(5, n_children_spawned=3)))
     state = rng.bit_generator.state
     with pytest.raises(ConfigurationError, match="PCG64"):
-        rngmod.child_doubles(rng, 2, 2, 1, 1)
+        rngmod.child_doubles(rng, 2, (0, 1), 1, (0,))
     assert rng.bit_generator.seed_seq.n_children_spawned == 3
     np.testing.assert_equal(rng.bit_generator.state, state)
 
@@ -116,10 +151,10 @@ def test_child_indices_past_the_limit_raise_untouched(trials):
         np.random.SeedSequence([5, 2 ** 40], spawn_key=(1,), n_children_spawned=2 ** 32 - 5)))
     state = rng.bit_generator.state
     with pytest.raises(ConfigurationError, match="2\\*\\*32"):
-        rngmod.child_doubles(rng, trials, 1)
+        rngmod.child_doubles(rng, trials, (0,))
     assert rng.bit_generator.seed_seq.n_children_spawned == 2 ** 32 - 5
     assert rng.bit_generator.state == state
-    u, _ = rngmod.child_doubles(rng, 4, 1)
+    u, _ = rngmod.child_doubles(rng, 4, (0,))
     assert u.shape == (4, 1) and rng.bit_generator.seed_seq.n_children_spawned == 2 ** 32 - 1
 
 
@@ -128,7 +163,7 @@ def test_child_indices_past_the_limit_raise_untouched(trials):
 @settings(max_examples=100, deadline=None)
 def test_uniform_is_low_plus_range_times_double(seed, trials, half_width):
     # The forgery draws its estimate error as uniform(-w, w) = -w + 2w u.
-    u, _ = rngmod.child_doubles(np.random.default_rng(seed), trials, 1)
+    u, _ = rngmod.child_doubles(np.random.default_rng(seed), trials, (0,))
     lo, hi = -half_width, half_width
     got = lo + (hi - lo) * u[:, 0]
     ref = np.array([g.uniform(lo, hi) for g in np.random.default_rng(seed).spawn(trials)])
@@ -138,7 +173,7 @@ def test_uniform_is_low_plus_range_times_double(seed, trials, half_width):
 def test_stream_children_match_at_criterion_size():
     # Criterion 08's parent: a 3-word entropy list, 10k trials, 3 repetitions.
     got_rng, ref_rng = rngmod.stream(0, rngmod.TRIAL), rngmod.stream(0, rngmod.TRIAL)
-    u, rep_u = rngmod.child_doubles(got_rng, 2000, 1, 3, 4)
+    u, rep_u = rngmod.child_doubles(got_rng, 2000, (0,), 3, (0, 1, 2, 3))
     ref_u, ref_rep_u = reference.child_doubles(ref_rng, 2000, 1, 3, 4)
     assert same_bits(u, ref_u) and same_bits(rep_u, ref_rep_u)
 
@@ -149,7 +184,7 @@ def test_memory_at_forgery_criterion_size_stays_bounded():
     rng = rngmod.stream(0, rngmod.TRIAL)
     tracemalloc.start()
     try:
-        u, rep_u = rngmod.child_doubles(rng, 10_000, 1, 3, 4)
+        u, rep_u = rngmod.child_doubles(rng, 10_000, (0,), 3, (0, 1, 2, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
