@@ -13,13 +13,16 @@ numerically by minimizing the summed violation, while
 ``qutrit_solution_check`` confirms the explicit qutrit solution reaches
 zero residual. Every check passes by a fixed bound: ``TOLERANCE`` for
 overlaps, reduced states and the ansatz; ``NOGO_FLOOR``, 1e-12 under the
-1/2 that ``qubit_floor`` proves, for the search's minimum. scipy, which
-only that search needs, loads on the first search, so importing this
-module (or ``qvote.cli``) does not load it.
+1/2 that ``qubit_floor`` proves, for the search's minimum. The search
+and the qutrit check run on numpy elementwise arithmetic and Python
+scalars, with no BLAS call, so their outputs are the same on every BLAS
+kernel and SIMD target.
 """
 
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -33,10 +36,6 @@ SIGMA = np.array([
     [[1, 0], [0, -1]],
 ], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-# sigma_j x sigma_k for j, k = 0..3 (sigma_0 = I), row-major in (j, k), as
-# real symmetric 8x8 forms acting on (Re omega, Im omega).
-PAULI_PAIRS_REAL = np.array([np.block([[k.real, -k.imag], [k.imag, k.real]])
-                             for k in (np.kron(a, b) for a in (I2, *SIGMA) for b in (I2, *SIGMA))])
 
 ENUMERATION_GUARD = 16
 TOLERANCE = 1e-10
@@ -173,59 +172,110 @@ def qubit_residual(params: QubitSchemeParams) -> float:
 def _unpack(x: np.ndarray) -> QubitSchemeParams:
     m = x[2:5]
     n = x[5:8]
-    w = x[8:16].reshape(2, 4)
-    omega = w[0] + 1j * w[1]
+    w = x[8:16]
+    psi = w / max(math.sqrt((w * w).sum()), 1e-12)
     return QubitSchemeParams(
         nu=float(x[0]),
-        m_hat=m / max(np.linalg.norm(m), 1e-12),
+        m_hat=m / max(math.sqrt((m * m).sum()), 1e-12),
         theta=float(x[1]),
-        n_hat=n / max(np.linalg.norm(n), 1e-12),
-        omega=omega / max(np.linalg.norm(omega), 1e-12),
+        n_hat=n / max(math.sqrt((n * n).sum()), 1e-12),
+        omega=psi[:4] + 1j * psi[4:],
     )
-
-
-def _tangent(direction: np.ndarray, length: float, grad: np.ndarray) -> np.ndarray:
-    """Chain a gradient in a unit vector back to the raw vector it normalizes."""
-    return (grad - direction * (direction @ grad)) / length
 
 
 def _residual_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
     """``qubit_residual(_unpack(x))`` in closed form, with its gradient in x.
 
-    See ``qubit_nogo_search`` for the closed form. omega is packed as the
-    real 8-vector psi = x[8:16] / |x[8:16]|, so M_jk = psi^T K_jk psi with
-    real symmetric K_jk, and dR/dM defines K_H = sum dR/dM_jk K_jk with
-    dR/dx[8:16] = 2 (K_H psi - (psi^T K_H psi) psi) / |x[8:16]|.
+    See ``qubit_nogo_search`` for the closed form. omega is packed as
+    (a, b) = x[8:16] / |x[8:16]|, omega_i = a_i + i b_i. Each correlation
+    M_jk is a signed sum of the bilinears n_i = |omega_i|^2 and
+    re_ik + i im_ik = conj(omega_i) omega_k. F = sum_jk dR/dM_jk M_jk is
+    then a quadratic form in (a, b); dR/d(a, b) is the part of its
+    gradient orthogonal to (a, b), divided by |x[8:16]|. Every step is a
+    Python float operation, so the bits depend on no BLAS kernel or SIMD
+    target.
     """
-    nu, theta = x[0], x[1]
-    len_m, len_n, len_w = (max(np.linalg.norm(x[k:l]), 1e-12)
-                           for k, l in ((2, 5), (5, 8), (8, 16)))
-    m_hat, n_hat, psi = x[2:5] / len_m, x[5:8] / len_n, x[8:16] / len_w
-    k_psi = PAULI_PAIRS_REAL @ psi
-    corr = (k_psi @ psi).reshape(4, 4)
-    s, t, tt = corr[1:, 0], corr[0, 1:], corr[1:, 1:]
+    nu, theta, mx, my, mz, nx, ny, nz, a0, a1, a2, a3, b0, b1, b2, b3 = x.tolist()
+    len_m = max(math.sqrt(mx * mx + my * my + mz * mz), 1e-12)
+    len_n = max(math.sqrt(nx * nx + ny * ny + nz * nz), 1e-12)
+    len_w = max(math.sqrt(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+                          + b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3), 1e-12)
+    mx, my, mz = mx / len_m, my / len_m, mz / len_m
+    nx, ny, nz = nx / len_n, ny / len_n, nz / len_n
+    a0, a1, a2, a3 = a0 / len_w, a1 / len_w, a2 / len_w, a3 / len_w
+    b0, b1, b2, b3 = b0 / len_w, b1 / len_w, b2 / len_w, b3 / len_w
+
+    n0, n1, n2, n3 = a0 * a0 + b0 * b0, a1 * a1 + b1 * b1, a2 * a2 + b2 * b2, a3 * a3 + b3 * b3
+    re01, im01 = a0 * a1 + b0 * b1, a0 * b1 - b0 * a1
+    re02, im02 = a0 * a2 + b0 * b2, a0 * b2 - b0 * a2
+    re03, im03 = a0 * a3 + b0 * b3, a0 * b3 - b0 * a3
+    re12, im12 = a1 * a2 + b1 * b2, a1 * b2 - b1 * a2
+    re13, im13 = a1 * a3 + b1 * b3, a1 * b3 - b1 * a3
+    re23, im23 = a2 * a3 + b2 * b3, a2 * b3 - b2 * a3
+    # s = M[1:, 0], t = M[0, 1:] and T = M[1:, 1:], with basis index 2 j + k
+    # for qubit states j and k.
+    sx, sy, sz = 2 * (re02 + re13), 2 * (im02 + im13), n0 + n1 - n2 - n3
+    tx, ty, tz = 2 * (re01 + re23), 2 * (im01 + im23), n0 - n1 + n2 - n3
+    txx, txy, txz = 2 * (re03 + re12), 2 * (im03 - im12), 2 * (re02 - re13)
+    tyx, tyy, tyz = 2 * (im03 + im12), 2 * (re12 - re03), 2 * (im02 - im13)
+    tzx, tzy, tzz = 2 * (re01 - re23), 2 * (im01 - im23), n0 - n1 - n2 + n3
+
     u0, v0, sin_nu, sin_theta = math.cos(nu), math.cos(theta), math.sin(nu), math.sin(theta)
-    u, v = sin_nu * m_hat, sin_theta * n_hat
-    tv = tt @ v
-    p, q, r, alpha = u @ s, v @ t, u @ tv, u0 * v0
+    ux, uy, uz = sin_nu * mx, sin_nu * my, sin_nu * mz
+    vx, vy, vz = sin_theta * nx, sin_theta * ny, sin_theta * nz
+    tvx, tvy, tvz = (txx * vx + txy * vy + txz * vz, tyx * vx + tyy * vy + tyz * vz,
+                     tzx * vx + tzy * vy + tzz * vz)
+    utx, uty, utz = (ux * txx + uy * tyx + uz * tzx, ux * txy + uy * tyy + uz * tzy,
+                     ux * txz + uy * tyz + uz * tzz)
+    p, q = ux * sx + uy * sy + uz * sz, vx * tx + vy * ty + vz * tz
+    r, alpha = ux * tvx + uy * tvy + uz * tvz, u0 * v0
     value = (u0 ** 2 + v0 ** 2 + p ** 2 + q ** 2 + (alpha - r) ** 2 + (1 - alpha - r) ** 2
              + 2 * (u0 ** 2 * q ** 2 + v0 ** 2 * p ** 2))
     d_p, d_q = 2 * p * (1 + 2 * v0 ** 2), 2 * q * (1 + 2 * u0 ** 2)
     d_alpha, d_r = 2 * (2 * alpha - 1), 2 * (2 * r - 1)
     d_u0 = 2 * u0 * (1 + 2 * q ** 2) + d_alpha * v0
     d_v0 = 2 * v0 * (1 + 2 * p ** 2) + d_alpha * u0
-    d_u = d_p * s + d_r * tv
-    d_v = d_q * t + d_r * (u @ tt)
-    d_corr = np.zeros((4, 4))
-    d_corr[1:, 0], d_corr[0, 1:], d_corr[1:, 1:] = d_p * u, d_q * v, d_r * np.outer(u, v)
-    h_psi = d_corr.reshape(16) @ k_psi
-    grad = np.empty(16)
-    grad[0] = u0 * (m_hat @ d_u) - sin_nu * d_u0
-    grad[1] = v0 * (n_hat @ d_v) - sin_theta * d_v0
-    grad[2:5] = _tangent(m_hat, len_m, sin_nu * d_u)
-    grad[5:8] = _tangent(n_hat, len_n, sin_theta * d_v)
-    grad[8:16] = _tangent(psi, len_w, 2 * h_psi)
-    return float(value), grad
+    d_ux, d_uy, d_uz = d_p * sx + d_r * tvx, d_p * sy + d_r * tvy, d_p * sz + d_r * tvz
+    d_vx, d_vy, d_vz = d_q * tx + d_r * utx, d_q * ty + d_r * uty, d_q * tz + d_r * utz
+    # u = sin(nu) m_hat: d/dnu through u0 and u, d/dm through the tangent
+    # projection of sin(nu) dR/du onto m_hat's sphere; likewise for v.
+    m_du, n_dv = mx * d_ux + my * d_uy + mz * d_uz, nx * d_vx + ny * d_vy + nz * d_vz
+    g_nu, g_theta = u0 * m_du - sin_nu * d_u0, v0 * n_dv - sin_theta * d_v0
+    scale_m, scale_n = sin_nu / len_m, sin_theta / len_n
+
+    # Half the coefficients of F in n_i, re_ik and im_ik, from dR/ds = d_p u,
+    # dR/dt = d_q v and dR/dT = d_r u v^T.
+    ps_x, ps_y, ps_z = d_p * ux, d_p * uy, d_p * uz
+    qt_x, qt_y, qt_z = d_q * vx, d_q * vy, d_q * vz
+    ru_x, ru_y, ru_z = d_r * ux, d_r * uy, d_r * uz
+    e0, e1 = ps_z + qt_z + ru_z * vz, ps_z - qt_z - ru_z * vz
+    e2, e3 = -ps_z + qt_z - ru_z * vz, -ps_z - qt_z + ru_z * vz
+    f01, f23 = qt_x + ru_z * vx, qt_x - ru_z * vx
+    g01, g23 = qt_y + ru_z * vy, qt_y - ru_z * vy
+    f02, f13 = ps_x + ru_x * vz, ps_x - ru_x * vz
+    g02, g13 = ps_y + ru_y * vz, ps_y - ru_y * vz
+    f03, f12 = ru_x * vx - ru_y * vy, ru_x * vx + ru_y * vy
+    g03, g12 = ru_x * vy + ru_y * vx, ru_y * vx - ru_x * vy
+    # Half of dF/da_i and dF/db_i.
+    ha0 = e0 * a0 + f01 * a1 + f02 * a2 + f03 * a3 + g01 * b1 + g02 * b2 + g03 * b3
+    ha1 = e1 * a1 + f01 * a0 + f12 * a2 + f13 * a3 - g01 * b0 + g12 * b2 + g13 * b3
+    ha2 = e2 * a2 + f02 * a0 + f12 * a1 + f23 * a3 - g02 * b0 - g12 * b1 + g23 * b3
+    ha3 = e3 * a3 + f03 * a0 + f13 * a1 + f23 * a2 - g03 * b0 - g13 * b1 - g23 * b2
+    hb0 = e0 * b0 + f01 * b1 + f02 * b2 + f03 * b3 - g01 * a1 - g02 * a2 - g03 * a3
+    hb1 = e1 * b1 + f01 * b0 + f12 * b2 + f13 * b3 + g01 * a0 - g12 * a2 - g13 * a3
+    hb2 = e2 * b2 + f02 * b0 + f12 * b1 + f23 * b3 + g02 * a0 + g12 * a1 - g23 * a3
+    hb3 = e3 * b3 + f03 * b0 + f13 * b1 + f23 * b2 + g03 * a0 + g13 * a1 + g23 * a2
+    w_h = (a0 * ha0 + a1 * ha1 + a2 * ha2 + a3 * ha3
+           + b0 * hb0 + b1 * hb1 + b2 * hb2 + b3 * hb3)
+    scale_w = 2 / len_w
+    return value, np.array([
+        g_nu, g_theta,
+        scale_m * (d_ux - mx * m_du), scale_m * (d_uy - my * m_du), scale_m * (d_uz - mz * m_du),
+        scale_n * (d_vx - nx * n_dv), scale_n * (d_vy - ny * n_dv), scale_n * (d_vz - nz * n_dv),
+        scale_w * (ha0 - a0 * w_h), scale_w * (ha1 - a1 * w_h),
+        scale_w * (ha2 - a2 * w_h), scale_w * (ha3 - a3 * w_h),
+        scale_w * (hb0 - b0 * w_h), scale_w * (hb1 - b1 * w_h),
+        scale_w * (hb2 - b2 * w_h), scale_w * (hb3 - b3 * w_h)])
 
 
 def qubit_floor(x: np.ndarray) -> float:
@@ -243,15 +293,73 @@ def qubit_floor(x: np.ndarray) -> float:
     return 0.5 + 2 * alpha ** 2 + 2 * (abs(alpha) - alpha)
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize(fun, x0, **kwargs)``, imported on first call.
+@dataclass(frozen=True)
+class Minimum:
+    """Where ``minimize`` stopped: value, point, iterations and objective calls."""
 
-    A module-level name, so a test or tracer can rebind the optimizer that
-    ``qubit_nogo_search`` calls.
+    fun: float
+    x: np.ndarray
+    nit: int
+    nfev: int
+
+
+# BFGS stops once an iteration lowers f by at most FTOL max(|f_old|, |f_new|, 1),
+# L-BFGS-B's default of 1e7 machine epsilons, once max |grad| is at most GTOL, or
+# once MAX_HALVINGS halvings of the step find no sufficient decrease (f is flat
+# to rounding there). ARMIJO is the sufficient-decrease constant c1.
+FTOL = 2.2e-9
+GTOL = 1e-9
+ARMIJO = 1e-4
+MAX_HALVINGS = 60
+
+
+def minimize(fun, x0: np.ndarray, iterations: int) -> Minimum:
+    """BFGS with Armijo backtracking, for at most ``iterations`` iterations.
+
+    ``fun(x)`` returns f(x) and its gradient. The inverse Hessian estimate H
+    starts at the identity and takes the BFGS update whenever y^T s > 0
+    (Nocedal and Wright, *Numerical Optimization*, 2nd ed., Algorithm 6.1).
+    Each step tries a step length of 1 and halves it until f falls by at
+    least ARMIJO times the predicted decrease. Every product is elementwise
+    and every sum runs in numpy's fixed order, with no BLAS call, so the
+    iterates are the same on every BLAS kernel. A module-level name, so a
+    test or tracer can rebind the optimizer that ``qubit_nogo_search``
+    calls.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nit, nfev = 0, 1
+    eye = np.eye(len(x))
+    h = eye
+    while nit < iterations and np.abs(g).max() > GTOL:
+        d = -(h * g).sum(axis=1)
+        slope = (g * d).sum()
+        if slope >= 0:
+            # Rounding has made H indefinite: restart from steepest descent.
+            h, d, slope = eye, -g, -(g * g).sum()
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if f_new <= f + ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        nit += 1
+        s, y = x_new - x, g_new - g
+        done = f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+        ys = (y * s).sum()
+        if ys > 0:
+            hy = (h * y).sum(axis=1)
+            rho = 1 / ys
+            h = (h + ((rho + rho * rho * (y * hy).sum()) * s)[:, None] * s
+                 - (rho * s)[:, None] * hy - (rho * hy)[:, None] * s)
+    return Minimum(float(f), x, nit, nfev)
 
 
 def qubit_nogo_search(restarts: int, iterations: int,
@@ -260,8 +368,8 @@ def qubit_nogo_search(restarts: int, iterations: int,
 
     The residual cannot reach zero for qubits; the returned minimum is
     the numerical witness. Restarts draw independent starting points
-    from ``rng``; L-BFGS-B gets the residual and its exact gradient from
-    one closed-form evaluation. scipy is imported on the first search.
+    from ``rng``, one at a time; ``minimize`` runs BFGS on each, with the
+    residual and its exact gradient from one closed-form evaluation.
 
     With U = u0 I + i u.sigma (u0 = cos nu, u = sin nu m_hat), V likewise
     (v0, v from theta and n_hat), and the real correlations
@@ -282,10 +390,9 @@ def qubit_nogo_search(restarts: int, iterations: int,
         x0 = np.empty(16)
         x0[0:2] = rng.uniform(0, 2 * np.pi, 2)
         x0[2:] = rng.standard_normal(14)
-        res = minimize(_residual_and_grad, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": iterations})
+        res = minimize(_residual_and_grad, x0, iterations)
         if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
+            best_val, best_x = res.fun, res.x
     return best_val, _unpack(best_x)
 
 
@@ -301,20 +408,32 @@ def qutrit_solution_check() -> float:
     return general_residual(u, u, omega)
 
 
+def _dot(xs, ys) -> complex:
+    """sum_i xs[i] ys[i], accumulated left to right in Python complex scalars."""
+    return reduce(add, map(mul, xs, ys))
+
+
 def general_residual(u_mat: np.ndarray, v_mat: np.ndarray, omega: np.ndarray) -> float:
     """privacy_residual for arbitrary equal-dimension voter operators.
 
-    Each <omega|A x B|omega> is tr(W^dagger A W B^T), with W = omega as a
-    du x dv matrix.
+    Each <omega|A x B|omega> is sum_jk (W^dagger A W)_jk B_jk, with
+    W = omega as a du x dv matrix. The matrices are small, so the sums run
+    on Python complex scalars, whose bits depend on no BLAS kernel or SIMD
+    target.
     """
-    u = np.asarray(u_mat, dtype=complex)
-    v = np.asarray(v_mat, dtype=complex)
-    w = np.asarray(omega, dtype=complex).reshape(u.shape[0], v.shape[0])
-    uw = u @ w
-    a = np.vdot(w, uw)
-    b = np.vdot(w, w @ v.T)
-    c = np.vdot(w, uw @ v.T)
-    e = np.vdot(w, uw @ v.conj())
+    u, v = (np.asarray(m, dtype=complex).tolist() for m in (u_mat, v_mat))
+    w_cols = list(zip(*np.asarray(omega, dtype=complex).reshape(len(u), len(v)).tolist()))
+    w_dagger = [[z.conjugate() for z in col] for col in w_cols]
+    uw_cols = [[_dot(u_i, col) for u_i in u] for col in w_cols]
+    # W^dagger U W and W^dagger W, and V and V^dagger, flattened row by row.
+    wuw = [_dot(row, col) for row in w_dagger for col in uw_cols]
+    ww = [_dot(row, col) for row in w_dagger for col in w_cols]
+    v_flat = [z for row in v for z in row]
+    v_dagger = [z.conjugate() for col in zip(*v) for z in col]
+    a = reduce(add, wuw[::len(v) + 1])
+    b = _dot(ww, v_flat)
+    c = _dot(wuw, v_flat)
+    e = _dot(wuw, v_dagger)
     return float(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(1 - e) ** 2)
 
 

@@ -34,6 +34,11 @@ references count their histograms with their own ``_bump`` loop.
 ``CONFIG_VALIDATOR`` checks it with an int-only "integer" type: the
 reference that ``cli.check_config`` must agree with, accept for accept, and
 message for message where a config has exactly one error.
+
+``residual_and_grad`` is the no-go objective as it was written with one
+BLAS matmul per call over the 16 Pauli-pair forms ``PAULI_PAIRS_REAL``;
+``verify._residual_and_grad`` computes the same value and gradient in
+Python floats, so tests compare the two within a tolerance.
 """
 
 import math
@@ -70,6 +75,7 @@ from qvote.qstate import (
     apply_local,
     tensor,
 )
+from qvote.verify import I2, SIGMA
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -474,3 +480,53 @@ def solve_tally(p: int, config: BallotConfig):
     if p % g != 0:
         return CHEAT_DETECTED
     return (p // g) * pow(dl // g, -1, d // g) % (d // g)
+
+
+# sigma_j x sigma_k for j, k = 0..3 (sigma_0 = I), row-major in (j, k), as
+# real symmetric 8x8 forms acting on (Re omega, Im omega).
+PAULI_PAIRS_REAL = np.array([np.block([[k.real, -k.imag], [k.imag, k.real]])
+                             for k in (np.kron(a, b) for a in (I2, *SIGMA) for b in (I2, *SIGMA))])
+
+
+def _tangent(direction: np.ndarray, length: float, grad: np.ndarray) -> np.ndarray:
+    """Chain a gradient in a unit vector back to the raw vector it normalizes."""
+    return (grad - direction * (direction @ grad)) / length
+
+
+def residual_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The no-go residual and its gradient in x, through the Pauli-pair forms.
+
+    omega is packed as the real 8-vector psi = x[8:16] / |x[8:16]|, so
+    M_jk = psi^T K_jk psi with real symmetric K_jk, and dR/dM defines
+    K_H = sum dR/dM_jk K_jk with
+    dR/dx[8:16] = 2 (K_H psi - (psi^T K_H psi) psi) / |x[8:16]|.
+    """
+    nu, theta = x[0], x[1]
+    len_m, len_n, len_w = (max(np.linalg.norm(x[k:l]), 1e-12)
+                           for k, l in ((2, 5), (5, 8), (8, 16)))
+    m_hat, n_hat, psi = x[2:5] / len_m, x[5:8] / len_n, x[8:16] / len_w
+    k_psi = PAULI_PAIRS_REAL @ psi
+    corr = (k_psi @ psi).reshape(4, 4)
+    s, t, tt = corr[1:, 0], corr[0, 1:], corr[1:, 1:]
+    u0, v0, sin_nu, sin_theta = math.cos(nu), math.cos(theta), math.sin(nu), math.sin(theta)
+    u, v = sin_nu * m_hat, sin_theta * n_hat
+    tv = tt @ v
+    p, q, r, alpha = u @ s, v @ t, u @ tv, u0 * v0
+    value = (u0 ** 2 + v0 ** 2 + p ** 2 + q ** 2 + (alpha - r) ** 2 + (1 - alpha - r) ** 2
+             + 2 * (u0 ** 2 * q ** 2 + v0 ** 2 * p ** 2))
+    d_p, d_q = 2 * p * (1 + 2 * v0 ** 2), 2 * q * (1 + 2 * u0 ** 2)
+    d_alpha, d_r = 2 * (2 * alpha - 1), 2 * (2 * r - 1)
+    d_u0 = 2 * u0 * (1 + 2 * q ** 2) + d_alpha * v0
+    d_v0 = 2 * v0 * (1 + 2 * p ** 2) + d_alpha * u0
+    d_u = d_p * s + d_r * tv
+    d_v = d_q * t + d_r * (u @ tt)
+    d_corr = np.zeros((4, 4))
+    d_corr[1:, 0], d_corr[0, 1:], d_corr[1:, 1:] = d_p * u, d_q * v, d_r * np.outer(u, v)
+    h_psi = d_corr.reshape(16) @ k_psi
+    grad = np.empty(16)
+    grad[0] = u0 * (m_hat @ d_u) - sin_nu * d_u0
+    grad[1] = v0 * (n_hat @ d_v) - sin_theta * d_v0
+    grad[2:5] = _tangent(m_hat, len_m, sin_nu * d_u)
+    grad[5:8] = _tangent(n_hat, len_n, sin_theta * d_v)
+    grad[8:16] = _tangent(psi, len_w, 2 * h_psi)
+    return float(value), grad

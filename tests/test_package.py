@@ -36,25 +36,23 @@ def test_attacks_and_runs_load_no_verification_or_cli():
     assert out == "[]"
 
 
-def test_only_verify_nogo_loads_scipy(tmp_path):
-    # (argv, expected exit code, scipy loaded after it, jsonschema loaded after
-    # it), in order; the no-go search runs last because nothing unloads scipy.
-    # No command loads jsonschema; only reading cli.jsonschema does, last.
+def test_no_import_or_command_loads_scipy_or_jsonschema(tmp_path):
+    # (argv, expected exit code), in order; after each, neither scipy nor
+    # jsonschema may be loaded. Only reading cli.jsonschema loads jsonschema, last.
     assert sorted(SCENARIO_EXIT_CODES) == sorted(p.stem for p in SCENARIOS.glob("*.json"))
-    steps = [(["run", "--config", f"{SCENARIOS / name}.json", "--out", str(tmp_path)],
-              code, False, False)
+    steps = [(["run", "--config", f"{SCENARIOS / name}.json", "--out", str(tmp_path)], code)
              for name, code in SCENARIO_EXIT_CODES.items()]
-    steps += [(["report", str(tmp_path / "db-d5-n4-seed42.transcript.jsonl")], 0, False, False),
-              ("verify privacy --scheme tb --d 5 --n 4".split(), 0, False, False),
-              ("verify reduced --scheme db --d 5 --n 3".split(), 0, False, False),
-              ("verify ansatz --d 3".split(), 0, False, False),
-              ("verify nogo --restarts 1 --iterations 20".split(), 0, True, False)]
+    steps += [(["report", str(tmp_path / "db-d5-n4-seed42.transcript.jsonl")], 0),
+              ("verify privacy --scheme tb --d 5 --n 4".split(), 0),
+              ("verify reduced --scheme db --d 5 --n 3".split(), 0),
+              ("verify ansatz --d 3".split(), 0),
+              ("verify nogo --restarts 1 --iterations 20".split(), 0)]
     out = run_python(
         "import contextlib, io, json, sys\n"
         "import qvote.cli, qvote.verify\n"
         "def loaded(): return 'scipy' in sys.modules, 'jsonschema' in sys.modules\n"
         "seen = [(['import'], 0, *loaded())]\n"
-        f"for argv in {[argv for argv, *_ in steps]!r}:\n"
+        f"for argv in {[argv for argv, _ in steps]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = qvote.cli.main(argv)\n"
         "    seen.append((argv, code, *loaded()))\n"
@@ -62,4 +60,5 @@ def test_only_verify_nogo_loads_scipy(tmp_path):
         " *loaded()))\n"
         "print(json.dumps(seen))")
     assert [tuple(step) for step in json.loads(out)] == [
-        (["import"], 0, False, False), *steps, (["cli.jsonschema"], True, True, True)]
+        (["import"], 0, False, False), *[(argv, code, False, False) for argv, code in steps],
+        (["cli.jsonschema"], True, False, True)]

@@ -26,7 +26,7 @@ from qvote.verify import (
 )
 from qvote import rng as rngmod
 
-from reference import inner, tb_privacy
+from reference import inner, residual_and_grad, tb_privacy
 
 
 class TestCheckPrivacy:
@@ -245,6 +245,13 @@ class TestQubitNogo:
         assert 0.5 - 1e-12 <= minimum <= 0.5 + 1e-6
         assert qubit_residual(params) == pytest.approx(minimum, abs=1e-12)
 
+    def test_single_restart_reaches_one_half(self):
+        # The bench's no-go op, one restart of 500 iterations, from 75 seeds.
+        minima = np.array([qubit_nogo_search(1, 500, rngmod.stream(seed, rngmod.TRIAL))[0]
+                           for seed in range(75)])
+        assert minima.min() >= 0.5 - 1e-12
+        assert minima.max() <= 0.5 + 1e-6
+
     def test_residual_invariant_under_global_phase_and_sign_flip(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -281,21 +288,31 @@ class TestQubitNogo:
                 for e in np.eye(16)])
             assert np.linalg.norm(grad - central) <= 1e-5 * np.linalg.norm(central)
 
+    def test_closed_form_matches_blas_reference(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            x = random_packed_point(rng)
+            value, grad = verify._residual_and_grad(x)
+            ref_value, ref_grad = residual_and_grad(x)
+            assert abs(value - ref_value) <= 1e-12
+            assert np.abs(grad - ref_grad).max() <= 1e-10
+
     def test_search_calls_minimize_with_exact_gradient(self, monkeypatch):
         # A tracer rebinds the module attribute and reads these result fields.
         assert "minimize" in vars(verify)
-        real, jacs, results = verify.minimize, [], []
+        real, calls, results = verify.minimize, [], []
 
-        def spy(fun, x0, **kwargs):
-            jacs.append(kwargs.get("jac"))
-            results.append(real(fun, x0, **kwargs))
+        def spy(fun, x0, iterations):
+            calls.append((fun, iterations))
+            results.append(real(fun, x0, iterations))
             return results[-1]
 
         plain_min, plain_params = qubit_nogo_search(3, 50, rngmod.stream(7, 2))
         monkeypatch.setattr(verify, "minimize", spy)
         spied_min, spied_params = qubit_nogo_search(3, 50, rngmod.stream(7, 2))
-        assert jacs == [True] * 3
+        assert calls == [(verify._residual_and_grad, 50)] * 3
         assert all(hasattr(res, field) for res in results for field in ("fun", "x", "nit", "nfev"))
+        assert all(0 < res.nit <= 50 and res.nfev > res.nit for res in results)
         assert spied_min == plain_min
         for spied, plain in zip(astuple(spied_params), astuple(plain_params)):
             np.testing.assert_array_equal(spied, plain)
@@ -318,6 +335,19 @@ class TestQubitNogo:
         x[8] = x[11] = 1 / math.sqrt(2)
         assert verify._residual_and_grad(x)[0] == 0.5
         assert verify.qubit_floor(x) == 0.5
+
+    def test_minimize_solves_a_convex_quadratic_within_its_iterations(self):
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((6, 6))
+        a, b = q @ q.T + np.eye(6), rng.standard_normal(6)
+
+        def quadratic(x):
+            return float(x @ a @ x / 2 - b @ x), a @ x - b
+
+        res = verify.minimize(quadratic, np.zeros(6), 200)
+        np.testing.assert_allclose(res.x, np.linalg.solve(a, b), atol=1e-6)
+        assert res.nit < 200
+        assert verify.minimize(quadratic, np.zeros(6), 1).nit == 1
 
     def test_requires_restarts(self):
         with pytest.raises(ConfigurationError):
