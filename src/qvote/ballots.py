@@ -10,14 +10,14 @@ Three quantum schemes share these primitives:
   which stop anyone from voting twice undetected.
 
 Runs, the SECURE attacks and ``verify.check_privacy`` build a vote's phase
-row in one place, ``protocols._cast`` at the angle ``protocols._yes_angle``,
-and read the omega_p basis through ``phase_readings``. The dense
+row in one place, ``protocols._cast`` at ``protocols._yes_angle``, and read
+it through ``phase_readings`` (SECURE: ``secure_tally``) over the d outcomes
+omega_p, which span every correlated row. INVALID, the complement, arises
+only in the dense ``decode_db`` and ``qstate.measure_projective``. The dense
 ``cast_vote_db`` (no run or attack calls it) computes its own phases
-e^{i 2 pi (e k mod d) / d} and serves single qudits and the tests. SECURE trials cast in the
-correlated basis (``protocols._secure_trials``) and decode with
-``secure_tally``; ``tests/reference.py`` keeps the dense anti-reuse cast and
-the dense yes and shift operators. ``BallotConfig.theta`` is the one
-secret-angle formula, and ``_secrets_problem`` the one check of l_y and l_n.
+e^{i 2 pi (e k mod d) / d}; ``tests/reference.py`` keeps the dense
+anti-reuse cast and the dense yes and shift operators. ``BallotConfig.theta``
+is the one secret-angle formula, and ``_secrets_problem`` the one check.
 """
 
 import math
@@ -213,30 +213,32 @@ def _phase_basis_probs(corr: np.ndarray) -> np.ndarray:
 
 
 def phase_readings(corr_rows: np.ndarray, u) -> np.ndarray:
-    """Read correlated amplitudes in the omega_p basis; d stands for INVALID, the complement.
+    """Read correlated amplitudes in the omega_p basis: each double's ``_pick`` index p < d.
 
     ``corr_rows`` holds one state per row, shape (rows, d), and ``u`` one
     uniform double per row; or (rows, 1, d) states, each read once for its
-    row of (rows, R) doubles. Returns each double's ``_pick`` index, p or
-    d for INVALID, shaped as ``u``; ``_labels`` gives the report's values.
+    row of (rows, R) doubles; p is shaped as ``u``. The engine never reads
+    a zero-weight outcome: weights below 1e-24 (rounding leaves ~1e-32 on
+    the p a row rules out) are zeroed before the CDF.
     """
-    return _pick(_cdf(_with_invalid(_phase_basis_probs(corr_rows))), u)
+    probs = _phase_basis_probs(corr_rows)
+    return _pick(_cdf(np.where(probs < 1e-24, 0.0, probs)), u)
 
 
 @lru_cache(maxsize=64)
-def _labels(d: int, label) -> np.ndarray:
-    """0, ..., d - 1, then ``label``; indexed by picks, its ``tolist()`` is the report's values."""
-    table = np.array([*range(d), label], dtype=object)
+def _labels(d: int) -> np.ndarray:
+    """0, ..., d - 1, then CHEAT_DETECTED; indexed by tallies, ``tolist()`` gives the report's."""
+    table = np.array([*range(d), CHEAT_DETECTED], dtype=object)
     table.flags.writeable = False
     return table
 
 
 def decode_db(state: PureState, d: int, N: int, rng: np.random.Generator):
-    """Project onto the tally states; INVALID covers the complement."""
+    """Project onto the tally states; INVALID covers the complement a dense state may hold."""
     if state.dims != (d,) * N:
         raise ConfigurationError(f"expected {N} sites of dimension {d}, got {state.dims}")
-    [p] = phase_readings(_correlated_overlaps(state)[None], [rng.random()])
-    return _labels(d, INVALID)[p]
+    p = _pick(_cdf(_with_invalid(_phase_basis_probs(_correlated_overlaps(state)))), rng.random())
+    return INVALID if p == d else int(p)
 
 
 def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
@@ -251,13 +253,10 @@ def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
 
 @lru_cache(maxsize=64)
 def _tally_table(d: int, dl: int) -> np.ndarray:
-    """Each reading p's tally, d for CHEAT_DETECTED: p = m dl mod d, solved by one gcd and inverse.
-
-    Non-multiples of the gcd and INVALID (p = d) signal cheating.
-    """
+    """The tally m of each p = m dl mod d, by a gcd and inverse; d (cheating) off the multiples."""
     g = math.gcd(dl, d)
-    p = np.arange(d + 1)
-    table = np.where((p % g == 0) & (p < d), p // g * pow(dl // g, -1, d // g) % (d // g), d)
+    p = np.arange(d)
+    table = np.where(p % g == 0, p // g * pow(dl // g, -1, d // g) % (d // g), d)
     table.flags.writeable = False
     return table
 
@@ -265,8 +264,8 @@ def _tally_table(d: int, dl: int) -> np.ndarray:
 def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> tuple:
     """Compensate the known no-phase, read p, and map it to a tally; (ms, ps), shaped as ``u``.
 
-    ps holds ``phase_readings``' indices, d for INVALID, and ms the
-    tallies ``_tally_table`` maps them to, d for CHEAT_DETECTED. The
+    ps holds ``phase_readings``' outcomes p, and ms the tallies
+    ``_tally_table`` maps them to, d for CHEAT_DETECTED. The
     authority knows N, l_n and delta, so it removes e^{i k N theta_n}
     before ``phase_readings`` projects onto the p-states.
     """

@@ -39,7 +39,7 @@ from .ballots import (
     prepare_db_ballot,
     prepare_tb_ballot,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _at_least
 from .protocols import (
     Transcript,
     _require_scheme,
@@ -251,7 +251,7 @@ def verdict(events) -> tuple[list, list, str | None]:
     authority read that differ between trials by design: the hit counts
     come back uncompared, with verdict None.
     """
-    outcomes = [e["outcome"] for e in events if e["step"] == "MEASURE"]
+    outcomes = [e.get("outcome") for e in events if e["step"] == "MEASURE"]
     if not outcomes:
         raise ConfigurationError("transcript holds no MEASURE events")
     hits = [o["hits"] for o in outcomes if isinstance(o, dict) and "hits" in o]
@@ -259,6 +259,8 @@ def verdict(events) -> tuple[list, list, str | None]:
         return outcomes, hits, None
     tallies = [t for o in outcomes
                for t in (o if isinstance(o, list) else [o.get("m") if isinstance(o, dict) else o])]
+    if not all(type(t) in (int, str) for t in tallies):
+        raise ConfigurationError("MEASURE outcomes must hold integer or string tallies")
     return outcomes, tallies, detect_inconsistent_results(tallies)
 
 
@@ -304,9 +306,12 @@ def cmd_run(args) -> int:
 
 def _floats(name: str, text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise ConfigurationError(f"--{name} needs comma-separated numbers, got {text!r}")
+        pass
+    raise ConfigurationError(f"--{name} needs comma-separated finite numbers, got {text!r}")
 
 
 def cmd_verify_privacy(args) -> int:
@@ -327,7 +332,7 @@ def cmd_verify_reduced(args) -> int:
 
 
 def cmd_verify_nogo(args) -> int:
-    rng = rngmod.stream(args.seed, rngmod.TRIAL)
+    rng = rngmod.stream(_at_least("seed", args.seed, 0), rngmod.TRIAL)
     minimum, params = qubit_nogo_search(args.restarts, args.iterations, rng)
     qutrit = qutrit_solution_check()
     print(json.dumps({
@@ -357,6 +362,11 @@ def cmd_report(args) -> int:
 
     prepare = next((e for e in events if e["step"] == "PREPARE"), None)
     meta = (prepare or {}).get("payload") or {}
+    if not isinstance(meta, dict):
+        raise ConfigurationError(f"PREPARE payload must be an object, got {meta!r}")
+    n = meta.get("N")
+    if isinstance(n, int) and not 0 <= n <= sys.float_info.max:
+        raise ConfigurationError(f"PREPARE payload N must be a voter count, got {n}")
     outcomes, tallies, found = verdict(events)
     histogram = Counter(map(str, tallies))
 
@@ -372,7 +382,6 @@ def cmd_report(args) -> int:
         print(f"verdict: CLEAN, m={tallies[0]}{suffix}")
     else:
         print("verdict: CHEATING suspected, results discarded")
-    n = meta.get("N")
     if isinstance(n, int) and meta.get("scheme") in ("DB", "TB", "SECURE"):
         # Information accounting labels for yes/no votes: N voters times
         # log2 of the option count in, log2 of the result count out.

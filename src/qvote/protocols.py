@@ -6,14 +6,14 @@ commitments, so a persisted transcript does not reveal votes; the salt
 is derived from the master seed and is not serialized.
 
 The honest runs share one engine: ``_cast`` applies the voters' phases to
-the d correlated amplitudes, ``ballots.phase_readings`` reads them, and
-``_log_round`` writes each round's events. A TB run is closed form.
-``_cast`` exponentiates once per distinct angle, matched by bit pattern,
-not once per voter, and multiplies as ``np.multiply(c, phase)`` so that
-a row's bits do not depend on its batch. SECURE trials go through
-``_secure_trials``, which returns flat per-trial lists (tallies,
-outcomes, ps) and builds no per-trial result; ``run_secure_vote`` builds
-its one ``RunResult`` and picks the pairing outcomes it logs.
+the d correlated amplitudes, ``ballots.phase_readings`` reads an outcome
+p < d, never INVALID, and ``_log_round`` writes each round's events. A TB
+run is closed form. ``_cast`` exponentiates once per distinct angle,
+matched by bit pattern, not once per voter, and multiplies as
+``np.multiply(c, phase)`` so that a row's bits do not depend on its batch.
+SECURE trials go through ``_secure_trials``, which returns flat per-trial
+lists (tallies, outcomes, ps) and no per-trial result; ``run_secure_vote``
+builds its one ``RunResult`` and picks the pairing outcomes it logs.
 """
 
 import hashlib
@@ -35,7 +35,7 @@ from .ballots import (
     secure_tally,
 )
 from .errors import ConfigurationError, _at_least
-from .qstate import ATOL, INVALID, _cdf, _pick
+from .qstate import ATOL, _cdf, _pick
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
 # json.dumps builds an encoder per call; transcripts reuse this one.
@@ -213,7 +213,7 @@ def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.
     """
     d = config.d
     thetas = [_yes_angle(d, exponent) for exponent in exponents]
-    m = _labels(d, INVALID)[phase_readings(_cast(d, thetas)[None], [rng.random()])[0]]
+    m = int(phase_readings(_cast(d, thetas)[None], [rng.random()])[0])
     if transcript:
         _log_round(transcript, 0, {"scheme": config.scheme.value, "d": d, "N": config.N},
                    [(i, {"commitment": transcript.commit(0, i, value)})
@@ -281,8 +281,8 @@ def _secure_trials(config: BallotConfig, theta_rows, u) -> tuple[list, list, lis
     ms, ps = secure_tally(_cast(d, np.reshape(theta_rows, (-1, config.N)))[:, None], config,
                           u[..., -1])
     agreed = np.where(np.logical_and.reduce(ms == ms[:, :1], axis=1), ms[:, 0], d)
-    cheat = _labels(d, CHEAT_DETECTED)
-    return cheat[agreed].tolist(), cheat[ms].tolist(), _labels(d, INVALID)[ps].tolist()
+    cheat = _labels(d)
+    return cheat[agreed].tolist(), cheat[ms].tolist(), ps.tolist()
 
 
 def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,

@@ -187,7 +187,9 @@ def _pick(cdf: np.ndarray, u):
     the last axis and broadcast against ``u``: (rows, d) CDFs take one double
     per row, and a (rows, 1, d) stack serves each row's (rows, R) doubles.
     The outcome counts the steps before the last that are <= u, so a ``u``
-    at or past the last step picks the last index.
+    at or past the last step picks the last index. That index is INVALID
+    only where the CDF came from ``_with_invalid``; ``phase_readings``' CDFs
+    end on the outcome p = d - 1.
     """
     if cdf.ndim == 1:
         return cdf[:-1].searchsorted(u, side="right")
@@ -202,7 +204,8 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
 def _with_invalid(probs: np.ndarray) -> np.ndarray:
     """``probs`` plus the complement 1 - sum(probs) as last entry, along the last axis.
 
-    This is the one place INVALID gets its weight.
+    This is the one place INVALID gets its weight; only the dense readers,
+    ``ballots.decode_db`` and ``measure_projective``, call it.
     """
     probs = np.maximum(probs, 0.0)
     rest = np.maximum(0.0, 1.0 - probs.sum(axis=-1, keepdims=True))

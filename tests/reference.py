@@ -7,9 +7,10 @@ forgery and mismatched-state attacks run one trial of scalar SECURE
 rounds at a time, and the swap test that drew from a three-entry CDF per
 pair. They make the same draws in the same order as the kernels, so
 tests require equal reports, draw for draw. The dense collusion and
-product-ballot loops measure through ``reading``, which zeroes the 1e-16
-rounding tails of dense sums, so they read what the state allows at the
-extreme doubles 0.0 and 1 - 2**-53 too.
+product-ballot loops and the scalar SECURE round measure through
+``reading``, which zeroes the rounding tails of dense sums and FFTs, so
+they read what the state allows at the extreme doubles 0.0 and 1 - 2**-53
+too; the SECURE round does not call ``secure_tally``, which it checks.
 
 ``inner``, ``phase_vote_unitary`` and ``shift_unitary`` are the dense
 overlap and the dense yes and shift operators. No run or check in the
@@ -58,7 +59,6 @@ from qvote.ballots import (
     decode_tb,
     prepare_db_ballot,
     prepare_tb_ballot,
-    secure_tally,
     voting_qudit_state,
 )
 from qvote.errors import ConfigurationError
@@ -324,9 +324,14 @@ def secure_round(config: BallotConfig, thetas, rep_rng):
 
 
 def secure_reading(corr: np.ndarray, config: BallotConfig, u: float):
-    """One (m, p) reading of a correlated row: ``secure_tally``'s p, labelled and solved here."""
-    _, [p] = secure_tally(corr[None], config, [u])
-    return (CHEAT_DETECTED, INVALID) if p == config.d else (solve_tally(int(p), config), int(p))
+    """One (m, p) reading of a correlated row: compensated, read through ``reading``, solved here.
+
+    The authority removes the known no-phase e^{ik N theta_n}; p is then one
+    of the d outcomes omega_p, whose projectors span the correlated rows.
+    """
+    compensation = np.exp(-1j * np.arange(config.d) * config.N * config.theta_no)
+    p = reading(_phase_basis_probs(corr * compensation), u)
+    return solve_tally(p, config), p
 
 
 def secure_vote(config: BallotConfig, thetas, trial_rng: np.random.Generator,

@@ -39,7 +39,6 @@ from qvote.qstate import (
     tensor,
     _cdf,
     _pick,
-    _with_invalid,
 )
 
 from reference import (
@@ -402,15 +401,18 @@ class TestDecodeDb:
         assert prob == pytest.approx(1, abs=1e-12)
 
     def test_phase_readings_break_ties_as_pick_does(self):
-        # A double equal to a CDF step reads the next outcome, as _pick does;
-        # the index d = 7 is INVALID.
+        # A double equal to a CDF step reads the next outcome, as _pick does.
+        # The CDF runs over the d = 7 outcomes alone, with no INVALID entry,
+        # so the last step, about 1, still reads p = 6.
         rng = np.random.default_rng(21)
         corr = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
         corr *= 0.999 / np.linalg.norm(corr, axis=1, keepdims=True)
-        cdf = _cdf(_with_invalid(_phase_basis_probs(corr)))
+        cdf = _cdf(_phase_basis_probs(corr))
+        assert cdf.shape == (4, 7)
         for steps in cdf.T:
             picks = [int(_pick(row, u)) for row, u in zip(cdf, steps)]
             assert phase_readings(corr, steps).tolist() == picks
+        assert phase_readings(corr, cdf[:, -1]).tolist() == [6] * 4
 
 
 class TestDecodeTb:
@@ -494,15 +496,16 @@ class TestDecodeSecure:
         assert tallies.tolist() == [1, 2, 9] and ps.tolist() == [3, 6, 4]
 
     def test_secure_tally_maps_every_reading_as_solve_tally(self, monkeypatch):
-        # Every p in 0..d-1 and INVALID, for every secret pair: gcd(l_y - l_n, d) > 1 included.
-        # The reference is tests/reference.py's solve_tally, one solve per reading.
-        # Both index arrays write INVALID and CHEAT_DETECTED as d.
+        # Every p in 0..d-1, the readings phase_readings can return, for every
+        # secret pair: gcd(l_y - l_n, d) > 1 included. The reference is
+        # tests/reference.py's solve_tally, one solve per reading. The tally
+        # array writes CHEAT_DETECTED as d.
         for d in range(2, 61):
-            readings = np.arange(d + 1)
+            readings = np.arange(d)
             monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: readings)
             # solve_tally reads the secrets only as (l_y - l_n) mod d.
             want = {dl: [d if m == CHEAT_DETECTED else m
-                         for m in (solve_tally(p, config) for p in range(d))] + [d]
+                         for m in (solve_tally(p, config) for p in range(d))]
                     for dl in range(1, d)
                     for config in [BallotConfig(d, 1, Scheme.SECURE, secrets=(dl, 0, 0.0))]}
             for l_y, l_n in product(range(d), repeat=2):
@@ -617,7 +620,7 @@ def batch_rows(d: int, above: bool, seed: int) -> int:
 
 
 def leaky_rows(rows: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random correlated amplitudes with norms in [0.5, 1], so INVALID has weight too."""
+    """Random correlated amplitudes with norms in [0.5, 1], so the CDFs normalize by their sums."""
     corr = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
     return corr * (rng.uniform(0.5, 1.0, (rows, 1)) / np.linalg.norm(corr, axis=1, keepdims=True))
 
@@ -628,7 +631,7 @@ def step_doubles(corr_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     A reading at such a double flips if the batch moves that step by one
     ulp, so equal readings mean equal steps.
     """
-    cdfs = np.array([_cdf(_with_invalid(_phase_basis_probs(row[None])))[0] for row in corr_rows])
+    cdfs = np.array([_cdf(_phase_basis_probs(row[None]))[0] for row in corr_rows])
     steps = cdfs[np.arange(len(cdfs)), rng.integers(0, cdfs.shape[1] - 1, len(cdfs))]
     return np.where(rng.random(len(steps)) < 0.5, steps, np.nextafter(steps, 0.0))
 

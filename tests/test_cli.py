@@ -179,13 +179,21 @@ class TestCmdRun:
     ["run", "--config", "secure-drawn-d-le-n.json"],
     ["verify", "reduced", "--scheme", "tb", "--d", 5, "--n", 99],
     ["verify", "reduced", "--scheme", "tb", "--d", 5, "--n", -3],
+    ["verify", "nogo", "--restarts", 1, "--iterations", 5, "--seed", -1],
+    ["verify", "ansatz", "--d", 3, "--etas", "nan,0,0"],
+    ["verify", "ansatz", "--d", 3, "--alphas", "inf,0,0"],
+    ["report", "payload-list.jsonl"],
+    ["report", "nested-outcome.jsonl"],
+    ["report", "negative-n.jsonl"],
 ], ids=["survey-votes-not-integers", "override-into-number", "bad-etas", "bad-alphas",
         "ansatz-d-zero", "ansatz-d-negative", "nogo-no-iterations", "privacy-over-guard",
         "report-missing-file", "report-no-measure", "report-not-utf8",
         "mismatched-not-secure", "mismatched-shifts-wrong-length", "d-float", "seed-float",
         "n-float", "trials-float", "repetitions-float", "config-nan", "override-infinity",
         "override-nan", "root-list-override", "root-string-override-path",
-        "secure-drawn-secrets-d-le-n", "reduced-tb-n-above-d", "reduced-tb-n-negative"])
+        "secure-drawn-secrets-d-le-n", "reduced-tb-n-above-d", "reduced-tb-n-negative",
+        "nogo-seed-negative", "etas-nan", "alphas-inf", "report-payload-not-object",
+        "report-nested-outcome", "report-negative-n"])
 def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     # Exit 1 means cheating detected or a failed check; bad input must not read as that.
     monkeypatch.chdir(tmp_path)
@@ -198,6 +206,13 @@ def test_malformed_input_exits_two(argv, tmp_path, monkeypatch, capsys):
     Path("root-list.json").write_text("[1, 2]")
     Path("root-string.json").write_text('"x"')
     Path("secure-drawn-d-le-n.json").write_text('{"scheme": "SECURE", "d": 3, "n": 4, "seed": 1}')
+    for name, payload, outcome in [("payload-list", [5, 2], 1),
+                                   ("nested-outcome", {"scheme": "DB", "d": 5, "N": 2}, [[1, 2]]),
+                                   ("negative-n", {"scheme": "DB", "d": 5, "N": -1}, 1)]:
+        events = [("PREPARE", payload, None), ("MEASURE", None, outcome)]
+        Path(f"{name}.jsonl").write_text("".join(json.dumps(
+            {"run_id": "x", "rep": 0, "step": s, "site": None, "payload": p, "outcome": o}) + "\n"
+            for s, p, o in events))
     assert run_cli(*argv) == 2
     assert "config error:" in capsys.readouterr().err
 
@@ -377,6 +392,41 @@ def test_run_never_raises_on_configs_and_overrides(tmp_path, capsys):
         if not isinstance(root, dict):
             assert code == 2
             assert err == f"config error: field <root>: {root!r} is not of type 'object'\n"
+    assert len(codes) == 3 and min(codes.values()) >= 5, codes  # pass, convict, refuse
+
+
+# Event values past what a run writes: odd JSON of every type, nested
+# outcomes, payloads with bad counts, and tallies that convict.
+EVENT_ODD = ODD + [-7, 2 ** 1100, [[1, 2]], [[]], [3, [3]], {"m": [1]}, {"m": None},
+                   {"hits": 2}, {"p": 3, "m": 3}, {"scheme": "DB", "d": 5, "N": -3},
+                   {"scheme": "TB", "d": 5, "N": 2 ** 1100}, "CHEAT_DETECTED", "INVALID"]
+EVENT_KEYS = ["payload", "outcome", "outcome", "step", "rep", "site"]
+
+
+def test_report_never_raises_on_transcripts(tmp_path, capsys):
+    # Golden transcripts with events edited or keys dropped, the first
+    # PREPARE and the MEASURE events most often, end in exit 0, 1 or 2,
+    # never a traceback.
+    rng = random.Random(31)
+    transcripts = [[json.loads(line) for line in f.read_text().splitlines()]
+                   for f in sorted(GOLDEN.glob("*.transcript.jsonl"))]
+    path = tmp_path / "transcript.jsonl"
+    codes = Counter()
+    for _ in range(400):
+        events = [dict(e) for e in rng.choice(transcripts)]
+        measures = [e for e in events if e["step"] == "MEASURE"]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            event = rng.choice((events[0], rng.choice(measures), rng.choice(events)))
+            key = rng.choice(EVENT_KEYS)
+            if rng.random() < 0.1:
+                event.pop(key, None)
+            else:
+                event[key] = rng.choice(EVENT_ODD)
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        code = run_cli("report", path)
+        assert code in (0, 1, 2), events
+        codes[code] += 1
+        capsys.readouterr()
     assert len(codes) == 3 and min(codes.values()) >= 5, codes  # pass, convict, refuse
 
 

@@ -16,6 +16,7 @@ import json
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
@@ -40,19 +41,25 @@ from qvote.ballots import (
     Scheme,
     SecureSecrets,
     _phase_basis_probs,
+    _secrets_problem,
+    phase_readings,
     voting_qudit_state,
 )
+from qvote.cli import verdict
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
+    Transcript,
     _cast,
     _pairing_outcomes,
     _secure_trials,
+    _vote_patterns,
+    _yes_angle,
     run_db_vote,
     run_secure_vote,
     run_survey,
     run_tb_vote,
 )
-from qvote.qstate import INVALID, _cdf, _with_invalid
+from qvote.qstate import _cdf
 
 # Dense product-ballot references hold d**N amplitudes per trial.
 REFERENCE_BUDGET = 20_000
@@ -215,7 +222,8 @@ class Fixed:
         return self.u
 
 
-EXTREMES = pytest.mark.parametrize("u", [0.0, 1 - 2 ** -53], ids=["zero", "last"])
+EDGE_DOUBLES = (0.0, 1 - 2 ** -53)
+EXTREMES = pytest.mark.parametrize("u", EDGE_DOUBLES, ids=["zero", "last"])
 
 
 class TestKernelsMatchReferences:
@@ -421,7 +429,66 @@ class TestCollusionBatch:
 
 
 class TestEdgeDoubles:
-    """The closed-form readings hold at the extreme doubles 0.0 and 1 - 2**-53."""
+    """The closed-form readings hold at the extreme doubles 0.0 and 1 - 2**-53.
+
+    Rounding leaves weights near 1e-32 on the p an honest row rules out.
+    Unzeroed, 0.0 read such a p below the tally, and an INVALID column of
+    about 1e-16 took 1 - 2**-53. The honest-readout probes count misreads
+    over every row of a class, so a failure says how many rows moved.
+    """
+
+    def test_db_readout_of_every_pattern(self):
+        # Every yes/no pattern of every (d, N) with d <= 199 and N <= 6, cast
+        # as the DB run casts: 48,864 readings, each the pattern's yes count.
+        misreads = 0
+        for d in range(2, 200):
+            for n in range(1, min(6, d - 1) + 1):
+                patterns = _vote_patterns(n)
+                rows = _cast(d, _yes_angle(d, patterns))
+                for u in EDGE_DOUBLES:
+                    got = phase_readings(rows, np.full(len(rows), u))
+                    misreads += int(np.count_nonzero(got != patterns.sum(axis=1)))
+        assert misreads == 0
+
+    def test_survey_readout_of_every_total(self):
+        # Every amount vector with a total below d, for d <= 24 and N <= 3.
+        misreads = 0
+        for d in range(2, 25):
+            for n in range(1, min(3, d - 1) + 1):
+                amounts = np.array([a for a in product(range(d), repeat=n) if sum(a) < d])
+                rows = _cast(d, _yes_angle(d, amounts))
+                for u in EDGE_DOUBLES:
+                    got = phase_readings(rows, np.full(len(rows), u))
+                    misreads += int(np.count_nonzero(got != amounts.sum(axis=1)))
+        assert misreads == 0
+
+    def test_secure_readout_of_every_accepted_pair(self):
+        # Every pattern of every (l_y, l_n) BallotConfig accepts, for d <= 19,
+        # N <= 3 and delta 0.1; the two doubles are a trial's two repetitions,
+        # so the trial agrees on its tally only if both read it.
+        misreads = 0
+        for d in range(2, 20):
+            for n in range(1, min(3, d - 1) + 1):
+                patterns = _vote_patterns(n)
+                yes = patterns.sum(axis=1).tolist()
+                u = np.zeros((len(patterns), len(EDGE_DOUBLES), n + 1))
+                u[..., -1] = EDGE_DOUBLES
+                for l_y, l_n in product(range(d), repeat=2):
+                    if _secrets_problem(d, n, l_y, l_n) is None:
+                        config = BallotConfig(d, n, Scheme.SECURE,
+                                              secrets=SecureSecrets(l_y, l_n, 0.1))
+                        rows = np.where(patterns == 1, config.theta_yes, config.theta_no)
+                        tallies, _, _ = _secure_trials(config, rows, u)
+                        misreads += sum(t != m for t, m in zip(tallies, yes))
+        assert misreads == 0
+
+    @EXTREMES
+    def test_honest_db_run_is_clean_at_the_edge(self, u):
+        # d = 7, votes YYN: the row read INVALID at 1 - 2**-53 and 0 at 0.0.
+        config = BallotConfig(7, 3, Scheme.DB)
+        transcript = Transcript("db-d7-n3", 1)
+        result = run_db_vote(config, "YYN", Scripted([u]), transcript=transcript)
+        assert result.m == 2 and verdict(transcript.events)[2] == CLEAN
 
     def test_collusion_phase_decode_stays_on_the_tallies(self):
         # First colluder reads 0; the decode double passes every CDF step
@@ -443,12 +510,14 @@ class TestEdgeDoubles:
     def test_secure_readout_on_every_step(self, d):
         # A forged row read by 0.0, each CDF step below 1, the double just
         # below each step and 1 - 2**-53, one repetition each. At d=12,
-        # l_y - l_n = 2 shares the gcd 2 with d, so odd p are no tally; this
-        # row's CDF stops short of 1, so its last step reads INVALID.
+        # l_y - l_n = 2 shares the gcd 2 with d, so odd p are no tally. The
+        # CDF runs over the d outcomes alone, so the last double reads
+        # p = d - 1, a real outcome of the forged row.
         config = BallotConfig(d, 3, Scheme.SECURE, secrets=SecureSecrets(2, 0, 0.2 / d))
         row = [config.theta_yes + 0.03, config.theta_no, config.theta_yes]
         compensation = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
-        cdf = _cdf(_with_invalid(_phase_basis_probs(_cast(d, [row])[:, None] * compensation)))
+        cdf = _cdf(_phase_basis_probs(_cast(d, [row])[:, None] * compensation))
+        assert cdf.shape[-1] == d
         steps = cdf[cdf < 1.0]
         doubles = [0.0, *steps, *np.nextafter(steps, 0.0), 1 - 2 ** -53]
         u = np.zeros((1, len(doubles), config.N + 1))
@@ -458,10 +527,10 @@ class TestEdgeDoubles:
                for x in doubles]
         assert list(zip(outcomes, ps)) == ref
         gcd = 2 if d == 12 else 1
-        cheats = [m for m, p in zip(outcomes, ps) if p == INVALID or p % gcd]
-        assert INVALID in ps and (d == 11 or any(p != INVALID and p % 2 for p in ps))
-        assert cheats and set(cheats) == {CHEAT_DETECTED}
-        assert set(ps) - {INVALID} == set(range(d)) and tally == CHEAT_DETECTED
+        assert ps[-1] == d - 1 and set(ps) == set(range(d)) and tally == CHEAT_DETECTED
+        assert {m for m, p in zip(outcomes, ps) if p % gcd} == ({CHEAT_DETECTED} if gcd > 1
+                                                               else set())
+        assert CHEAT_DETECTED not in [m for m, p in zip(outcomes, ps) if p % gcd == 0]
 
 
 def parent(seed: int, spawned: int) -> np.random.Generator:

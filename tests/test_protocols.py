@@ -41,7 +41,7 @@ from qvote.protocols import (
     run_survey,
     run_tb_vote,
 )
-from qvote.qstate import INVALID, CorrelatedState, LocalUnitary, apply_local
+from qvote.qstate import CorrelatedState, LocalUnitary, apply_local
 from qvote import protocols
 from qvote import rng as rngmod
 
@@ -146,11 +146,11 @@ class TestRunSecureVote:
         assert result.p == [(3 * 3) % 13] * 3
 
 
-# (m, p) readings as secure_tally returns them at d = 11: tallies, a p that
-# is no multiple of l_y - l_n, and an unreadable row. The index d is
-# CHEAT_DETECTED as a tally and INVALID as a p.
+# (m, p) readings as secure_tally returns them at d = 11: tallies, and p
+# that are no multiple of l_y - l_n, the last outcome d - 1 among them.
+# The tally index d is CHEAT_DETECTED; every p is an outcome in 0..d-1.
 SCRIPTED_D = 11
-SCRIPTED_READINGS = [(2, 4), (1, 2), (0, 0), (SCRIPTED_D, 3), (SCRIPTED_D, SCRIPTED_D)]
+SCRIPTED_READINGS = [(2, 4), (1, 2), (0, 0), (SCRIPTED_D, 3), (SCRIPTED_D, SCRIPTED_D - 1)]
 
 
 def scripted_label(index, label):
@@ -189,7 +189,8 @@ class TestSecureTrialsSlicing:
         assert np.array_equal(tally_u, u[..., config.N])
         assert outcomes == [[scripted_label(m, CHEAT_DETECTED) for m, _ in trial]
                             for trial in script]
-        assert ps == [[scripted_label(p, INVALID) for _, p in trial] for trial in script]
+        assert ps == [[p for _, p in trial] for trial in script]
+        assert all(type(p) is int for trial in ps for p in trial)
         assert tallies == [reference.agreed_tally(o) for o in outcomes]
 
 
