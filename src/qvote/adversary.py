@@ -29,14 +29,22 @@ ballot's phase-basis reading is each vote, exactly; on the honest ballot
 the control reads uniformly.
 The swap test compares each double with one threshold per pair, its
 symmetric weight (1 + |<a|b>|^2)/2 (Buhrman et al., PRL 87, 167902
-(2001)). Only ``detect_subset_correlation`` measures a dense state, the
-one it is given. ``tests/reference.py`` keeps the dense per-trial loops,
+(2001)). ``_swap_thresholds`` checks a pool and computes its table, one
+threshold per comparison, once; a bounded cache keyed by the pool's
+states, which compare by identity, serves it to every later call.
+``detect_symmetry`` walks that table with one ``rng.random()`` per
+comparison and stops at the first conviction; ``swap_test_trials`` runs
+it on every child of ``rng.spawn(trials)`` at once, reading each child's
+doubles through one ``rng.child_doubles`` call, with the same verdicts.
+Only ``detect_subset_correlation`` measures a dense state, the one it is
+given. ``tests/reference.py`` keeps the dense per-trial loops,
 with their own histogram loop, and the per-call swap-test CDF that these
 kernels must match draw for draw.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -320,6 +328,30 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     )
 
 
+# Swap-test threshold tables kept at once; each holds its pool's states alive.
+_SWAP_TABLES = 256
+
+
+@lru_cache(maxsize=_SWAP_TABLES)
+def _swap_thresholds(states: tuple, comparisons) -> tuple:
+    """The swap test's threshold per comparison, (1 + |<s_0|s_j>|^2)/2, j cycling 1..n-1.
+
+    Keyed by the pool's states, which hash and compare by identity and hold
+    frozen amplitudes, so a cached table is the one a fresh call computes.
+    A bad pool raises on every call: lru_cache does not store exceptions.
+    """
+    if len(states) < 2:
+        raise ConfigurationError("symmetry test needs at least two states")
+    comparisons = _at_least("comparisons", comparisons, 1)
+    d = states[0].dims[0]
+    for s in states:
+        if s.num_sites != 1 or s.dims[0] != d:
+            raise ConfigurationError("symmetry test compares single qudits of equal dimension")
+    thresholds = [(1 + float(abs(np.vdot(states[0].amps, other.amps)) ** 2)) / 2
+                  for other in states[1:1 + comparisons]]
+    return tuple(thresholds[t % (len(states) - 1)] for t in range(comparisons))
+
+
 def detect_symmetry(sampled_states, rng: np.random.Generator,
                     comparisons: int = 7) -> str:
     """Swap-test a pool of voting states that claim to be identical.
@@ -334,22 +366,29 @@ def detect_symmetry(sampled_states, rng: np.random.Generator,
     That is the inverse-CDF draw over (symmetric, antisymmetric, INVALID),
     exactly: for f^2 in [0, 1] the two weights round to a sum of exactly 1,
     so INVALID weighs 0; an f^2 rounded above 1 gives a threshold >= 1,
-    which no double reaches.
+    which no double reaches. The first conviction ends the test, so a
+    convicted pool leaves later doubles undrawn.
     """
-    states = list(sampled_states)
-    if len(states) < 2:
-        raise ConfigurationError("symmetry test needs at least two states")
-    comparisons = _at_least("comparisons", comparisons, 1)
-    d = states[0].dims[0]
-    for s in states:
-        if s.num_sites != 1 or s.dims[0] != d:
-            raise ConfigurationError("symmetry test compares single qudits of equal dimension")
-    thresholds = [(1 + float(abs(np.vdot(states[0].amps, other.amps)) ** 2)) / 2
-                  for other in states[1:1 + comparisons]]
-    for t in range(comparisons):
-        if rng.random() >= thresholds[t % (len(states) - 1)]:
+    for threshold in _swap_thresholds(tuple(sampled_states), comparisons):
+        if rng.random() >= threshold:
             return CHEATING
     return CLEAN
+
+
+def swap_test_trials(sampled_states, trials: int, rng: np.random.Generator,
+                     comparisons: int = 7) -> list[str]:
+    """``detect_symmetry`` on each child of ``rng.spawn(trials)``, as one batch.
+
+    Trial t reads doubles 0..comparisons-1 of child t through one
+    ``rng.child_doubles`` call and convicts when any double reaches its
+    comparison's threshold, so it returns the per-call verdicts in trial
+    order and leaves ``rng`` as the spawn does. A convicted child's later
+    doubles are drawn here but not by the per-call test; a discarded
+    child's unread doubles cannot be seen. ``rng`` must be PCG64.
+    """
+    table = _swap_thresholds(tuple(sampled_states), comparisons)
+    u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), tuple(range(len(table))))[0]
+    return np.where((u >= table).any(axis=1), CHEATING, CLEAN).tolist()
 
 
 def detect_subset_correlation(ballot_state: PureState, subset, rng: np.random.Generator,

@@ -4,6 +4,12 @@ States are flat complex vectors indexed big-endian over the subsystem
 list: site 0 is the most significant digit, so ``amps.reshape(dims)``
 exposes one axis per site in order. All operations return new objects,
 and the amplitude buffers are frozen after construction.
+
+A ``PureState`` compares and hashes by identity: it equals only itself,
+whatever amplitudes another state holds. ``adversary``'s swap-test
+threshold cache keys on its states by that identity, which is sound only
+because the amplitude buffer a state holds is frozen and cannot change
+under its key.
 """
 
 import math
@@ -29,7 +35,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized pure state over an ordered list of qudit subsystems."""
 

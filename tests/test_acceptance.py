@@ -23,9 +23,9 @@ from qvote.adversary import (
     authority_product_ballot,
     collusion_attack_tb,
     detect_subset_correlation,
-    detect_symmetry,
     multi_vote_plain,
     phase_estimate_attack,
+    swap_test_trials,
 )
 from qvote.ballots import (
     CHEAT_DETECTED,
@@ -319,8 +319,7 @@ def test_criterion_11_malicious_authority():
     b = voting_qudit_state(5, 0.9 + 2 * np.pi / 5)
     # per-comparison failure rate is (1 - |<a|b>|^2)/2 = 1/2 exactly
     assert abs(reference.inner(a, b)) <= 1e-12
-    detected = sum(detect_symmetry([a, b], g, comparisons=7) == CHEATING
-                   for g in rngmod.stream(113, 2).spawn(10_000))
+    detected = swap_test_trials([a, b], 10_000, rngmod.stream(113, 2)).count(CHEATING)
     assert detected / 10_000 >= 0.99
     _pass(11, f"votes read off product ballots; detectors at "
               f"{flagged}/500, {clean}/500, {detected / 10_000:.4f}")

@@ -17,6 +17,7 @@ from qvote.adversary import (
     mismatched_voting_states,
     multi_vote_plain,
     phase_estimate_attack,
+    swap_test_trials,
 )
 from qvote.ballots import (
     CHEAT_DETECTED,
@@ -257,8 +258,7 @@ class TestMismatchedVotingStates:
         d, s = config.d, config.secrets
         yes_states = [voting_qudit_state(d, 2 * np.pi * (s.l_y + i) / d + s.delta)
                       for i in range(3)]
-        flags = sum(detect_symmetry(yes_states, g, comparisons=7) == CHEATING
-                    for g in rngmod.stream(15, 2).spawn(200))
+        flags = swap_test_trials(yes_states, 200, rngmod.stream(15, 2)).count(CHEATING)
         assert flags > 190
 
 
@@ -272,15 +272,14 @@ class TestDetectSymmetry:
         b = voting_qudit_state(5, 0.7 + 2 * np.pi / 5)
         # analytic oracle: overlap 0, so failure probability (1 - 0)/2
         assert abs(inner(a, b)) < 1e-12
-        fails = sum(detect_symmetry([a, b], g, comparisons=1) == CHEATING
-                    for g in rngmod.stream(17, 2).spawn(2000))
+        fails = swap_test_trials([a, b], 2000, rngmod.stream(17, 2),
+                                 comparisons=1).count(CHEATING)
         assert abs(fails / 2000 - 0.5) < 0.04
 
     def test_seven_comparisons_reach_target_confidence(self):
         a = voting_qudit_state(5, 0.7)
         b = voting_qudit_state(5, 0.7 + 2 * np.pi / 5)
-        hits = sum(detect_symmetry([a, b], g, comparisons=7) == CHEATING
-                   for g in rngmod.stream(18, 2).spawn(2000))
+        hits = swap_test_trials([a, b], 2000, rngmod.stream(18, 2)).count(CHEATING)
         assert hits / 2000 > 0.97  # analytic rate 1 - 2^-7 = 0.9922
 
     def test_same_state_different_claims_pass(self):

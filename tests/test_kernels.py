@@ -14,6 +14,7 @@ and doubles and compare the doubles with the same columns of a fresh
 import hashlib
 import json
 import tracemalloc
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from itertools import product
@@ -29,11 +30,14 @@ from qvote import rng as rngmod
 from qvote.adversary import (
     CHEATING,
     CLEAN,
+    _SWAP_TABLES,
+    _swap_thresholds,
     authority_product_ballot,
     collusion_attack_tb,
     detect_symmetry,
     mismatched_voting_states,
     phase_estimate_attack,
+    swap_test_trials,
 )
 from qvote.ballots import (
     CHEAT_DETECTED,
@@ -59,7 +63,7 @@ from qvote.protocols import (
     run_survey,
     run_tb_vote,
 )
-from qvote.qstate import _cdf
+from qvote.qstate import PureState, _cdf
 
 # Dense product-ballot references hold d**N amplitudes per trial.
 REFERENCE_BUDGET = 20_000
@@ -642,6 +646,12 @@ class TestStreamConsumption:
         assert detect_symmetry(same, rng, comparisons=7) == CLEAN
         assert rng.bit_generator.state == advanced(np.random.default_rng(10), 7)
 
+    def test_swap_test_trials_read_every_comparison(self, drawn):
+        pair = [voting_qudit_state(5, 0.9), voting_qudit_state(5, 0.9 + 2 * np.pi / 5)]
+        rng = np.random.default_rng(12)
+        swap_test_trials(pair, 9, rng, comparisons=4)
+        assert_consumed(rng, drawn, 12, (9, (0, 1, 2, 3), 0, ()))
+
     def test_swap_test_stops_at_the_first_antisymmetric_outcome(self):
         pair = [voting_qudit_state(5, 0.9), voting_qudit_state(5, 0.9 + 2 * np.pi / 5)]
         used = []
@@ -656,6 +666,101 @@ class TestStreamConsumption:
             used.append(states.index(rng.bit_generator.state))
             assert used[-1] == 7 if verdict == CLEAN else 1 <= used[-1] <= 7
         assert min(used) < 7
+
+
+def swap_pools() -> dict:
+    """Pools of 2-4 single qudits: identical, orthogonal and mixed overlaps."""
+    a, b = voting_qudit_state(5, 0.9), voting_qudit_state(5, 0.9 + 2 * np.pi / 5)
+    near = voting_qudit_state(5, 1.3)
+    states_rng = np.random.default_rng(30)
+    randoms = [random_state((3,), states_rng) for _ in range(3)]
+    return {"identical": [a, a, a], "twins": [a, PureState(a.dims, a.amps)],
+            "orthogonal": [a, b], "mixed": [a, near, b, a], "random": randoms}
+
+
+SWAP_POOLS = swap_pools()
+
+
+class TestSwapTestTrials:
+    """The batched swap test is ``detect_symmetry`` over ``rng.spawn(T)``, verdict for verdict."""
+
+    @pytest.mark.parametrize("trials", [0, 1, 500])
+    @pytest.mark.parametrize("pool", list(SWAP_POOLS))
+    def test_equals_the_per_call_spawn_loop(self, pool, trials):
+        states = SWAP_POOLS[pool]
+        for comparisons in range(1, 10):
+            rng, loop = parent(comparisons, 3), parent(comparisons, 3)
+            got = swap_test_trials(states, trials, rng, comparisons=comparisons)
+            assert got == [detect_symmetry(states, g, comparisons) for g in loop.spawn(trials)]
+            assert parent_state(rng) == parent_state(loop)
+
+    @given(swap_pool(), st.integers(0, 20), st.integers(1, 12), SEEDS)
+    @settings(max_examples=100, deadline=None)
+    def test_against_the_per_call_cdf(self, pool, trials, comparisons, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = swap_test_trials(pool, trials, rng, comparisons=comparisons)
+        assert got == [reference.detect_symmetry(pool, g, comparisons)
+                       for g in ref.spawn(trials)]
+        assert parent_state(rng) == parent_state(ref)
+
+    def test_needs_a_pcg64_parent(self):
+        rng = np.random.Generator(np.random.MT19937(5))
+        with pytest.raises(ConfigurationError, match="need a PCG64 parent, got MT19937"):
+            swap_test_trials(SWAP_POOLS["orthogonal"], 10, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert np.array_equal(rng.random(4), np.random.Generator(np.random.MT19937(5)).random(4))
+
+
+class TestSwapThresholdCache:
+    """A cached threshold table gives what a fresh computation gives, on every call."""
+
+    def test_equal_amplitudes_give_the_results_of_one_shared_state(self):
+        a, b = SWAP_POOLS["orthogonal"]
+        twin_a, twin_b = (PureState(s.dims, s.amps) for s in (a, b))
+        pools = {"shared": [a, b], "twins": [twin_a, twin_b], "one state": [a, twin_a]}
+        for seed in range(40):
+            out = {}
+            for name, states in pools.items():
+                rng = np.random.default_rng(seed)
+                out[name] = (detect_symmetry(states, rng), rng.bit_generator.state,
+                             swap_test_trials(states, 8, np.random.default_rng(seed)))
+            assert out["twins"] == out["shared"]
+            assert out["one state"] == (CLEAN, advanced(np.random.default_rng(seed), 7),
+                                        [CLEAN] * 8)
+
+    def test_a_bad_pool_raises_on_every_call(self):
+        a, b = SWAP_POOLS["orthogonal"]
+        qutrit, two_sites = voting_qudit_state(3, 0.9), PureState.basis((5, 5), (0, 0))
+        # The checks run in order: pool size, comparisons, then each state's shape.
+        bad = [([a], 0, "at least two states"),
+               ([a, qutrit], 0, "comparisons must be >= 1"),
+               ([a, b, qutrit], 7, "single qudits of equal dimension"),
+               ([a, two_sites], 7, "single qudits of equal dimension")]
+        for states, comparisons, message in bad * 3:
+            for run in (detect_symmetry, lambda s, g, c: swap_test_trials(s, 4, g, c)):
+                rng = np.random.default_rng(3)
+                with pytest.raises(ConfigurationError, match=message):
+                    run(states, rng, comparisons)
+                assert parent_state(rng) == parent_state(np.random.default_rng(3))
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert detect_symmetry([a, b], rng) == reference.detect_symmetry([a, b], ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_fresh_pools_get_their_own_tables_within_the_bound(self):
+        # Each pair is built, tested and dropped, so a new pair may take the
+        # memory of the one before it: equal pairs pass at u = 0.75 (threshold
+        # 1), orthogonal ones convict (threshold 1/2), whatever came before.
+        a, b = (voting_qudit_state(3, theta).amps for theta in (0.0, 2 * np.pi / 3))
+        for i in range(1000):
+            pair = [PureState((3,), a), PureState((3,), b if i % 2 else a)]
+            verdict = detect_symmetry(pair, Scripted([0.75]), comparisons=1)
+            assert verdict == (CHEATING if i % 2 else CLEAN)
+            if i == 0:
+                held = weakref.ref(pair[0])
+            del pair
+        assert _swap_thresholds.cache_info().currsize <= _SWAP_TABLES
+        # An evicted pool's states are not kept alive.
+        assert held() is None
 
 
 def test_product_ballot_rejects_a_wrong_vote_count():

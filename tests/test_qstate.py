@@ -59,6 +59,14 @@ class TestPureState:
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
 
+    def test_equals_only_itself(self):
+        # Identity, not amplitudes: the swap-test threshold cache keys on it.
+        s = PureState.basis((3,), (1,))
+        twin = PureState(s.dims, s.amps)
+        assert s == s and not s != s
+        assert s != twin and not s == twin
+        assert hash(s) == hash(s) and len({s, twin, s}) == 2
+
     @pytest.mark.parametrize("values,build", [
         ([1, 0], lambda a: PureState((2,), a).amps),
         ([1, 0], lambda a: CorrelatedState(2, 3, a).c),
