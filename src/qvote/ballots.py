@@ -261,6 +261,14 @@ def _tally_table(d: int, dl: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def _compensation(d: int, N: int, theta_no: float) -> np.ndarray:
+    """The row e^{-i k N theta_no}, k < d, that removes the known no-phase."""
+    row = np.exp(-1j * np.arange(d) * N * theta_no)
+    row.flags.writeable = False
+    return row
+
+
 def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> tuple:
     """Compensate the known no-phase, read p, and map it to a tally; (ms, ps), shaped as ``u``.
 
@@ -270,6 +278,5 @@ def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> tuple:
     before ``phase_readings`` projects onto the p-states.
     """
     d = config.d
-    compensation = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
-    ps = phase_readings(corr_rows * compensation, u)
+    ps = phase_readings(corr_rows * _compensation(d, config.N, config.theta_no), u)
     return _tally_table(d, (config.secrets.l_y - config.secrets.l_n) % d)[ps], ps

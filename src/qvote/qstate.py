@@ -29,10 +29,13 @@ INVALID = "INVALID"
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only complex copy of ``arr``; the caller's array stays theirs."""
-    out = np.array(arr, dtype=complex, order="C")
-    out.setflags(write=False)
-    return out
+    """A read-only complex copy of ``arr``; the caller's array stays theirs.
+
+    The copy lies on an immutable bytes object, so ``setflags(write=True)``
+    raises and no one can write to it after construction.
+    """
+    arr = np.asarray(arr, dtype=complex)
+    return np.frombuffer(arr.tobytes(), dtype=complex).reshape(arr.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,26 +11,17 @@ Monte Carlo attacks give each trial its own child stream, ``rng.spawn(T)``,
 and the SECURE attacks give each trial's repetitions grandchildren.
 ``child_doubles`` returns the doubles those streams draw at the positions
 its caller reads, without building a Generator or a SeedSequence per
-stream. A child's pool is its parent's with one more entropy word, its
-index, mixed in, and a grandchild's adds its own index; the kernel mixes
-those words into every row at once, and mixes no grandchildren when none
-is read. It then expands pools as ``generate_state(4, uint64)`` does,
-seeds PCG64 and computes each read draw's 128-bit LCG state alone, in
-closed form, then applies the XSL-RR output and the 53-bit double
-conversion. Every (stream, read) pair of a call, the children's and then the
-grandchildren's, sits on one flat axis:
-each side writes its limb products there by broadcasting, and the rest
-of that arithmetic runs once per call whatever the shape. Only integer
-operations and one exact power-of-two scale touch the bits, so SIMD
-dispatch cannot change them.
-The parent's ``n_children_spawned`` moves as ``spawn`` would move it, in
-place, through one constructor call. A parent whose bit generator is not
-PCG64, or whose child indices would reach 2**32 - 1, raises
-ConfigurationError and is left as it was.
+stream. It mixes child and grandchild indices into one pool array in
+wrapping uint32, hashes the pools into PCG64's two 128-bit seeds in 64-bit
+halves and takes each read draw's LCG state alone, in closed form:
+wrapping uint64 products, one high product in 32-bit limbs per factor and
+two comparisons for the carries, on one flat axis of every (stream, read)
+pair. Only integer operations and one exact power-of-two scale touch the
+bits, so SIMD dispatch cannot change them. The parent's
+``n_children_spawned`` moves as ``spawn`` would move it, in place.
 """
 
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -43,14 +34,20 @@ TRIAL = 2
 COMMITMENT = 3
 VOTES = 5
 
-_M32 = 0xFFFFFFFF
+_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
 # SeedSequence's hash constants and PCG64's LCG multiplier, as numpy fixes them.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# generate_state's hash constants: output word i xors constant i, then multiplies by i + 1.
-_STATE_HASH = np.array([_INIT_B * pow(_MULT_B, n, 1 << 32) & _M32 for n in range(9)],
-                       dtype=np.uint64)
+# Scalars as 0-d arrays of the other operand's dtype: numpy takes them fastest.
+_MIX_L, _MIX_R, _SH16 = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_SH11, _SH32, _SH58, _SH64, _LOW = (np.array(c, np.uint64) for c in (11, 32, 58, 64, _M32))
+_SCALE = np.array(2.0 ** -53)
+# generate_state's word i xors hash i, then multiplies by hash i + 1. Its words
+# hold initstate a1:a0 as 1:0:3:2 and initseq c1:c0 as 5:4:7:6, so with
+# a0 = ah:al, these rows are al, cl, ah, ch, then a1's and c1's low and high.
+_SEED_WORDS = np.array([2, 6, 3, 7, 0, 4, 1, 5])
+_SEED_XOR, _SEED_MULT = (np.array([[_INIT_B * pow(_MULT_B, int(i) + shift, 1 << 32) & _M32]
+                                   for i in _SEED_WORDS], dtype=np.uint32) for shift in (0, 1))
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -66,102 +63,106 @@ def _word_count(value) -> int:
 
 
 @lru_cache(maxsize=None)
-def _mix_hashes(n: int, size: int):
-    """The hashes n, ..., n + size - 1 a mixed-in word takes, and their multipliers."""
-    hc = np.array([_INIT_A * pow(_MULT_A, n + dst, 1 << 32) & _M32 for dst in range(size)],
-                  dtype=np.uint64)
-    mult = hc * _MULT_A & _M32
+def _mix_hashes(n: int, size: int, ndim: int):
+    """Hashes n, ..., n + size - 1 of a mixed-in word, and their multipliers: (size, 1, ...)."""
+    hc = np.array([_INIT_A * pow(_MULT_A, n + i, 1 << 32) & _M32 for i in range(size)],
+                  dtype=np.uint32).reshape((size,) + (1,) * ndim)
+    mult = hc * np.uint32(_MULT_A)
     hc.flags.writeable = mult.flags.writeable = False
     return hc, mult
 
 
-def _mix(pools: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
-    """Pools after SeedSequence mixes one more entropy word into them: hashes n, n + 1, ...
-
-    ``pools`` (..., P) broadcasts against ``words`` (...); each pool word
-    takes the word's next hash, as entropy past the pool size is mixed in.
-    """
-    hc, mult = _mix_hashes(n, pools.shape[-1])
-    hashed = (words[..., None] ^ hc) * mult & _M32
-    hashed ^= hashed >> 16
-    mixed = (_MIX_L * pools - _MIX_R * hashed) & _M32
-    return mixed ^ mixed >> 16
+def _mix(pools: np.ndarray, words: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write to ``out`` the ``pools`` (word i on axis 0) that mix in ``words`` at hash n."""
+    hc, mult = _mix_hashes(n, len(out), words.ndim)
+    hashed = np.bitwise_xor(words, hc)
+    hashed *= mult
+    hashed ^= hashed >> _SH16
+    hashed *= _MIX_R
+    out ^= np.subtract(_MIX_L * pools, hashed, out=out) >> _SH16
 
 
 @lru_cache(maxsize=None)
 def _lcg_columns(reads: tuple) -> np.ndarray:
-    """Limbs of M^(j+2), of 2 B_j and of B_j, B_j = M^0 + ... + M^(j+2), for each draw j in reads.
+    """Each draw's factors for ``_draws``' seed rows, shape (2, 9, len(reads), 1).
 
     Seeding sets inc = 2 initseq + 1 and steps the LCG twice around adding
-    initstate; draw j steps once more, so it reads
-    M^(j+2) initstate + 2 B_j initseq + B_j (mod 2**128) (Brown's
-    arbitrary-stride jump). Shape (3, 4, len(reads), 1): factor, limb, draw.
+    initstate, so draw j reads f initstate + g initseq + B (mod 2**128) with
+    f = M^(j+2), B = M^0 + ... + M^(j+2) = (M^(j+3) - 1) / (M - 1), exact
+    with M^(j+3) taken mod (M - 1) 2**128, and g = 2B (Brown's arbitrary-
+    stride jump). In halves f1:f0, f0 = fh:fl, the products are 0-1 fl al,
+    gl cl, whose carries make 9-12 high products; 2-12 the high half's terms
+    fh ah, gh ch, f1 a0, g1 c0, f0 a1, g0 c1, B, fh al, gh cl, fl ah, gl ch;
+    13-17 the low half's f0 a0, g0 c0, 0, 0, B.
     """
-    mod = 1 << 128
-    powers = [pow(_PCG_MULT, i, mod) for i in range(max(reads, default=-1) + 3)]
-    sums = list(accumulate(powers, lambda a, b: (a + b) % mod))
-    columns = [[powers[j + 2] for j in reads], [2 * sums[j + 2] % mod for j in reads],
-               [sums[j + 2] for j in reads]]
-    limbs = np.array([[[c >> 32 * l & _M32 for c in col] for l in range(4)] for col in columns],
-                     dtype=np.uint64).reshape(3, 4, len(reads), 1)
-    limbs.flags.writeable = False
-    return limbs
+    mod, columns = 1 << 128, []
+    for j in reads:
+        b = (pow(_PCG_MULT, j + 3, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1) % mod
+        f, g = pow(_PCG_MULT, j + 2, mod), 2 * b % mod
+        f0, g0 = f & _M64, g & _M64
+        fh, gh, fl, gl = f0 >> 32, g0 >> 32, f0 & _M32, g0 & _M32
+        columns.append([[fl, gl, fh, gh, f >> 64, g >> 64, f0, g0, b >> 64],
+                        [fh, gh, fl, gl, f0, g0, 0, 0, b & _M64]])
+    table = np.ascontiguousarray(
+        np.array(columns, dtype=np.uint64).reshape(-1, 2, 9).transpose(1, 2, 0)[..., None])
+    table.flags.writeable = False
+    return table
 
 
-# The 32-bit words of generate_state's four 64-bit outputs in limb order,
-# least significant first: initstate is outputs 1 then 0, initseq 3 then 2.
-_SEED_WORDS = np.array([2, 3, 0, 1, 6, 7, 4, 5])
-_SEED_XOR, _SEED_MULT = _STATE_HASH[_SEED_WORDS, None], _STATE_HASH[_SEED_WORDS + 1, None]
+def _draws(pools: np.ndarray, blocks: list) -> np.ndarray:
+    """The doubles of PCG64 generators seeded from ``pools``' columns, all on one flat axis.
 
-
-def _draws(blocks: list) -> np.ndarray:
-    """The doubles of PCG64 generators seeded from pools, all on one flat axis.
-
-    ``blocks`` lists (pools, reads) pairs: each row of ``pools`` seeds a
-    generator, read at the draw positions ``reads``. The flat axis holds
-    block after block, and within a block read after read, each read's
-    rows in order. A block
-    writes its limb products into that axis straight from its rows' seed
-    limbs and its draws' factor limbs, broadcast against each other; the
-    rest of the 128-bit limb arithmetic, the carries and the output then
-    run once over the whole axis.
+    ``blocks`` lists (rows, reads) pairs that take the columns in order:
+    block after block, read after read, row after row. The columns hash to
+    seed rows al, cl, ah, ch, a0, c0, a1, c1 and 1; a block fills its stretch
+    in one multiply of its rows' seeds by its draws' ``_lcg_columns``, and
+    the rest runs once, in place.
     """
-    pools = np.concatenate([rows for rows, _ in blocks])
-    words = pools.T[_SEED_WORDS % pools.shape[1]]
-    words = (words ^ _SEED_XOR) * _SEED_MULT & _M32
-    words ^= words >> 16
-    # 32-bit limbs, least significant first, of initstate and of initseq.
-    seeds = words.reshape(2, 4, 1, -1)
-    flat = sum(len(rows) * len(reads) for rows, reads in blocks)
-    acc = np.empty((4, flat), np.uint64)
-    low, high = np.empty((2, 4, flat), np.uint64), np.empty((2, 3, flat), np.uint64)
-    products = []
-    row = at = 0
+    words = pools.take(_SEED_WORDS, axis=0, mode="wrap")
+    words ^= _SEED_XOR
+    words *= _SEED_MULT
+    words ^= words >> _SH16
+    seeds, row, at = np.empty((9, pools.shape[1]), np.uint64), 0, 0
+    seeds[:4], seeds[8] = words[:4], 1
+    halves, pairs = words.reshape(2, 2, 2, -1), seeds[4:8].reshape(2, 2, -1)
+    np.left_shift(halves[:, 1], _SH32, out=pairs, dtype=np.uint64)
+    pairs |= halves[:, 0]
+    del words, halves, pairs
+    prod = np.empty((2, 9, sum(rows * len(reads) for rows, reads in blocks)), np.uint64)
     for rows, reads in blocks:
-        n, k = len(rows), len(reads)
-        columns = _lcg_columns(reads)
-        # The sum starts at B_j.
-        acc[:, at:at + n * k].reshape(4, k, n)[...] = columns[2]
-        products.append((seeds[..., row:row + n], columns[:2],
-                         low[..., at:at + n * k].reshape(2, 4, k, n)))
-        row, at = row + n, at + n * k
-    for i in range(4):
-        # Limb i of each seed times the limbs of its factor that land below 2**128.
-        for seed, factor, out in products:
-            np.multiply(seed[:, i, None], factor[:, :4 - i], out=out[:, :4 - i])
-        lo, hi = low[:, :4 - i], high[:, :3 - i]
-        np.right_shift(lo[:, :3 - i], 32, out=hi)
-        lo &= _M32
-        acc[i:] += lo[0]
-        acc[i:] += lo[1]
-        acc[i + 1:] += hi[0]
-        acc[i + 1:] += hi[1]
-    for l in range(3):
-        acc[l + 1] += acc[l] >> 32
-    acc &= _M32
-    x = (acc[3] << 32 | acc[2]) ^ (acc[1] << 32 | acc[0])
-    rot = acc[3] >> 26
-    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
+        np.multiply(_lcg_columns(reads), seeds[:, None, row:row + rows],
+                    out=prod[..., at:at + rows * len(reads)].reshape(2, 9, -1, rows))
+        row, at = row + rows, at + rows * len(reads)
+    del seeds
+    prod = prod.reshape(18, -1)
+    # Hacker's Delight's mulhu carries; then rows 0-1 hold the high half and rotation.
+    ll, high, low = prod[:2], prod[9:11], prod[11:13]
+    ll >>= _SH32
+    high += ll
+    np.bitwise_and(high, _LOW, out=ll)
+    low += ll
+    prod[9:13] >>= _SH32
+    hi, lo = np.add.reduce(prod[2:13], out=prod[0]), prod[13]
+    lo += prod[14]
+    hi += lo < prod[14]
+    lo += prod[17]
+    hi += lo < prod[17]
+    # XSL-RR: the halves' xor, rotated right by the top six bits; a shift
+    # by 64 gives 0 or x, and either or'ed with x >> 0 is x.
+    lo ^= hi
+    hi >>= _SH58
+    right = np.right_shift(lo, hi, out=prod[1])
+    lo <<= np.subtract(_SH64, hi, out=hi)
+    lo |= right
+    lo >>= _SH11
+    return lo * _SCALE
+
+
+@lru_cache(maxsize=None)
+def _counter_slot(cls) -> int:
+    """Where ``cls``'s pickled state holds ``n_children_spawned``."""
+    one, two = (cls(0, n_children_spawned=n).__reduce__()[2] for n in (1, 2))
+    return next(i for i, (a, b) in enumerate(zip(one, two)) if type(a) is int and (a, b) == (1, 2))
 
 
 def child_doubles(rng: np.random.Generator, trials: int, reads=(),
@@ -173,12 +174,10 @@ def child_doubles(rng: np.random.Generator, trials: int, reads=(),
     ``children[t]``, ``rep_u[t, r, i]`` double ``rep_reads[i]`` of
     ``children[t].spawn(reps)[r]``, and a draw no one reads costs nothing.
     The parent advances as ``rng.spawn(trials)`` advances it, in place:
-    ``n_children_spawned`` is read-only, and unpickling's ``__setstate__``
-    is the one writer that works in place, so the state of a fresh
-    SeedSequence holding the new count is copied in. Raises
-    ConfigurationError, leaving the parent as it was, unless its bit
-    generator is PCG64 (other children draw other doubles) and its child
-    indices stay below 2**32 - 1.
+    ``n_children_spawned`` is read-only, so its pickled state goes back in
+    through ``__setstate__`` with the new count. Raises ConfigurationError,
+    leaving the parent as it was, unless its bit generator is PCG64 (other
+    children draw other doubles) and its child indices stay below 2**32 - 1.
     """
     if type(rng.bit_generator) is not np.random.PCG64:
         raise ConfigurationError(
@@ -188,23 +187,23 @@ def child_doubles(rng: np.random.Generator, trials: int, reads=(),
     if first + trials > _M32:
         raise ConfigurationError(
             f"{trials} children after {first} would pass SeedSequence's 2**32 - 1 limit")
-    # A child's entropy is its parent's, padded to the pool size, then the
-    # parent's spawn key, then one word i: its pool is the parent's with i
-    # mixed in. A grandchild's adds one more word r.
+    # A child's entropy is its parent's, padded to the pool size, then its
+    # spawn key, then one word i: its pool is the parent's with i mixed in.
+    # A grandchild's adds one more word r; grandchildren go r-major.
     n = size * (max(_word_count(seed_seq.entropy), size) + _word_count(seed_seq.spawn_key))
-    k, rep_k = len(reads), len(rep_reads)
-    blocks = []
-    if trials and (k or reps and rep_k):
-        pools = _mix(np.array(seed_seq.pool, dtype=np.uint64),
-                     np.arange(first, first + trials, dtype=np.uint64), n)
-        if k:
-            blocks.append((pools, reads))
-        if reps and rep_k:
-            grand = _mix(pools[:, None], np.arange(reps, dtype=np.uint64), n + size)
-            blocks.append((grand.reshape(-1, size), rep_reads))
-    out = _draws(blocks) if blocks else np.empty(0)
-    seed_seq.__setstate__(type(seed_seq)(
-        seed_seq.entropy, spawn_key=seed_seq.spawn_key, pool_size=size,
-        n_children_spawned=first + trials).__reduce__()[2])
-    u = out[:trials * k].reshape(k, trials).T.copy()
-    return u, out[trials * k:].reshape(rep_k, trials, reps).transpose(1, 2, 0).copy()
+    k, rep_k, grand = len(reads), len(rep_reads), reps if rep_reads else 0
+    blocks = [(trials, reads)] * bool(k) + [(trials * grand, rep_reads)] * bool(grand)
+    out = np.empty(0)
+    if trials and blocks:
+        pools = np.empty((size, trials * (1 + grand)), np.uint32)
+        _mix(seed_seq.pool[:, None], np.arange(first, first + trials, dtype=np.uint32), n,
+             pools[:, :trials])
+        if grand:
+            _mix(pools[:, None, :trials], np.arange(grand, dtype=np.uint32)[:, None], n + size,
+                 pools[:, trials:].reshape(size, grand, trials))
+        out = _draws(pools[:, 0 if k else trials:], blocks)
+    state = list(seed_seq.__reduce__()[2])
+    state[_counter_slot(type(seed_seq))] = first + trials
+    seed_seq.__setstate__(tuple(state))
+    return (np.ascontiguousarray(out[:trials * k].reshape(k, trials).T),
+            np.ascontiguousarray(out[trials * k:].reshape(rep_k, reps, trials).transpose(2, 1, 0)))

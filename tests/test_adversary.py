@@ -417,6 +417,36 @@ class TestTrialCounts:
         with pytest.raises(ConfigurationError, match="trials must be >= "):
             self.run(attack, -1)
 
+    @pytest.mark.parametrize("trials", [7.5, 3.0, "3", None])
+    @pytest.mark.parametrize("attack", ["collusion", "forgery", "mismatched", "product"])
+    def test_non_integer_trials_rejected(self, attack, trials):
+        # A count is never truncated: 7.5 trials is an error, not 7.
+        with pytest.raises(ConfigurationError, match="trials must be an integer"):
+            self.run(attack, trials)
+
+    @pytest.mark.parametrize("attack", ["collusion", "forgery", "mismatched", "product"])
+    def test_numpy_integer_trials_accepted(self, attack):
+        assert self.run(attack, np.int64(3)).to_dict() == self.run(attack, 3).to_dict()
+
+    @pytest.mark.parametrize("repetitions", [2.5, 3.0])
+    def test_non_integer_repetitions_rejected(self, repetitions):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ConfigurationError, match="repetitions must be an integer"):
+            phase_estimate_attack(self.SECURE, 0, 1.0, 2, rng, repetitions=repetitions)
+        thetas = [(self.SECURE.theta_yes, self.SECURE.theta_no)] * 3
+        with pytest.raises(ConfigurationError, match="repetitions must be an integer"):
+            mismatched_voting_states(self.SECURE, thetas, "YNY", rng, trials=2,
+                                     repetitions=repetitions)
+
+    @pytest.mark.parametrize("comparisons", [7.5, 7.0])
+    def test_non_integer_comparisons_rejected(self, comparisons):
+        # 7.5 comparisons must not run as int(7.5) = 7.
+        pair = [voting_qudit_state(5, 0.9), voting_qudit_state(5, 0.9 + 2 * np.pi / 5)]
+        with pytest.raises(ConfigurationError, match="comparisons must be an integer"):
+            detect_symmetry(pair, np.random.default_rng(1), comparisons=comparisons)
+        assert (detect_symmetry(pair, np.random.default_rng(1), comparisons=np.int32(7))
+                == detect_symmetry(pair, np.random.default_rng(1), comparisons=7))
+
     def test_product_ballot_needs_a_trial(self):
         # Its per-voter accuracy divides by the trial count.
         with pytest.raises(ConfigurationError, match="trials must be >= 1, got 0"):

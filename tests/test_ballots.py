@@ -479,6 +479,21 @@ class TestDecodeSecure:
             outcomes.add(decode_secure(state, config, g))
         assert len(outcomes) > 1
 
+    @pytest.mark.parametrize("d,n,l_n,delta",
+                             [(7, 2, 0, 0.3), (11, 3, 4, 0.2), (1009, 20, 2, 1e-3)])
+    def test_compensation_row_is_cached_read_only_and_bit_equal(self, d, n, l_n, delta):
+        # secure_tally removes e^{-i k N theta_no}; the cached row must carry
+        # the bits the expression gives fresh, and no caller may write to it.
+        config = self.config(d, n, l_y=(l_n + 1) % d, l_n=l_n, delta=delta)
+        row = ballots._compensation(d, config.N, config.theta_no)
+        fresh = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
+        assert np.array_equal(row.view(np.uint64), fresh.view(np.uint64))
+        assert ballots._compensation(d, config.N, config.theta_no) is row
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0
+        assert ballots._compensation.cache_info().maxsize == 64
+
     def test_wrong_scheme_raises(self):
         with pytest.raises(ConfigurationError):
             decode_secure(prepare_db_ballot(5, 2), BallotConfig(5, 2, Scheme.DB),

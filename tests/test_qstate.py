@@ -59,6 +59,18 @@ class TestPureState:
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
 
+    @pytest.mark.parametrize("held", [
+        lambda: PureState.basis((2, 3), (1, 2)).amps,
+        lambda: DensityMatrix(2, np.diag([0.25, 0.75])).mat,
+    ], ids=["PureState.amps", "DensityMatrix.mat"])
+    def test_buffers_cannot_be_made_writeable_again(self, held):
+        # The swap-test threshold cache keys on a state's identity; a buffer
+        # that could be unfrozen and rewritten would leave it a stale table.
+        buffer = held()
+        with pytest.raises(ValueError):
+            buffer.setflags(write=True)
+        assert not buffer.flags.writeable
+
     def test_equals_only_itself(self):
         # Identity, not amplitudes: the swap-test threshold cache keys on it.
         s = PureState.basis((3,), (1,))

@@ -178,9 +178,37 @@ def test_stream_children_match_at_criterion_size():
     assert same_bits(u, ref_u) and same_bits(rep_u, ref_rep_u)
 
 
+@pytest.mark.parametrize("reads,rep_reads", [((2 ** 19 - 1, 2 ** 19), (2 ** 20,)),
+                                             ((2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1), (2 ** 19 + 1,))])
+def test_far_read_positions_match_spawned_generators(reads, rep_reads):
+    # Jumps of 2**19 and 2**20 steps: numpy's children draw every double up to them.
+    got_rng, ref_rng = (parent([7, 2 ** 40], [1], ("spawn", 1), 4) for _ in range(2))
+    u, rep_u = rngmod.child_doubles(got_rng, 3, reads, 2, rep_reads)
+    kids = ref_rng.spawn(3)
+    ref_u = np.array([g.random(max(reads) + 1)[list(reads)] for g in kids])
+    ref_rep_u = np.array([[g.random(max(rep_reads) + 1)[list(rep_reads)] for g in kid.spawn(2)]
+                          for kid in kids])
+    assert same_bits(u, ref_u) and same_bits(rep_u, ref_rep_u)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("pool_size", [5, 8])
+def test_wide_pools_with_spawn_keys_near_the_counter_limit(pool_size):
+    # Pools wider than PCG64's four seed words, a parent with its own spawn
+    # key, and child indices that take all 32 bits.
+    spawned = ("counter", 2 ** 32 - 20)
+    got_rng, ref_rng = (parent([3, 2 ** 64 + 5], [2, 2 ** 33], spawned, pool_size)
+                        for _ in range(2))
+    u, rep_u = rngmod.child_doubles(got_rng, 12, (0, 2), 3, (1, 4))
+    ref_u, ref_rep_u = reference.child_doubles(ref_rng, 12, 3, 3, 5)
+    assert same_bits(u, ref_u[:, [0, 2]]) and same_bits(rep_u, ref_rep_u[..., [1, 4]])
+    assert got_rng.bit_generator.seed_seq.n_children_spawned == 2 ** 32 - 8
+    assert same_children(got_rng.spawn(2), ref_rng.spawn(2))
+
+
 def test_memory_at_forgery_criterion_size_stays_bounded():
-    # Every (stream, draw) pair of 10k trials with 3 repetitions holds its
-    # product and sum limbs on one flat axis: about 29 MB at this size.
+    # Every (stream, draw) pair of 10k trials with 3 repetitions holds its 18
+    # products on one flat axis: about 22 MB at this size.
     rng = rngmod.stream(0, rngmod.TRIAL)
     tracemalloc.start()
     try:
@@ -189,4 +217,4 @@ def test_memory_at_forgery_criterion_size_stays_bounded():
     finally:
         tracemalloc.stop()
     assert u.shape == (10_000, 1) and rep_u.shape == (10_000, 3, 4)
-    assert peak < 64e6
+    assert peak < 29e6
