@@ -31,10 +31,12 @@ import numpy as np
 from .errors import ConfigurationError, _at_least
 from .qstate import (
     INVALID,
+    RESIDUE_FLOOR,
     CorrelatedState,
     PureState,
     _cdf,
     _pick,
+    _read,
     _with_invalid,
 )
 
@@ -217,12 +219,13 @@ def phase_readings(corr_rows: np.ndarray, u) -> np.ndarray:
 
     ``corr_rows`` holds one state per row, shape (rows, d), and ``u`` one
     uniform double per row; or (rows, 1, d) states, each read once for its
-    row of (rows, R) doubles; p is shaped as ``u``. The engine never reads
-    a zero-weight outcome: weights below 1e-24 (rounding leaves ~1e-32 on
-    the p a row rules out) are zeroed before the CDF.
+    row of (rows, R) doubles; p is shaped as ``u``. It keeps ``qstate``'s
+    reading rule, never reads a zero-weight outcome, in batch: weights
+    below ``RESIDUE_FLOOR`` (rounding leaves ~1e-32 on the p a row rules
+    out) are zeroed before the CDF.
     """
     probs = _phase_basis_probs(corr_rows)
-    return _pick(_cdf(np.where(probs < 1e-24, 0.0, probs)), u)
+    return _pick(_cdf(np.where(probs < RESIDUE_FLOOR, 0.0, probs)), u)
 
 
 @lru_cache(maxsize=64)
@@ -237,18 +240,17 @@ def decode_db(state: PureState, d: int, N: int, rng: np.random.Generator):
     """Project onto the tally states; INVALID covers the complement a dense state may hold."""
     if state.dims != (d,) * N:
         raise ConfigurationError(f"expected {N} sites of dimension {d}, got {state.dims}")
-    p = _pick(_cdf(_with_invalid(_phase_basis_probs(_correlated_overlaps(state)))), rng.random())
-    return INVALID if p == d else int(p)
+    p = _read(_with_invalid(_phase_basis_probs(_correlated_overlaps(state))), rng.random())
+    return INVALID if p == d else p
 
 
 def decode_tb(state: PureState, d: int, rng: np.random.Generator) -> int:
     """Measure the cyclic difference (site1 - site0) mod d."""
     if state.dims != (d, d):
         raise ConfigurationError(f"expected two sites of dimension {d}, got {state.dims}")
-    shaped = state.shaped()
     k = np.arange(d)
-    probs = np.array([float(np.sum(np.abs(shaped[k, (k + r) % d]) ** 2)) for r in range(d)])
-    return int(_pick(_cdf(probs), rng.random()))
+    weights = np.bincount(((k - k[:, None]) % d).ravel(), np.abs(state.amps) ** 2, d)
+    return _read(weights, rng.random())
 
 
 @lru_cache(maxsize=64)

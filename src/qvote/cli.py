@@ -314,10 +314,15 @@ def _floats(name: str, text: str) -> list[float]:
     raise ConfigurationError(f"--{name} needs comma-separated finite numbers, got {text!r}")
 
 
+def _verified(payload: dict, ok: bool) -> int:
+    """Print a verify result as sorted, indented JSON; exit 0 if it passed, else 1."""
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return EXIT_CLEAN if ok else EXIT_CHEATING
+
+
 def cmd_verify_privacy(args) -> int:
     report = check_privacy(args.scheme, args.d, args.n)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    return EXIT_CLEAN if report.passed else EXIT_CHEATING
+    return _verified(report.to_dict(), report.passed)
 
 
 def cmd_verify_reduced(args) -> int:
@@ -326,32 +331,28 @@ def cmd_verify_reduced(args) -> int:
              else prepare_tb_ballot(config.d))
     deviations = {site: check_reduced_identity(state, [site])
                   for site in range(state.num_sites)}
-    print(json.dumps({"single_site_deviations": deviations,
-                      "tolerance": TOLERANCE}, sort_keys=True, indent=2))
-    return EXIT_CLEAN if max(deviations.values()) <= TOLERANCE else EXIT_CHEATING
+    return _verified({"single_site_deviations": deviations, "tolerance": TOLERANCE},
+                     max(deviations.values()) <= TOLERANCE)
 
 
 def cmd_verify_nogo(args) -> int:
     rng = rngmod.stream(_at_least("seed", args.seed, 0), rngmod.TRIAL)
     minimum, params = qubit_nogo_search(args.restarts, args.iterations, rng)
     qutrit = qutrit_solution_check()
-    print(json.dumps({
+    return _verified({
         "qubit_min_residual": minimum,
         "qutrit_residual": qutrit,
         "floor": NOGO_FLOOR,
         "best": {"nu": params.nu, "theta": params.theta,
                  "m_hat": params.m_hat.tolist(), "n_hat": params.n_hat.tolist()},
-    }, sort_keys=True, indent=2))
-    ok = minimum >= NOGO_FLOOR and qutrit <= 1e-12
-    return EXIT_CLEAN if ok else EXIT_CHEATING
+    }, minimum >= NOGO_FLOOR and qutrit <= 1e-12)
 
 
 def cmd_verify_ansatz(args) -> int:
     etas = _floats("etas", args.etas) if args.etas else None
     alphas = _floats("alphas", args.alphas) if args.alphas else None
     result = ansatz_check(args.d, etas, alphas)
-    print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
-    return EXIT_CLEAN if result.passed else EXIT_CHEATING
+    return _verified(result.to_dict(), result.passed)
 
 
 def cmd_report(args) -> int:

@@ -5,6 +5,15 @@ list: site 0 is the most significant digit, so ``amps.reshape(dims)``
 exposes one axis per site in order. All operations return new objects,
 and the amplitude buffers are frozen after construction.
 
+The reading rule: a measurement never reads a zero-weight outcome.
+``_read``, the scalar reader of every dense measurement here and in
+``ballots``, drops weights below ``RESIDUE_FLOOR``, the rounding residue
+an outcome the state rules out keeps (about 1e-32 after an FFT, far below
+any real weight), and picks among the outcomes that remain. So 0.0 reads
+the first outcome the state allows and 1 - 2**-53 the last.
+``ballots.phase_readings``, the engine's batched reader, drops the same
+residues. ``measure_projective`` says where rounding still defeats the rule.
+
 A ``PureState`` compares and hashes by identity: it equals only itself,
 whatever amplitudes another state holds. ``adversary``'s swap-test
 threshold cache keys on its states by that identity, which is sound only
@@ -26,6 +35,8 @@ PIPELINE_ATOL = 1e-10
 
 # Measurement outcome for the complement of an incomplete projector set.
 INVALID = "INVALID"
+# Weights below this are rounding residues, not outcomes the state allows.
+RESIDUE_FLOOR = 1e-24
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -196,9 +207,9 @@ def _pick(cdf: np.ndarray, u):
     the last axis and broadcast against ``u``: (rows, d) CDFs take one double
     per row, and a (rows, 1, d) stack serves each row's (rows, R) doubles.
     The outcome counts the steps before the last that are <= u, so a ``u``
-    at or past the last step picks the last index. That index is INVALID
-    only where the CDF came from ``_with_invalid``; ``phase_readings``' CDFs
-    end on the outcome p = d - 1.
+    at or past the last step picks the last index. The callers that must
+    never read a zero-weight outcome drop residues first, ``_read`` and
+    ``ballots.phase_readings`` by ``RESIDUE_FLOOR``.
     """
     if cdf.ndim == 1:
         return cdf[:-1].searchsorted(u, side="right")
@@ -210,15 +221,29 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return (weights / weights.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
 
 
+def _read(weights: np.ndarray, u: float) -> int:
+    """The index double ``u`` reads from 1-D ``weights``; never a zero-weight outcome.
+
+    Weights below ``RESIDUE_FLOOR`` (negative rounding included) drop out,
+    and ``u`` picks among the rest, so past the last step it reads the last
+    outcome that remains.
+    """
+    live = np.flatnonzero(weights >= RESIDUE_FLOOR)
+    return int(live[_pick(_cdf(weights[live]), u)])
+
+
 def _with_invalid(probs: np.ndarray) -> np.ndarray:
     """``probs`` plus the complement 1 - sum(probs) as last entry, along the last axis.
 
     This is the one place INVALID gets its weight; only the dense readers,
-    ``ballots.decode_db`` and ``measure_projective``, call it.
+    ``ballots.decode_db`` and ``measure_projective``, call it, through
+    ``_read``. The complement weighs 0 unless it exceeds n 2**-52, the
+    rounding of the n-term sum, so a state inside the projectors' span
+    never reads INVALID, while a real complement keeps its weight.
     """
-    probs = np.maximum(probs, 0.0)
-    rest = np.maximum(0.0, 1.0 - probs.sum(axis=-1, keepdims=True))
-    return np.concatenate((probs, rest), axis=-1)
+    rest = 1.0 - probs.sum(axis=-1, keepdims=True)
+    return np.concatenate((probs, np.where(rest > probs.shape[-1] * 2.0 ** -52, rest, 0.0)),
+                          axis=-1)
 
 
 def measure_projective(state: PureState, proj: ProjectorSet,
@@ -227,17 +252,19 @@ def measure_projective(state: PureState, proj: ProjectorSet,
 
     Outcome k fires with p_k = <psi|P_k|psi>; the complement I - sum(P)
     fires as INVALID. The post state is the renormalized projection.
+    ``p @ amps`` rounds linearly, so a projector that rules the state out
+    can still leave a weight near 1e-17, as large as a real weight and
+    far above ``RESIDUE_FLOOR``: in a Fourier basis, 0.0 can read such an
+    outcome.
     """
     if proj.dim != state.dim:
         raise ConfigurationError(f"projector dim {proj.dim} != state dim {state.dim}")
-    probs = np.array([np.vdot(state.amps, p @ state.amps).real for p in proj.projectors])
-    full = _with_invalid(probs)
-    k = int(_pick(_cdf(full), rng.random()))
-    prob = float(full[k])
-    if k == len(proj.projectors):
-        residual = state.amps - sum(p @ state.amps for p in proj.projectors)
-        return INVALID, PureState.from_amplitudes(state.dims, residual), prob
-    return k, PureState.from_amplitudes(state.dims, proj.projectors[k] @ state.amps), prob
+    projected = [p @ state.amps for p in proj.projectors]
+    full = _with_invalid(np.array([np.vdot(state.amps, v).real for v in projected]))
+    k = _read(full, rng.random())
+    invalid = k == len(projected)
+    post = state.amps - sum(projected) if invalid else projected[k]
+    return INVALID if invalid else k, PureState.from_amplitudes(state.dims, post), float(full[k])
 
 
 def measure_computational(state: PureState, site: int, rng: np.random.Generator):
@@ -246,8 +273,7 @@ def measure_computational(state: PureState, site: int, rng: np.random.Generator)
         raise ConfigurationError(f"site {site} out of range for {state.num_sites} sites")
     shaped = state.shaped()
     axes = tuple(a for a in range(state.num_sites) if a != site)
-    marginal = np.sum(np.abs(shaped) ** 2, axis=axes)
-    k = int(_pick(_cdf(marginal), rng.random()))
+    k = _read(np.sum(np.abs(shaped) ** 2, axis=axes), rng.random())
     idx = [slice(None)] * state.num_sites
     idx[site] = slice(k, k + 1)
     collapsed = np.zeros_like(shaped)

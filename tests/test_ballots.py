@@ -41,6 +41,7 @@ from qvote.qstate import (
     _pick,
 )
 
+from conftest import random_state
 from reference import (
     cast_vote_secure,
     decode_secure,
@@ -436,6 +437,19 @@ class TestDecodeTb:
         _, state = measure_computational(state, 1, rng)       # colluder collapse
         state = apply_local(state, 1, shift_unitary(d))       # another yes vote
         assert decode_tb(state, d, rng) == 2
+
+    @pytest.mark.parametrize("d", [2, 5, 9, 16])
+    def test_reads_as_the_loop_over_shifts(self, d):
+        # decode_tb sums its d weights in one bincount; the loop sums
+        # |<k, k + r|psi>|^2 per shift r. Random states leave no weight zero.
+        rng = np.random.default_rng(d)
+        k = np.arange(d)
+        for seed in range(40):
+            shaped = random_state((d, d), rng).shaped()
+            loop = np.array([np.sum(np.abs(shaped[k, (k + r) % d]) ** 2) for r in range(d)])
+            want = _pick(_cdf(loop), np.random.default_rng(seed).random())
+            assert decode_tb(PureState((d, d), shaped.reshape(-1)), d,
+                             np.random.default_rng(seed)) == want
 
 
 class TestDecodeSecure:

@@ -13,6 +13,7 @@ and doubles and compare the doubles with the same columns of a fresh
 
 import hashlib
 import json
+import math
 import tracemalloc
 import weakref
 from collections import Counter
@@ -46,7 +47,11 @@ from qvote.ballots import (
     SecureSecrets,
     _phase_basis_probs,
     _secrets_problem,
+    cast_vote_db,
+    decode_db,
+    decode_tb,
     phase_readings,
+    prepare_db_ballot,
     voting_qudit_state,
 )
 from qvote.cli import verdict
@@ -63,7 +68,15 @@ from qvote.protocols import (
     run_survey,
     run_tb_vote,
 )
-from qvote.qstate import PureState, _cdf
+from qvote.qstate import (
+    INVALID,
+    CorrelatedState,
+    ProjectorSet,
+    PureState,
+    _cdf,
+    measure_computational,
+    measure_projective,
+)
 
 # Dense product-ballot references hold d**N amplitudes per trial.
 REFERENCE_BUDGET = 20_000
@@ -535,6 +548,105 @@ class TestEdgeDoubles:
         assert {m for m, p in zip(outcomes, ps) if p % gcd} == ({CHEAT_DETECTED} if gcd > 1
                                                                else set())
         assert CHEAT_DETECTED not in [m for m, p in zip(outcomes, ps) if p % gcd == 0]
+
+
+def dense_db_state(d: int, pattern) -> PureState:
+    """The honest dense DB ballot after each voter of ``pattern`` (1 = yes) has cast."""
+    state = prepare_db_ballot(d, len(pattern))
+    for site, yes in enumerate(pattern):
+        if yes:
+            state = cast_vote_db(state, site, "Y")
+    return state
+
+
+def round_trip(amps: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``amps`` through an FFT and back, which leaves ~1e-17 where they were 0."""
+    return np.fft.ifft(np.fft.fft(amps, axis=axis), axis=axis)
+
+
+def fourier_projectors(d: int, n: int) -> ProjectorSet:
+    """Projectors onto the DB tally states omega_p over n sites of dimension d."""
+    rows = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
+    return ProjectorSet.from_states([CorrelatedState(d, n, row).to_pure() for row in rows])
+
+
+class TestDenseReadersAtTheEdge:
+    """The dense readers never read a zero-weight outcome, at 0.0 and 1 - 2**-53 too.
+
+    Each probe counts misreads over a whole class of states. Before the
+    readers dropped rounding residues, ``decode_db`` misread 302 of these
+    352 states at 0.0 and 97 at 1 - 2**-53 (INVALID), ``measure_computational``
+    84 of 119 and ``decode_tb`` 98 of 119 at 0.0, and ``measure_projective``
+    raised on 92 of 200 states at 1 - 2**-53.
+    """
+
+    def test_decode_db_reads_every_honest_pattern(self):
+        # Every yes/no pattern of every (d, N) with d <= 15 and N <= 4.
+        misreads = 0
+        for d in range(2, 16):
+            for n in range(1, min(4, d - 1) + 1):
+                for pattern in product((0, 1), repeat=n):
+                    state = dense_db_state(d, pattern)
+                    misreads += sum(decode_db(state, d, n, Scripted([u])) != sum(pattern)
+                                    for u in EDGE_DOUBLES)
+        assert misreads == 0
+
+    def test_measure_computational_reads_round_tripped_basis_states(self):
+        misreads = 0
+        for d in range(2, 16):
+            for k, e_k in enumerate(np.eye(d)):
+                state = PureState((d,), round_trip(e_k))
+                misreads += sum(measure_computational(state, 0, Scripted([u]))[0] != k
+                                for u in EDGE_DOUBLES)
+        assert misreads == 0
+
+    def test_decode_tb_reads_round_tripped_shifts(self):
+        # The pair sum_k |k>|k + r> / sqrt(d), its travelling site through an FFT and back.
+        misreads = 0
+        for d in range(2, 16):
+            k = np.arange(d)
+            for r in range(d):
+                pair = np.zeros((d, d), dtype=complex)
+                pair[k, (k + r) % d] = 1 / math.sqrt(d)
+                state = PureState((d, d), round_trip(pair, axis=1).reshape(-1))
+                misreads += sum(decode_tb(state, d, Scripted([u])) != r for u in EDGE_DOUBLES)
+        assert misreads == 0
+
+    def test_measure_projective_skips_a_zero_amplitude(self):
+        # A complete computational basis leaves INVALID no weight, and the
+        # zero amplitude's outcome none: reading either raised, since its
+        # post state is the zero vector.
+        rng = np.random.default_rng(0)
+        bases = {n: ProjectorSet.from_states([PureState.basis((n,), (j,)) for j in range(n)])
+                 for n in range(2, 9)}
+        misreads = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            amps[rng.integers(n)] = 0
+            state = PureState.from_amplitudes((n,), amps)
+            for u in EDGE_DOUBLES:
+                k = measure_projective(state, bases[n], Scripted([u]))[0]
+                misreads += k == INVALID or state.amps[k] == 0
+        assert misreads == 0
+
+    @pytest.mark.parametrize("votes", [(1, 1, 0), (1, 0)], ids=["N3", "N2"])
+    def test_a_real_complement_still_reads_invalid(self, votes):
+        # Amplitude 0.99e-6 moved off the correlated diagonal leaves INVALID
+        # a weight just under 1e-12, far above the n-term rounding bound
+        # n 2**-52, so a bound of 1e-12 or more would drop it. Dense tally
+        # projectors hold d**(2N) entries each, so only N = 2 measures them.
+        d, n, eps = 11, len(votes), 0.99e-6
+        honest = dense_db_state(d, votes)
+        off = np.zeros(honest.dim)
+        off[1] = 1.0
+        state = PureState(honest.dims, math.sqrt(1 - eps ** 2) * honest.amps + eps * off)
+        want = [sum(votes), sum(votes), INVALID]
+        doubles = (0.0, 0.5, 1 - 2 ** -53)
+        assert [decode_db(state, d, n, Scripted([u])) for u in doubles] == want
+        if n == 2:
+            proj = fourier_projectors(d, n)
+            assert [measure_projective(state, proj, Scripted([u]))[0] for u in doubles] == want
 
 
 def parent(seed: int, spawned: int) -> np.random.Generator:
