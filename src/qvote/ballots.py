@@ -9,11 +9,12 @@ Three quantum schemes share these primitives:
 * SECURE: DB plus single-use "voting qudits" in secret-angle states,
   which stop anyone from voting twice undetected.
 
-Runs, the SECURE attacks and ``verify.check_privacy`` build a vote's phase
-row in one place, ``protocols._cast`` at ``protocols._yes_angle``, and read
-it through ``phase_readings`` (SECURE: ``secure_tally``) over the d outcomes
-omega_p, which span every correlated row. INVALID, the complement, arises
-only in the dense ``decode_db`` and ``qstate.measure_projective``. The dense
+The SECURE attacks and ``verify.check_privacy`` build a vote's phase row
+in one place, ``protocols._cast`` at ``protocols._yes_angle``, and read it
+through ``phase_readings`` (SECURE: ``secure_tally``) over the d outcomes
+omega_p, which span every correlated row; honest runs, closed form, build
+none. INVALID, the complement, arises only in the dense ``decode_db`` and
+``qstate.measure_projective``. The dense
 ``cast_vote_db`` (no run or attack calls it) computes its own phases
 e^{i 2 pi (e k mod d) / d}; ``tests/reference.py`` keeps the dense
 anti-reuse cast and the dense yes and shift operators. ``BallotConfig.theta``

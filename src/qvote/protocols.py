@@ -5,15 +5,16 @@ Transcript. Events never contain plaintext choices, only salted
 commitments, so a persisted transcript does not reveal votes; the salt
 is derived from the master seed and is not serialized.
 
-The honest runs share one engine: ``_cast`` applies the voters' phases to
-the d correlated amplitudes, ``ballots.phase_readings`` reads an outcome
-p < d, never INVALID, and ``_log_round`` writes each round's events. A TB
-run is closed form. ``_cast`` exponentiates once per distinct angle,
-matched by bit pattern, not once per voter, and multiplies as
-``np.multiply(c, phase)`` so that a row's bits do not depend on its batch.
-SECURE trials go through ``_secure_trials``, which returns flat per-trial
-lists (tallies, outcomes, ps) and no per-trial result; ``run_secure_vote``
-builds its one ``RunResult`` and picks the pairing outcomes it logs.
+The honest runs are closed form: an honest ballot ends on one phase
+state, read with certainty, so DB and SURVEY return m = sum e_i mod d, TB
+its shift and SECURE p = m (l_y - l_n) mod d per repetition. Each still
+draws the doubles its measurements would read; ``_log_round`` writes each
+round's events. The correlated engine serves the rows that leave the grid
+(the SECURE attacks, ``verify.check_privacy``): ``_cast`` applies the
+voters' phases to the d correlated amplitudes, once per distinct angle,
+matched by bit pattern, and multiplies as ``np.multiply(c, phase)`` so
+that a row's bits do not depend on its batch; ``_secure_trials`` returns
+flat per-trial lists (tallies, outcomes, ps) and no per-trial result.
 """
 
 import hashlib
@@ -25,13 +26,11 @@ import numpy as np
 
 from . import rng as rngmod
 from .ballots import (
-    CHEAT_DETECTED,
     BallotConfig,
     Scheme,
     TWO_VOTER_TB_LABELS,
     Vote,
     _labels,
-    phase_readings,
     secure_tally,
 )
 from .errors import ConfigurationError, _at_least
@@ -206,14 +205,14 @@ def _tb_shift(d: int, yes):
 
 def _phase_round(config: BallotConfig, exponents, commit_values, rng: np.random.Generator,
                  transcript: Transcript | None = None):
-    """One DB or SURVEY round in the correlated basis; returns the decoded tally.
+    """One DB or SURVEY round; returns the decoded tally m = sum(exponents) mod d.
 
-    Voter i applies the yes operator ``exponents[i]`` times: c_k *= e^{i 2 pi k e_i / d}.
-    This costs O(d) per voter at any N.
+    Voter i applies the yes operator ``exponents[i]`` times, which leaves the
+    ballot on omega_m: the round's one double reads m whatever it is.
     """
     d = config.d
-    thetas = [_yes_angle(d, exponent) for exponent in exponents]
-    m = int(phase_readings(_cast(d, thetas)[None], [rng.random()])[0])
+    rng.random()
+    m = sum(exponents) % d
     if transcript:
         _log_round(transcript, 0, {"scheme": config.scheme.value, "d": d, "N": config.N},
                    [(i, {"commitment": transcript.commit(0, i, value)})
@@ -262,19 +261,19 @@ def _pairing_outcomes(config: BallotConfig, u) -> list:
 
 
 def _secure_trials(config: BallotConfig, theta_rows, u) -> tuple[list, list, list]:
-    """Anti-reuse trials in the correlated basis; per-trial (tallies, outcomes, ps) lists.
+    """The SECURE attacks' anti-reuse trials in the correlated basis; per-trial lists.
 
     ``u`` is (T, R, k): trial, repetition, then doubles of that repetition's
     stream, of which only the last, the tally double (N of all N + 1, or
     the one an attack computes), is read. ``theta_rows`` holds one angle
     row per trial, or one row every trial shares. Voter i's pairing outcome
     r_i only multiplies the state by the global phase e^{-i r_i theta_i},
-    so the cast is c_k *= e^{ik theta_i} and ``run_secure_vote`` alone picks
-    r_i, for its transcript. Each row is cast and read once for all its
-    repetitions, and the (T, R) readings stay index arrays until the lists
-    are built: ``outcomes[t]`` and ``ps[t]`` are trial t's R readings (m,
-    then p), and ``tallies[t]`` their common m if all R are equal, else
-    CHEAT_DETECTED. So a trial agrees when its R tallies are one valid m.
+    so the cast is c_k *= e^{ik theta_i} and no trial picks r_i. Each row
+    is cast and read once for all its repetitions, and the (T, R) readings
+    stay index arrays until the lists are built: ``outcomes[t]`` and
+    ``ps[t]`` are trial t's R readings (m, then p), and ``tallies[t]``
+    their common m if all R are equal, else CHEAT_DETECTED. So a trial
+    agrees when its R tallies are one valid m.
     """
     u = np.asarray(u, dtype=float)
     d = config.d
@@ -289,23 +288,24 @@ def run_secure_vote(config: BallotConfig, votes, rng: np.random.Generator,
                     repetitions: int = 3, transcript: Transcript | None = None) -> RunResult:
     """Anti-reuse scheme: R independent executions must agree.
 
-    Each repetition prepares a fresh ballot and fresh voting qudits from
-    its own child stream, and every voter casts ``honest_thetas``; tallies
-    that are not one valid m report CHEAT_DETECTED. A logged VOTE event
-    carries the voter's pairing outcome r.
+    Each repetition prepares a fresh ballot and voting qudits from its own
+    child stream, which draws N + 1 doubles, and reads p = m (l_y - l_n) mod d
+    once the no-phase is removed, m the yes count; so the R executions agree.
+    A logged VOTE event carries the voter's pairing outcome r, from double i.
     """
     choices = _parse_votes(config, votes, Scheme.SECURE)
     _at_least("repetitions", repetitions, 1)
     u = [g.random(config.N + 1) for g in rng.spawn(repetitions)]
-    [m], [outcomes], [ps] = _secure_trials(config, [honest_thetas(config, choices)], [u])
+    m = sum(c is Vote.YES for c in choices)
+    p = m * (config.secrets.l_y - config.secrets.l_n) % config.d
     if transcript:
-        for rep, (rs, rep_m, p) in enumerate(zip(_pairing_outcomes(config, u), outcomes, ps)):
+        for rep, rs in enumerate(_pairing_outcomes(config, u)):
             _log_round(transcript, rep, {"scheme": "SECURE", "d": config.d, "N": config.N,
                                          "repetitions": repetitions},
                        [(i, {"commitment": transcript.commit(rep, i, c.value), "r": rs[i]})
-                        for i, c in enumerate(choices)], {"p": p, "m": rep_m})
-    return RunResult("SECURE", m, outcomes, ps,
-                     {"repetitions": repetitions, "agreement": m != CHEAT_DETECTED})
+                        for i, c in enumerate(choices)], {"p": p, "m": m})
+    return RunResult("SECURE", m, [m] * repetitions, [p] * repetitions,
+                     {"repetitions": repetitions, "agreement": True})
 
 
 def run_survey(config: BallotConfig, euros, rng: np.random.Generator,

@@ -11,8 +11,7 @@ The reading rule: a measurement never reads a zero-weight outcome.
 an outcome the state rules out keeps (about 1e-32 after an FFT, far below
 any real weight), and picks among the outcomes that remain. So 0.0 reads
 the first outcome the state allows and 1 - 2**-53 the last.
-``ballots.phase_readings``, the engine's batched reader, drops the same
-residues. ``measure_projective`` says where rounding still defeats the rule.
+``ballots.phase_readings``, the engine's batched reader, drops the same residues.
 
 A ``PureState`` compares and hashes by identity: it equals only itself,
 whatever amplitudes another state holds. ``adversary``'s swap-test
@@ -250,17 +249,16 @@ def measure_projective(state: PureState, proj: ProjectorSet,
                        rng: np.random.Generator):
     """Measure ``proj``; returns (outcome, post_state, probability).
 
-    Outcome k fires with p_k = <psi|P_k|psi>; the complement I - sum(P)
-    fires as INVALID. The post state is the renormalized projection.
-    ``p @ amps`` rounds linearly, so a projector that rules the state out
-    can still leave a weight near 1e-17, as large as a real weight and
-    far above ``RESIDUE_FLOOR``: in a Fourier basis, 0.0 can read such an
-    outcome.
+    Outcome k fires with ||P_k psi||^2 / ||psi||^2, and the complement
+    I - sum(P) as INVALID; the post state is the renormalized projection.
+    A projector that rules the state out leaves ~1e-17 on ``p @ amps``,
+    whose square falls below ``RESIDUE_FLOOR``; <psi|P_k psi> kept 1e-17.
     """
     if proj.dim != state.dim:
         raise ConfigurationError(f"projector dim {proj.dim} != state dim {state.dim}")
     projected = [p @ state.amps for p in proj.projectors]
-    full = _with_invalid(np.array([np.vdot(state.amps, v).real for v in projected]))
+    weights = np.array([np.vdot(v, v).real for v in projected])
+    full = _with_invalid(weights / np.vdot(state.amps, state.amps).real)
     k = _read(full, rng.random())
     invalid = k == len(projected)
     post = state.amps - sum(projected) if invalid else projected[k]

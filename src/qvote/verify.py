@@ -2,9 +2,9 @@
 
 The privacy conditions require post-vote states to have unit-modulus
 overlap exactly when their tallies agree and zero overlap otherwise.
-``check_privacy`` tests them on the states the runs produce, one block
+``check_privacy`` tests them on the states honest votes produce, one block
 of yes/no patterns at a time: a DB pattern is its ``protocols._cast``
-row at the angles the runs use, and a TB pattern is the unit row e_s of
+row at the yes angle ``_yes_angle``, and a TB pattern is the unit row e_s of
 its ``protocols._tb_shift``, the shift ``run_tb_vote`` reports, which
 stands for the pair sum_k |k, k + s> / sqrt(d) with the same overlaps.
 For two qubit voters those conditions reduce to four expectation-value

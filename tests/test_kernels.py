@@ -22,11 +22,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from conftest import random_state
+from qvote import ballots, protocols
 from qvote import rng as rngmod
 from qvote.adversary import (
     CHEATING,
@@ -37,6 +38,7 @@ from qvote.adversary import (
     collusion_attack_tb,
     detect_symmetry,
     mismatched_voting_states,
+    multi_vote_plain,
     phase_estimate_attack,
     swap_test_trials,
 )
@@ -45,6 +47,7 @@ from qvote.ballots import (
     BallotConfig,
     Scheme,
     SecureSecrets,
+    Vote,
     _phase_basis_probs,
     _secrets_problem,
     cast_vote_db,
@@ -63,6 +66,7 @@ from qvote.protocols import (
     _secure_trials,
     _vote_patterns,
     _yes_angle,
+    honest_thetas,
     run_db_vote,
     run_secure_vote,
     run_survey,
@@ -237,6 +241,30 @@ class Fixed:
 
     def random(self):
         return self.u
+
+
+class Children:
+    """A stand-in generator whose k-th spawned child draws row k of ``rows``.
+
+    A child's ``random(n)`` takes a size, as ``run_secure_vote`` calls it,
+    and returns the whole row, which must hold n doubles.
+    """
+
+    def __init__(self, rows):
+        self.rows = [np.asarray(row, dtype=float) for row in rows]
+
+    def spawn(self, n):
+        assert n == len(self.rows)
+        return [Row(row) for row in self.rows]
+
+
+class Row:
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, size):
+        assert size == len(self.row)
+        return self.row.copy()
 
 
 EDGE_DOUBLES = (0.0, 1 - 2 ** -53)
@@ -456,7 +484,7 @@ class TestEdgeDoubles:
 
     def test_db_readout_of_every_pattern(self):
         # Every yes/no pattern of every (d, N) with d <= 199 and N <= 6, cast
-        # as the DB run casts: 48,864 readings, each the pattern's yes count.
+        # at the DB yes angle: 48,864 readings, each the pattern's yes count.
         misreads = 0
         for d in range(2, 200):
             for n in range(1, min(6, d - 1) + 1):
@@ -550,6 +578,139 @@ class TestEdgeDoubles:
         assert CHEAT_DETECTED not in [m for m, p in zip(outcomes, ps) if p % gcd == 0]
 
 
+# A double as Generator.random() returns it; the edge doubles are drawn often.
+DOUBLES = st.sampled_from(EDGE_DOUBLES) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def phase_case(draw, max_d, max_n):
+    """A DB config with d <= max_d and N <= max_n, and its votes."""
+    d = draw(st.integers(2, max_d))
+    n = draw(st.integers(1, min(max_n, d - 1)))
+    return BallotConfig(d, n, Scheme.DB), draw(votes_for(n))
+
+
+@st.composite
+def survey_case(draw):
+    """A SURVEY config with d <= 24 and N <= 3, and amounts whose total stays below d."""
+    d = draw(st.integers(2, 24))
+    n = draw(st.integers(1, min(3, d - 1)))
+    amounts, left = [], d - 1
+    for _ in range(n):
+        amounts.append(draw(st.integers(0, left)))
+        left -= amounts[-1]
+    return BallotConfig(d, n, Scheme.SURVEY, max_total=d - 1), amounts
+
+
+@st.composite
+def secure_case(draw):
+    """A SECURE config with d <= 19, N <= 3 and delta 0 or 0.1, its votes, R rows of doubles."""
+    d = draw(st.integers(2, 19))
+    n = draw(st.integers(1, min(3, d - 1)))
+    l_y, l_n = draw(st.sampled_from([pair for pair in product(range(d), repeat=2)
+                                     if _secrets_problem(d, n, *pair) is None]))
+    config = BallotConfig(d, n, Scheme.SECURE,
+                          secrets=SecureSecrets(l_y, l_n, draw(st.sampled_from([0.0, 0.1]))))
+    rows = draw(st.lists(st.lists(DOUBLES, min_size=n + 1, max_size=n + 1),
+                         min_size=1, max_size=3))
+    return config, draw(votes_for(n)), rows
+
+
+def engine_tally(d: int, exponents, u: float) -> int:
+    """What ``_cast`` and ``phase_readings`` read at ``u`` once voter i cast exponents[i]."""
+    return int(phase_readings(_cast(d, [_yes_angle(d, e) for e in exponents])[None], [u])[0])
+
+
+class TestHonestRoundsAreClosedForm:
+    """Honest DB, SURVEY and SECURE rounds read their tally without the engine.
+
+    Where ``TestEdgeDoubles`` shows the engine exact (DB d <= 199, N <= 6;
+    SURVEY d <= 24, N <= 3, the sizes multi-voting takes here too; SECURE
+    d <= 19, N <= 3), the closed form must read what ``_cast`` and
+    ``phase_readings`` (SECURE: ``_secure_trials``) read from the same
+    doubles. At d = 1009 the engine misreads an honest SECURE row, and the
+    closed form does not.
+    """
+
+    @given(phase_case(199, 6), DOUBLES)
+    @settings(max_examples=60, deadline=None)
+    def test_db_reads_as_the_engine(self, case, u):
+        config, votes = case
+        m = run_db_vote(config, votes, Scripted([u])).m
+        assert m == engine_tally(config.d, [int(v == "Y") for v in votes], u)
+
+    @given(survey_case(), DOUBLES)
+    @settings(max_examples=60, deadline=None)
+    def test_survey_reads_as_the_engine(self, case, u):
+        config, amounts = case
+        assert run_survey(config, amounts, Scripted([u])).m == engine_tally(config.d, amounts, u)
+
+    # extra >= d makes the tally wrap: without its mod d, the round reads past d - 1.
+    @given(phase_case(24, 3), st.integers(0, 2), st.integers(0, 48), DOUBLES)
+    @example((BallotConfig(5, 2, Scheme.DB), "YN"), 0, 0, 0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_multi_vote_reads_as_the_engine(self, case, cheater, above, u):
+        config, votes = case
+        cheater, extra = cheater % config.N, config.d + above
+        exponents = [int(v == "Y") for v in votes]
+        exponents[cheater] += extra
+        m = multi_vote_plain(config, votes, cheater, extra, Scripted([u])).m
+        assert m == engine_tally(config.d, exponents, u)
+
+    # l_y - l_n = -1 reads p = d - 1 for one yes vote: a flipped sign reads 1,
+    # and a dropped mod d reads -1.
+    @given(secure_case())
+    @example((BallotConfig(5, 1, Scheme.SECURE, secrets=SecureSecrets(0, 1, 0.1)), "Y",
+              [[0.5, 0.5]]))
+    @example((BallotConfig(5, 1, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.0)), "Y",
+              [[0.5, 0.0], [0.5, 1 - 2 ** -53]]))
+    @settings(max_examples=60, deadline=None)
+    def test_secure_reads_as_the_engine(self, case):
+        config, votes, rows = case
+        result = run_secure_vote(config, votes, Children(rows), repetitions=len(rows))
+        thetas = honest_thetas(config, [Vote.parse(v) for v in votes])
+        [m], [outcomes], [ps] = _secure_trials(config, [thetas], [rows])
+        assert (result.m, result.outcomes, result.p) == (m, outcomes, ps)
+
+    def test_honest_runs_never_reach_the_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an honest round called the correlated engine")
+
+        for module, name in ((protocols, "_cast"), (protocols, "_secure_trials"),
+                             (protocols, "secure_tally"), (ballots, "phase_readings"),
+                             (ballots, "secure_tally")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(protocols, "phase_readings", refuse, raising=False)
+        rng = np.random.default_rng(1)
+        db = BallotConfig(11, 6, Scheme.DB)
+        assert run_db_vote(db, "YNYYNY", rng, Transcript("db", 1)).m == 4
+        assert multi_vote_plain(db, "YNYYNY", 1, 12, rng).m == 5
+        survey = BallotConfig(7, 3, Scheme.SURVEY, max_total=6)
+        assert run_survey(survey, [1, 2, 0], rng, Transcript("survey", 1)).m == 3
+        assert run_tb_vote(BallotConfig(5, 4, Scheme.TB), "YNYY", rng).m == 3
+        secure = BallotConfig(1009, 20, Scheme.SECURE, secrets=SecureSecrets(17, 5, 0.004))
+        result = run_secure_vote(secure, "YN" * 10, rng, transcript=Transcript("secure", 1))
+        assert (result.m, result.p) == (10, [120] * 3)
+
+    def test_secure_d1009_reads_its_tally_at_the_edges(self):
+        # The engine read outcomes [10, 11, 11], so CHEAT_DETECTED: at 0.0 the
+        # residue on p = 10 stands above RESIDUE_FLOOR.
+        config = BallotConfig(1009, 20, Scheme.SECURE, secrets=SecureSecrets(400, 399, 0.0))
+        rows = [[0.5] * 20 + [u] for u in (0.0, 1 - 2 ** -53, 0.3)]
+        result = run_secure_vote(config, "Y" * 11 + "N" * 9, Children(rows))
+        assert (result.m, result.outcomes, result.p) == (11, [11] * 3, [11] * 3)
+
+    @pytest.mark.parametrize("d", [1009, 2003])
+    def test_secure_reads_every_yes_count_at_zero(self, d):
+        config = BallotConfig(d, 20, Scheme.SECURE, secrets=SecureSecrets(400, 399, 0.0))
+        misreads = 0
+        for yes in range(21):
+            result = run_secure_vote(config, "Y" * yes + "N" * (20 - yes),
+                                     Children([[0.0] * 21] * 3))
+            misreads += (result.m, result.p) != (yes, [yes] * 3)
+        assert misreads == 0
+
+
 def dense_db_state(d: int, pattern) -> PureState:
     """The honest dense DB ballot after each voter of ``pattern`` (1 = yes) has cast."""
     state = prepare_db_ballot(d, len(pattern))
@@ -564,10 +725,15 @@ def round_trip(amps: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(amps, axis=axis), axis=axis)
 
 
+def fourier_rows(d: int) -> np.ndarray:
+    """The correlated amplitudes of the tally states: row p is e^{i 2 pi p k / d} / sqrt(d)."""
+    return np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
+
+
 def fourier_projectors(d: int, n: int) -> ProjectorSet:
     """Projectors onto the DB tally states omega_p over n sites of dimension d."""
-    rows = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
-    return ProjectorSet.from_states([CorrelatedState(d, n, row).to_pure() for row in rows])
+    return ProjectorSet.from_states([CorrelatedState(d, n, row).to_pure()
+                                     for row in fourier_rows(d)])
 
 
 class TestDenseReadersAtTheEdge:
@@ -628,6 +794,20 @@ class TestDenseReadersAtTheEdge:
             for u in EDGE_DOUBLES:
                 k = measure_projective(state, bases[n], Scripted([u]))[0]
                 misreads += k == INVALID or state.amps[k] == 0
+        assert misreads == 0
+
+    def test_measure_projective_reads_fourier_basis_states(self):
+        # The 65 phase states omega_p with d <= 11, as given and times e^{0.3i},
+        # in the complete Fourier basis. As <psi|P psi>, a ruled-out weight kept
+        # its ~1e-17 residue, and 0.0 read such an outcome 34 times (33).
+        misreads = 0
+        for d in range(2, 12):
+            proj = fourier_projectors(d, 1)
+            for p, row in enumerate(fourier_rows(d)):
+                for phase in (1.0, np.exp(0.3j)):
+                    state = PureState((d,), phase * row)
+                    misreads += sum(measure_projective(state, proj, Scripted([u]))[0] != p
+                                    for u in EDGE_DOUBLES)
         assert misreads == 0
 
     @pytest.mark.parametrize("votes", [(1, 1, 0), (1, 0)], ids=["N3", "N2"])

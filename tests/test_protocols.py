@@ -364,7 +364,7 @@ def _same_bits(a, b):
 
 
 def test_yes_angle_arrays_have_the_scalar_bits():
-    # ``check_privacy`` casts array angles, ``_phase_round`` one int at a time.
+    # ``check_privacy`` casts array angles, the engine tests one int at a time.
     for d in (*range(2, 40), 101, 1009):
         exponents = np.arange(2 * d + 1)
         scalars = np.array([protocols._yes_angle(d, int(e)) for e in exponents])
