@@ -15,11 +15,13 @@ trial from the trial's own child stream and read only the named ones.
 One ``rng.child_doubles`` call computes those, as ``rng.spawn`` children
 would draw them, without a Generator per trial or the unread draws, and
 closed forms map them; so their ``rng`` must be PCG64, or they raise
-ConfigurationError. Only the SECURE attacks cast: the forgery casts one
-angle row per trial, the honest row plus its estimated phase; mismatched
-voting states cast one row of per-voter angles that every trial shares.
-Both run all trials through one ``_secure_trials`` call, which casts and
-reads each row once for all its repetitions, and zip its per-trial
+ConfigurationError. Only the SECURE attacks read a correlated row, one
+grid row per trial measured against the no-phase: the forgery's index is
+the honest yes count plus its forged vote, times l_y - l_n, and its offset
+the trial's estimation error; mismatched voting states share one row at
+index 0, offset by the cast angles' sum less N theta_no. Both run all
+trials through one ``_secure_trials`` call, which builds and reads each
+row once for all its repetitions, and zip its per-trial
 tallies, outcomes and ps into their report; histograms are
 ``collections.Counter`` counts in first-seen key order. The tag table
 reads ``protocols._vote_patterns``. The TB collusion attack's phase
@@ -42,6 +44,7 @@ with their own histogram loop, and the per-call swap-test CDF that these
 kernels must match draw for draw.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,9 +64,8 @@ from .protocols import (
     _parse_votes,
     _phase_round,
     _secure_trials,
-    _tb_shift,
     _vote_patterns,
-    honest_thetas,
+    _yes_count,
     run_secure_vote,  # unused here; bench/test_bench.py reads adversary.run_secure_vote
 )
 from .qstate import (
@@ -150,7 +152,7 @@ def collusion_attack_tb(config: BallotConfig, votes, colluders, trials: int,
     u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), (5,))[0]
     # Shift variant: the readings differ by ``expected`` (< d) whatever doubles 0-2 hold.
     inferred = [expected] * len(u)
-    diff_hist = {_tb_shift(d, yes): len(u)} if len(u) else {}
+    diff_hist = {_yes_count(d, yes): len(u)} if len(u) else {}
     # Phase variant: |<omega_p|k, k>|^2 = 1/d for every p, whatever doubles 3-4 hold.
     phase_hist = dict(Counter(_pick(_cdf(np.ones(d)), u[:, 0]).tolist()))
 
@@ -202,23 +204,24 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
     if not 0 <= cheater < config.N:
         raise ConfigurationError(f"cheater index {cheater} out of range")
     _at_least("repetitions", repetitions, 1)
-    if not estimation_error_scale >= 0:  # NaN fails too
-        raise ConfigurationError(f"error scale must be >= 0, got {estimation_error_scale}")
-    delta_phase = 2 * np.pi * (config.secrets.l_y - config.secrets.l_n) / config.d
+    if not 0 <= estimation_error_scale < math.inf:  # NaN fails too
+        raise ConfigurationError(
+            f"error scale must be >= 0 and finite, got {estimation_error_scale}")
+    dl = config.secrets.l_y - config.secrets.l_n
+    delta_phase = 2 * np.pi * dl / config.d
     half_width = np.pi * float(estimation_error_scale) / config.d
+    honest_tally = sum(1 for c in choices if c is Vote.YES)
 
     # Per trial: the estimate error, drawn as numpy's uniform draws it, then
     # one child stream per repetition, as run_secure_vote spawns them, of
-    # which only the tally double N is read. All trials run as one batch,
-    # one angle row per trial shared by its repetitions.
+    # which only the tally double N is read. All trials run as one batch:
+    # the honest votes and the forged one step the grid index by l_y - l_n
+    # each, and the error is the row's offset, shared by its repetitions.
     u, rep_u = rngmod.child_doubles(rng, _at_least("trials", trials, 0), (0,), repetitions,
                                     (config.N,))
     lo, hi = -half_width, half_width
     errors = lo + (hi - lo) * u[:, 0]
-    theta_rows = np.tile(honest_thetas(config, choices), (len(u), 1))
-    theta_rows[:, int(cheater)] += delta_phase + errors
-
-    tallies, outcomes, ps = _secure_trials(config, theta_rows, rep_u)
+    tallies, outcomes, ps = _secure_trials(config, (honest_tally + 1) * dl, errors, rep_u)
     verdicts = [m == CHEAT_DETECTED for m in tallies]
     per_trial = [{"eps": eps, "outcomes": o, "p": p, "detected": detected}
                  for eps, o, p, detected in zip(errors.tolist(), outcomes, ps, verdicts)]
@@ -230,7 +233,7 @@ def phase_estimate_attack(config: BallotConfig, cheater: int,
         outcome_histogram=dict(Counter(tallies)),
         detection_verdicts=verdicts,
         extras={"per_trial": per_trial, "repetitions": repetitions,
-                "honest_tally": sum(1 for c in choices if c is Vote.YES)},
+                "honest_tally": honest_tally},
     )
 
 
@@ -295,12 +298,17 @@ def mismatched_voting_states(config: BallotConfig, per_voter_thetas, votes,
     choices = _parse_votes(config, votes, Scheme.SECURE)
     if len(per_voter_thetas) != config.N:
         raise ConfigurationError(f"need {config.N} theta pairs, got {len(per_voter_thetas)}")
+    if not all(math.isfinite(theta) for pair in per_voter_thetas for theta in pair):
+        raise ConfigurationError(f"voting angles must be finite, got {per_voter_thetas}")
     _at_least("repetitions", repetitions, 1)
     thetas = [pair[0 if c is Vote.YES else 1] for pair, c in zip(per_voter_thetas, choices)]
 
+    # The cast angles sit off the no-phase by their sum less N theta_no: an
+    # offset on grid index 0, one row that every trial shares.
     trials = _at_least("trials", trials, 0)
     rep_u = rngmod.child_doubles(rng, trials, (), repetitions, (config.N,))[1]
-    tallies, outcomes, ps = _secure_trials(config, [thetas], rep_u)
+    tallies, outcomes, ps = _secure_trials(config, 0, sum(thetas) - config.N * config.theta_no,
+                                           rep_u)
     runs = [{"m": m, "outcomes": o, "p": p} for m, o, p in zip(tallies, outcomes, ps)]
 
     tags = {}

@@ -9,16 +9,19 @@ Three quantum schemes share these primitives:
 * SECURE: DB plus single-use "voting qudits" in secret-angle states,
   which stop anyone from voting twice undetected.
 
-The SECURE attacks and ``verify.check_privacy`` build a vote's phase row
-in one place, ``protocols._cast`` at ``protocols._yes_angle``, and read it
-through ``phase_readings`` (SECURE: ``secure_tally``) over the d outcomes
-omega_p, which span every correlated row; honest runs, closed form, build
-none. INVALID, the complement, arises only in the dense ``decode_db`` and
-``qstate.measure_projective``. The dense
-``cast_vote_db`` (no run or attack calls it) computes its own phases
-e^{i 2 pi (e k mod d) / d}; ``tests/reference.py`` keeps the dense
-anti-reuse cast and the dense yes and shift operators. ``BallotConfig.theta``
-is the one secret-angle formula, and ``_secrets_problem`` the one check.
+Every correlated row a vote pattern, a forgery or a mismatched authority
+leaves is one grid row, ``_grid_rows``: the d-th roots of unity ``_roots``
+indexed at (k index) mod d, times e^{ik offset}, over sqrt(d). The index
+counts the votes' steps of 2 pi / d and the offset is the float remainder,
+0 on every honest row, both taken relative to the known no-phase. Rows are
+read through ``phase_readings`` over the d outcomes omega_p, which span
+every correlated row; honest runs, closed form, build none. INVALID, the
+complement, arises only in the dense ``decode_db`` and
+``qstate.measure_projective``. The dense ``cast_vote_db`` (no run or
+attack calls it) takes its phases from the same ``_roots`` table;
+``tests/reference.py`` keeps the dense anti-reuse cast and the dense yes
+and shift operators. ``BallotConfig.theta`` is the one secret-angle
+formula, and ``_secrets_problem`` the one check.
 """
 
 import math
@@ -194,8 +197,32 @@ def cast_vote_db(state: PureState, voter_site: int, choice) -> PureState:
         return state
     axis = [1] * state.num_sites
     axis[voter_site] = d
-    phase = np.exp(2j * np.pi * (exponent * np.arange(d) % d) / d).reshape(axis)
+    phase = _roots(d)[exponent * np.arange(d) % d].reshape(axis)
     return PureState(state.dims, (state.shaped() * phase).reshape(-1))
+
+
+@lru_cache(maxsize=64)
+def _roots(d: int) -> np.ndarray:
+    """The d-th roots of unity e^{i 2 pi j / d}, j < d; cached and read-only."""
+    table = np.exp(2j * np.pi * np.arange(d) / d)
+    table.flags.writeable = False
+    return table
+
+
+def _grid_rows(d: int, index, offset) -> np.ndarray:
+    """Correlated rows e^{ik (2 pi index / d + offset)} / sqrt(d), k < d, one per (index, offset).
+
+    ``index`` (integers) and ``offset`` (floats) broadcast against each
+    other, and the rows take their shape plus a last axis of d. The grid
+    part is exact table entries, so a row with offset 0 leaves only the
+    FFT's ~1e-32 residue on the outcomes it rules out. The product is
+    always ``np.multiply(grid, phase)``, which runs element by element,
+    so a row's bits do not depend on its batch.
+    """
+    k = np.arange(d)
+    grid = _roots(d)[np.multiply.outer(np.asarray(index, dtype=int) % d, k) % d]
+    phase = np.exp(1j * k * np.asarray(offset, dtype=float)[..., None])
+    return np.multiply(grid, phase) / math.sqrt(d)
 
 
 def _correlated_overlaps(state: PureState) -> np.ndarray:
@@ -262,24 +289,3 @@ def _tally_table(d: int, dl: int) -> np.ndarray:
     table = np.where(p % g == 0, p // g * pow(dl // g, -1, d // g) % (d // g), d)
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=64)
-def _compensation(d: int, N: int, theta_no: float) -> np.ndarray:
-    """The row e^{-i k N theta_no}, k < d, that removes the known no-phase."""
-    row = np.exp(-1j * np.arange(d) * N * theta_no)
-    row.flags.writeable = False
-    return row
-
-
-def secure_tally(corr_rows: np.ndarray, config: BallotConfig, u) -> tuple:
-    """Compensate the known no-phase, read p, and map it to a tally; (ms, ps), shaped as ``u``.
-
-    ps holds ``phase_readings``' outcomes p, and ms the tallies
-    ``_tally_table`` maps them to, d for CHEAT_DETECTED. The
-    authority knows N, l_n and delta, so it removes e^{i k N theta_n}
-    before ``phase_readings`` projects onto the p-states.
-    """
-    d = config.d
-    ps = phase_readings(corr_rows * _compensation(d, config.N, config.theta_no), u)
-    return _tally_table(d, (config.secrets.l_y - config.secrets.l_n) % d)[ps], ps

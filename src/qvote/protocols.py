@@ -9,17 +9,15 @@ The honest runs are closed form: an honest ballot ends on one phase
 state, read with certainty, so DB and SURVEY return m = sum e_i mod d, TB
 its shift and SECURE p = m (l_y - l_n) mod d per repetition. Each still
 draws the doubles its measurements would read; ``_log_round`` writes each
-round's events. The correlated engine serves the rows that leave the grid
-(the SECURE attacks, ``verify.check_privacy``): ``_cast`` applies the
-voters' phases to the d correlated amplitudes, once per distinct angle,
-matched by bit pattern, and multiplies as ``np.multiply(c, phase)`` so
-that a row's bits do not depend on its batch; ``_secure_trials`` returns
-flat per-trial lists (tallies, outcomes, ps) and no per-trial result.
+round's events. The SECURE attacks read their rows through
+``_secure_trials``: each row is ``ballots._grid_rows`` at one (index,
+offset) already measured against the no-phase the authority removes, read
+once for all its repetitions, and the trials come back as flat per-trial
+lists (tallies, outcomes, ps), with no per-trial result.
 """
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +28,13 @@ from .ballots import (
     Scheme,
     TWO_VOTER_TB_LABELS,
     Vote,
+    _grid_rows,
     _labels,
-    secure_tally,
+    _tally_table,
+    phase_readings,
 )
 from .errors import ConfigurationError, _at_least
-from .qstate import ATOL, _cdf, _pick
+from .qstate import _cdf, _pick
 
 EVENT_STEPS = ("PREPARE", "DISTRIBUTE", "VOTE", "RETURN", "MEASURE")
 # json.dumps builds an encoder per call; transcripts reuse this one.
@@ -140,41 +140,6 @@ def _parse_votes(config: BallotConfig, votes, scheme: Scheme) -> list[Vote]:
     return parsed
 
 
-def _cast(d: int, thetas) -> np.ndarray:
-    """Correlated amplitudes after voter i multiplies c_k by e^{ik thetas[..., i]}, in order.
-
-    ``thetas`` is (N,) for one round or (rows, N); each cast row's norm
-    must be within ATOL of 1. A non-finite angle makes its phase row, and
-    so its cast row, NaN, which fails that check. There is one phase row
-    e^{ik theta} per distinct angle, matched by bit pattern (0.0 and -0.0
-    stay apart), so a DB or honest SECURE row, which holds at most two
-    angles, takes at most two complex exps. numpy's complex exp is
-    elementwise, so a shared row has the bits of a per-voter exp. The
-    product is still always ``np.multiply(c, phase)``: numpy's complex
-    multiply is not bitwise commutative on every SIMD target, and
-    ``c * phase`` with a large temporary phase would run in place as phase
-    times c, so a row's bits would depend on its batch.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    # The distinct bit patterns, sorted, and each voter's index among them:
-    # np.unique(..., return_inverse=True) without its fixed cost.
-    bits = thetas.view(np.uint64)
-    ordered = np.sort(bits, axis=None)
-    first = np.ones(ordered.shape, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    which = np.searchsorted(distinct, bits)
-    phases = np.exp(1j * np.arange(d) * distinct.view(float)[:, None])
-    c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
-    for i in range(thetas.shape[-1]):
-        c = np.multiply(c, phases[which[..., i]])
-    # np.linalg.norm's own formula for complex rows, without its dispatch.
-    norms = np.sqrt(np.add.reduce((c.conj() * c).real, axis=-1))
-    if not (np.abs(norms - 1.0) <= ATOL).all():
-        raise ConfigurationError("correlated amplitudes are not normalized")
-    return c
-
-
 def _log_round(transcript: Transcript, rep: int, prepare: dict, votes, outcome):
     """Append one round's PREPARE ... MEASURE events; ``votes`` lists (site, payload) per voter."""
     transcript.event(rep, "PREPARE", payload=prepare)
@@ -185,18 +150,13 @@ def _log_round(transcript: Transcript, rep: int, prepare: dict, votes, outcome):
     transcript.event(rep, "MEASURE", outcome=outcome)
 
 
-def _yes_angle(d: int, exponent):
-    """The angle 2 pi (e mod d) / d cast for e yes votes; int arrays get the scalar bits."""
-    return 2 * np.pi * (exponent % d) / d
-
-
 def _vote_patterns(N: int) -> np.ndarray:
     """All 2^N yes/no patterns, (2^N, N): bit j of pattern i is voter j's vote, 1 if yes."""
     return (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
 
 
-def _tb_shift(d: int, yes):
-    """The travelling qudit's shift, the yes count mod d; ``yes`` has one entry per voter, 1 if yes.
+def _yes_count(d: int, yes):
+    """The yes count mod d, a DB tally and a TB shift; ``yes`` has one entry per voter, 1 if yes.
 
     Entries may be arrays, one pattern per element.
     """
@@ -233,13 +193,13 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
                 transcript: Transcript | None = None) -> RunResult:
     """Travelling-ballot round; yes votes shift the moving qudit (site 1).
 
-    The pair stays sum_k |k, k + s> / sqrt(d) with s = ``_tb_shift``, so
+    The pair stays sum_k |k, k + s> / sqrt(d) with s = ``_yes_count``, so
     ``decode_tb`` reads s whatever its one double is; the run draws that
     double and never builds the pair.
     """
     choices = _parse_votes(config, votes, Scheme.TB)
     rng.random()
-    m = _tb_shift(config.d, [c is Vote.YES for c in choices])
+    m = _yes_count(config.d, [c is Vote.YES for c in choices])
     if transcript:
         _log_round(transcript, 0, {"scheme": "TB", "d": config.d, "N": config.N},
                    [(1, {"commitment": transcript.commit(0, i, c.value)})
@@ -250,35 +210,32 @@ def run_tb_vote(config: BallotConfig, votes, rng: np.random.Generator,
     return RunResult("TB", m, [m], statistics=stats)
 
 
-def honest_thetas(config: BallotConfig, choices) -> list[float]:
-    """The angle each SECURE voter casts: theta_yes for a yes vote, else theta_no."""
-    return [config.theta_yes if c is Vote.YES else config.theta_no for c in choices]
-
-
 def _pairing_outcomes(config: BallotConfig, u) -> list:
     """Each voter's pairing outcome r, uniform on 0..d-1, from its double in ``u[..., :N]``."""
     return _pick(_cdf(np.ones(config.d)), np.asarray(u)[..., :config.N]).tolist()
 
 
-def _secure_trials(config: BallotConfig, theta_rows, u) -> tuple[list, list, list]:
+def _secure_trials(config: BallotConfig, index, offset, u) -> tuple[list, list, list]:
     """The SECURE attacks' anti-reuse trials in the correlated basis; per-trial lists.
 
     ``u`` is (T, R, k): trial, repetition, then doubles of that repetition's
     stream, of which only the last, the tally double (N of all N + 1, or
-    the one an attack computes), is read. ``theta_rows`` holds one angle
-    row per trial, or one row every trial shares. Voter i's pairing outcome
-    r_i only multiplies the state by the global phase e^{-i r_i theta_i},
-    so the cast is c_k *= e^{ik theta_i} and no trial picks r_i. Each row
-    is cast and read once for all its repetitions, and the (T, R) readings
-    stay index arrays until the lists are built: ``outcomes[t]`` and
-    ``ps[t]`` are trial t's R readings (m, then p), and ``tallies[t]``
-    their common m if all R are equal, else CHEAT_DETECTED. So a trial
-    agrees when its R tallies are one valid m.
+    the one an attack computes), is read. Each trial's state, once the
+    authority removes the known no-phase e^{ik N theta_n}, is the grid row
+    ``_grid_rows(d, index, offset)``: ``index`` and ``offset`` broadcast to
+    one (index, offset) per trial, or one that every trial shares. Voter
+    i's pairing outcome r_i only multiplies the state by the global phase
+    e^{-i r_i theta_i}, so no trial picks r_i. Each row is read once for
+    all its repetitions, p through ``phase_readings`` and m through
+    ``_tally_table``, and the (T, R) readings stay index arrays until the
+    lists are built: ``outcomes[t]`` and ``ps[t]`` are trial t's R readings
+    (m, then p), and ``tallies[t]`` their common m if all R are equal, else
+    CHEAT_DETECTED. So a trial agrees when its R tallies are one valid m.
     """
-    u = np.asarray(u, dtype=float)
-    d = config.d
-    ms, ps = secure_tally(_cast(d, np.reshape(theta_rows, (-1, config.N)))[:, None], config,
-                          u[..., -1])
+    d, s = config.d, config.secrets
+    rows = _grid_rows(d, index, offset).reshape(-1, 1, d)
+    ps = phase_readings(rows, np.asarray(u, dtype=float)[..., -1])
+    ms = _tally_table(d, (s.l_y - s.l_n) % d)[ps]
     agreed = np.where(np.logical_and.reduce(ms == ms[:, :1], axis=1), ms[:, 0], d)
     cheat = _labels(d)
     return cheat[agreed].tolist(), cheat[ms].tolist(), ps.tolist()

@@ -3,10 +3,11 @@
 The privacy conditions require post-vote states to have unit-modulus
 overlap exactly when their tallies agree and zero overlap otherwise.
 ``check_privacy`` tests them on the states honest votes produce, one block
-of yes/no patterns at a time: a DB pattern is its ``protocols._cast``
-row at the yes angle ``_yes_angle``, and a TB pattern is the unit row e_s of
-its ``protocols._tb_shift``, the shift ``run_tb_vote`` reports, which
-stands for the pair sum_k |k, k + s> / sqrt(d) with the same overlaps.
+of yes/no patterns at a time: a DB pattern is the grid row
+``ballots._grid_rows`` at its yes count, offset 0, and a TB pattern is the
+unit row e_s. Both take the pattern's ``protocols._yes_count``, the tally
+``run_db_vote`` reports and the shift ``run_tb_vote`` reports; e_s stands
+for the pair sum_k |k, k + s> / sqrt(d) with the same overlaps.
 For two qubit voters those conditions reduce to four expectation-value
 equations with no solution; ``qubit_nogo_search`` witnesses that
 numerically by minimizing the summed violation, while
@@ -26,8 +27,9 @@ from operator import add, mul
 
 import numpy as np
 
+from .ballots import _grid_rows
 from .errors import ConfigurationError, _at_least
-from .protocols import _cast, _tb_shift, _vote_patterns, _yes_angle
+from .protocols import _vote_patterns, _yes_count
 from .qstate import PureState, reduced_density
 
 SIGMA = np.array([
@@ -95,9 +97,9 @@ class PrivacyReport:
         return asdict(self)
 
 
-# Rows per block of the same-tally check: a ``_cast`` row's bits do not
-# depend on its batch, and 2^16 patterns cast about twice as fast in blocks
-# of this size as in one. TB unit rows use the same blocks.
+# Rows per block of the same-tally check: a grid row's bits do not depend
+# on its batch, and 2^16 patterns build faster in blocks of this size than
+# in one. TB unit rows use the same blocks.
 CAST_BLOCK = 1024
 
 
@@ -129,18 +131,17 @@ def check_privacy(scheme: str, d: int, N: int) -> PrivacyReport:
 
     # Bit j of pattern i is voter j's vote, so tally w first occurs at i = 2^w - 1.
     patterns = _vote_patterns(N)
+    counts = _yes_count(d, patterns.T)
     if scheme == "DB":
-        angles = _yes_angle(d, patterns)
-
         def rows(i):
-            return _cast(d, angles[i])
+            return _grid_rows(d, counts[i], 0.0)
     else:
         # e_s -> sum_k |k, k + s> / sqrt(d) is an isometry, so the unit rows
         # of the run's shifts have exactly the overlaps of the TB pairs.
-        shifts, unit = _tb_shift(d, patterns.T), np.eye(d)
+        unit = np.eye(d)
 
         def rows(i):
-            return unit[shifts[i]]
+            return unit[counts[i]]
     tallies = patterns.sum(axis=1)
     reps = rows(2 ** np.arange(N + 1) - 1)
     worst_same = 0.0

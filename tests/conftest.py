@@ -48,3 +48,12 @@ def random_unitary(d, rng: np.random.Generator):
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return LocalUnitary(d, q)
+
+
+def batch_rows(d: int, above: bool, seed: int) -> int:
+    """A row count whose (rows, d) complex batch lies above or below 16384 elements.
+
+    Above that size numpy may reuse a temporary in place, and its complex
+    kernels are not bitwise commutative on every SIMD target.
+    """
+    return 16384 // d + 1 + seed % 64 if above else 1 + seed % (16384 // d)

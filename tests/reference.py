@@ -10,7 +10,8 @@ tests require equal reports, draw for draw. The dense collusion and
 product-ballot loops and the scalar SECURE round measure through
 ``reading``, which zeroes the rounding tails of dense sums and FFTs, so
 they read what the state allows at the extreme doubles 0.0 and 1 - 2**-53
-too; the SECURE round does not call ``secure_tally``, which it checks.
+too; the SECURE round does not call ``protocols._secure_trials``, which
+it checks.
 
 ``inner``, ``phase_vote_unitary`` and ``shift_unitary`` are the dense
 overlap and the dense yes and shift operators. No run or check in the
@@ -21,15 +22,16 @@ follows the protocol's stated output state: after the voter's pairing
 measurement returns r and the shift correction is applied, the voting
 qudit contributes e^{i(k-r) theta} to the k-th correlated component (the
 integer k - r, not its mod-d residue, which is what keeps the secret
-offset delta from leaking into the tally). SECURE runs replace it with
-one phase per voter on the correlated amplitudes. ``cast`` is that
-phase cast with one exp per voter, which ``protocols._cast`` must match
-bit for bit with one exp per distinct angle. ``solve_tally`` is the
-per-reading tally map that ``secure_tally`` must reproduce, and
-``agreed_tally`` the agreement rule ``protocols._secure_trials`` must
-apply to each trial's readings. ``tb_privacy`` is the TB privacy check
-on the dense pairs, which ``check_privacy`` replaces with unit rows. The
-references count their histograms with their own ``_bump`` loop.
+offset delta from leaking into the tally). ``cast`` is the phase each
+voter's angle leaves on the correlated amplitudes, one exp per voter, at
+the angles ``honest_thetas`` or an attack gives; times the compensation
+e^{-ik N theta_n}, it is the grid row ``ballots._grid_rows`` builds from
+one index and offset. ``solve_tally`` is the per-reading tally map that
+``protocols._secure_trials`` must reproduce, and ``agreed_tally`` the
+agreement rule it must apply to each trial's readings. ``tb_privacy`` is
+the TB privacy check on the dense pairs, which ``check_privacy`` replaces
+with unit rows. The references count their histograms with their own
+``_bump`` loop.
 
 ``CONFIG_SCHEMA`` is the scenario config as a JSON Schema, and
 ``CONFIG_VALIDATOR`` checks it with an int-only "integer" type: the
@@ -62,7 +64,7 @@ from qvote.ballots import (
     voting_qudit_state,
 )
 from qvote.errors import ConfigurationError
-from qvote.protocols import _parse_votes, _tb_shift, honest_thetas
+from qvote.protocols import _parse_votes, _yes_count
 from qvote.qstate import (
     ATOL,
     INVALID,
@@ -284,11 +286,11 @@ def tb_privacy(d: int, N: int) -> tuple[float, float]:
     """``check_privacy("TB", d, N)``'s (worst same-tally, worst cross-tally) values on dense pairs.
 
     A pattern's pair is the uniform pair rolled on site 1 by its
-    ``_tb_shift``. Each distinct (tally, shift) class is rolled once and
+    ``_yes_count``. Each distinct (tally, shift) class is rolled once and
     compared with its tally's first pattern.
     """
     patterns = (np.arange(2 ** N)[:, None] >> np.arange(N)) & 1
-    shifts = _tb_shift(d, patterns.T)
+    shifts = _yes_count(d, patterns.T)
     pair = prepare_tb_ballot(d).shaped()
     reps = np.stack([np.roll(pair, s, axis=1).ravel() for s in shifts[2 ** np.arange(N + 1) - 1]])
     classes = np.unique(patterns.sum(axis=1) * d + shifts)
@@ -298,8 +300,17 @@ def tb_privacy(d: int, N: int) -> tuple[float, float]:
     return float(same), float(cross.max())
 
 
+def honest_thetas(config: BallotConfig, choices) -> list[float]:
+    """The angle each SECURE voter casts: theta_yes for a yes vote, else theta_no."""
+    return [config.theta_yes if c is Vote.YES else config.theta_no for c in choices]
+
+
 def cast(d: int, thetas) -> np.ndarray:
-    """``protocols._cast`` with one exp per voter: rows of (N,) or (rows, N) angles, in order."""
+    """The correlated amplitudes after each voter's phase, one exp per voter.
+
+    ``thetas`` is (N,) for one row or (rows, N); a row whose norm leaves 1
+    by more than ATOL, as a non-finite angle makes it, is refused.
+    """
     thetas = np.asarray(thetas, dtype=float)
     c = np.full(thetas.shape[:-1] + (d,), 1 / math.sqrt(d), dtype=complex)
     norms = np.empty(thetas.shape)
@@ -468,7 +479,7 @@ def cast_vote_secure(state: PureState, ballot_site: int, voting_state: PureState
 
 
 def decode_secure(state: PureState, config: BallotConfig, rng: np.random.Generator):
-    """Decode the returned 2N-qudit state; see ``secure_tally``."""
+    """Decode the returned 2N-qudit state; see ``secure_reading``."""
     if config.scheme is not Scheme.SECURE:
         raise ConfigurationError(f"decode_secure needs a SECURE config, got {config.scheme}")
     if state.dims != (config.d,) * (2 * config.N):

@@ -175,6 +175,11 @@ class TestPhaseEstimateAttack:
         report = phase_estimate_attack(self.config(), 0, 0.0, 5, rngmod.stream(6, 2))
         assert [t["eps"] for t in report.extras["per_trial"]] == [0.0] * 5
 
+    def test_error_scale_must_be_finite(self):
+        # An infinite scale passes ">= 0" but leaves no error to draw from.
+        with pytest.raises(ConfigurationError, match="error scale must be >= 0 and finite"):
+            phase_estimate_attack(self.config(), 0, float("inf"), 5, rngmod.stream(6, 2))
+
 
 class TestAuthorityProductBallot:
     def test_product_ballot_reads_every_vote(self):

@@ -7,7 +7,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from qvote import ballots
 from qvote.ballots import (
     CHEAT_DETECTED,
     BallotConfig,
@@ -21,12 +20,14 @@ from qvote.ballots import (
     phase_readings,
     prepare_db_ballot,
     prepare_tb_ballot,
-    secure_tally,
     voting_qudit_state,
+    _grid_rows,
     _phase_basis_probs,
+    _roots,
 )
 from qvote.errors import ConfigurationError
-from qvote.protocols import _cast, _yes_angle
+from qvote import protocols
+from qvote.protocols import _secure_trials
 from qvote.qstate import (
     INVALID,
     CorrelatedState,
@@ -41,7 +42,7 @@ from qvote.qstate import (
     _pick,
 )
 
-from conftest import random_state
+from conftest import batch_rows, random_state
 from reference import (
     cast_vote_secure,
     decode_secure,
@@ -114,10 +115,10 @@ class TestBallotConfig:
                                           secrets=SecureSecrets(l_y, l_n, 0.1 / d))
                 except ConfigurationError:
                     continue
-                rows = [[config.theta_yes] * w + [config.theta_no] * (n - w)
-                        for w in range(n + 1)]
-                tallies, _ = secure_tally(_cast(d, rows), config, [0.5] * (n + 1))
-                assert tallies.tolist() == list(range(n + 1)), (d, n, l_y, l_n)
+                # w yes votes sit w (l_y - l_n) grid steps off the no-phase.
+                tallies, _, _ = _secure_trials(config, np.arange(n + 1) * (l_y - l_n), 0.0,
+                                               np.full((n + 1, 1, n + 1), 0.5))
+                assert tallies == list(range(n + 1)), (d, n, l_y, l_n)
 
     def test_drawn_secrets_are_valid(self):
         rng = np.random.default_rng(0)
@@ -193,13 +194,14 @@ class TestVotingOperators:
 
 class TestVotePhases:
     def test_dense_operator_and_cast_carry_the_table_bits(self):
-        # cast_vote_db computes e^{i 2 pi (e k mod d) / d} inline. It must
-        # keep the bits of the yes table e^{i 2 pi k / d} indexed at e k mod d,
-        # which the dense operator in reference.py holds.
+        # cast_vote_db indexes the roots table at e k mod d. It must keep the
+        # bits of the yes table e^{i 2 pi k / d} indexed there, which the
+        # dense operator in reference.py holds.
         g = np.random.default_rng(31)
         for d in range(2, 65):
             k = np.arange(d)
             table = np.exp(2j * np.pi * k / d)
+            assert np.array_equal(_roots(d).view(np.uint64), table.view(np.uint64))
             assert np.array_equal(phase_vote_unitary(d).mat.diagonal().copy().view(np.uint64),
                                   table.view(np.uint64))
             amps = g.normal(size=4 * d) + 1j * g.normal(size=4 * d)
@@ -212,18 +214,16 @@ class TestVotePhases:
 
 class TestPhaseBasisProbs:
     def test_product_ballot_cdfs_equal_the_orthonormal_fft(self):
-        # The product ballot casts one (1,)-angle row per voter through
-        # protocols._cast and reads the rows' CDFs in one batch. Each row must
-        # be the uniform qudit times e^{ik theta}, exp for exp, and each CDF
-        # must keep the bits of |fft(row, norm="ortho")|^2 taken on its own,
-        # here for every d up to 1009.
+        # The grid rows of no and one yes vote, read in one batch. At offset 0
+        # each row must be its roots-table entries over sqrt(d), bit for bit,
+        # and each CDF must keep the bits of |fft(row, norm="ortho")|^2 taken
+        # on its own, here for every d up to 1009.
         for d in range(2, 1010):
             k = np.arange(d)
-            angles = _yes_angle(d, np.array([[0], [1]]))
-            rows = _cast(d, angles)
+            rows = _grid_rows(d, np.array([0, 1]), 0.0)
             got = _cdf(_phase_basis_probs(rows))
             for e, row in enumerate(rows):
-                x = np.full(d, 1 / math.sqrt(d), dtype=complex) * np.exp(1j * k * angles[e, 0])
+                x = _roots(d)[e * k % d] / math.sqrt(d)
                 assert np.array_equal(row.view(np.uint64), x.view(np.uint64)), (d, e)
                 ref = _cdf(np.abs(np.fft.fft(x, norm="ortho")) ** 2)
                 assert np.array_equal(got[e].view(np.uint64), ref.view(np.uint64)), (d, e)
@@ -493,20 +493,19 @@ class TestDecodeSecure:
             outcomes.add(decode_secure(state, config, g))
         assert len(outcomes) > 1
 
-    @pytest.mark.parametrize("d,n,l_n,delta",
-                             [(7, 2, 0, 0.3), (11, 3, 4, 0.2), (1009, 20, 2, 1e-3)])
-    def test_compensation_row_is_cached_read_only_and_bit_equal(self, d, n, l_n, delta):
-        # secure_tally removes e^{-i k N theta_no}; the cached row must carry
-        # the bits the expression gives fresh, and no caller may write to it.
-        config = self.config(d, n, l_y=(l_n + 1) % d, l_n=l_n, delta=delta)
-        row = ballots._compensation(d, config.N, config.theta_no)
-        fresh = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
-        assert np.array_equal(row.view(np.uint64), fresh.view(np.uint64))
-        assert ballots._compensation(d, config.N, config.theta_no) is row
-        assert not row.flags.writeable
+    @pytest.mark.parametrize("d", [7, 11, 1009])
+    def test_roots_table_is_cached_read_only_and_bit_equal(self, d):
+        # Every grid row and cast_vote_db index this table; the cached table
+        # must carry the bits the expression gives fresh, and no caller may
+        # write to it.
+        table = _roots(d)
+        fresh = np.exp(2j * np.pi * np.arange(d) / d)
+        assert np.array_equal(table.view(np.uint64), fresh.view(np.uint64))
+        assert _roots(d) is table
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            row[0] = 0
-        assert ballots._compensation.cache_info().maxsize == 64
+            table[0] = 0
+        assert _roots.cache_info().maxsize == 64
 
     def test_wrong_scheme_raises(self):
         with pytest.raises(ConfigurationError):
@@ -514,36 +513,35 @@ class TestDecodeSecure:
                           np.random.default_rng(0))
 
     def test_solve_tally_flags_non_multiples(self, monkeypatch):
-        # The reference map and secure_tally agree where gcd(l_y - l_n, d) = 3.
+        # The reference map and _secure_trials agree where gcd(l_y - l_n, d) = 3.
         config = BallotConfig(9, 2, Scheme.SECURE, secrets=SecureSecrets(3, 0, 0.1))
         assert solve_tally(3, config) == 1
         assert solve_tally(6, config) == 2
         assert solve_tally(4, config) == CHEAT_DETECTED
-        monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: np.array([3, 6, 4]))
-        tallies, ps = secure_tally(np.zeros((3, 9)), config, [])
-        # The tally index d = 9 is CHEAT_DETECTED.
-        assert tallies.tolist() == [1, 2, 9] and ps.tolist() == [3, 6, 4]
+        monkeypatch.setattr(protocols, "phase_readings",
+                            lambda rows, u: np.array([[3], [6], [4]]))
+        tallies, outcomes, ps = _secure_trials(config, [0, 0, 0], 0.0, np.zeros((3, 1, 3)))
+        assert outcomes == [[1], [2], [CHEAT_DETECTED]] and ps == [[3], [6], [4]]
 
     def test_secure_tally_maps_every_reading_as_solve_tally(self, monkeypatch):
         # Every p in 0..d-1, the readings phase_readings can return, for every
         # secret pair: gcd(l_y - l_n, d) > 1 included. The reference is
-        # tests/reference.py's solve_tally, one solve per reading. The tally
-        # array writes CHEAT_DETECTED as d.
+        # tests/reference.py's solve_tally, one solve per reading. One trial
+        # holds the d readings as its repetitions.
         for d in range(2, 61):
-            readings = np.arange(d)
-            monkeypatch.setattr(ballots, "phase_readings", lambda rows, u: readings)
+            readings = np.arange(d)[None]
+            monkeypatch.setattr(protocols, "phase_readings", lambda rows, u: readings)
             # solve_tally reads the secrets only as (l_y - l_n) mod d.
-            want = {dl: [d if m == CHEAT_DETECTED else m
-                         for m in (solve_tally(p, config) for p in range(d))]
+            want = {dl: [solve_tally(p, config) for p in range(d)]
                     for dl in range(1, d)
                     for config in [BallotConfig(d, 1, Scheme.SECURE, secrets=(dl, 0, 0.0))]}
             for l_y, l_n in product(range(d), repeat=2):
                 if l_y == l_n:
                     continue
                 config = BallotConfig(d, 1, Scheme.SECURE, secrets=SecureSecrets(l_y, l_n, 0.0))
-                tallies, ps = secure_tally(np.zeros((1, d)), config, [])
-                assert tallies.tolist() == want[(l_y - l_n) % d]
-                assert np.array_equal(ps, readings)
+                _, [outcomes], [ps] = _secure_trials(config, 0, 0.0, np.zeros((1, d, 2)))
+                assert outcomes == want[(l_y - l_n) % d]
+                assert ps == list(range(d))
 
 
 class TestOrthogonalityInvariant:
@@ -605,7 +603,6 @@ class TestCompactDenseAgreement:
 
     def test_forged_round_same_outcome_distribution_both_lanes(self):
         from qvote.ballots import _correlated_overlaps, _phase_basis_probs
-        from qvote.protocols import _cast
         from qvote.qstate import LocalUnitary
         d = 7
         config = BallotConfig(d, 2, Scheme.SECURE, secrets=SecureSecrets(2, 0, 0.15))
@@ -621,9 +618,8 @@ class TestCompactDenseAgreement:
         corr = corr * np.exp(-1j * np.arange(d) * 2 * config.theta_no)
         dense_probs = _phase_basis_probs(corr)
 
-        compact = _cast(d, [config.theta_yes, forged_angle, config.theta_no,
-                            -2 * config.theta_no])
-        compact_probs = _phase_basis_probs(compact)
+        # One yes vote and the forged angle: 2 + 2 grid steps off the no-phase, and 0.31.
+        compact_probs = _phase_basis_probs(_grid_rows(d, 4, 0.31))
 
         np.testing.assert_allclose(dense_probs, compact_probs, atol=1e-12)
 
@@ -641,11 +637,6 @@ class TestCastSecureUniformityChiSquare:
 
 
 NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
-
-
-def batch_rows(d: int, above: bool, seed: int) -> int:
-    """A row count whose (rows, d) complex batch lies above or below 16384 elements."""
-    return 16384 // d + 1 + seed % 64 if above else 1 + seed % (16384 // d)
 
 
 def leaky_rows(rows: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -692,10 +683,9 @@ class TestReadBatch:
         delta = data.draw(st.floats(0, 2 * np.pi / d, exclude_max=True))
         config = BallotConfig(d, n, Scheme.SECURE, secrets=SecureSecrets(1, 0, delta))
         rng = np.random.default_rng(seed)
-        corr = leaky_rows(batch_rows(d, above, seed), d, rng)
-        # Steps of the rows secure_tally reads: compensated by e^{-ik N theta_n}.
-        u = step_doubles(corr * np.exp(-1j * np.arange(d) * n * config.theta_no), rng)
-        tallies, ps = secure_tally(corr, config, u)
-        assert list(zip(tallies.tolist(), ps.tolist())) == [
-            tuple(int(a[0]) for a in secure_tally(row[None], config, [x]))
-            for row, x in zip(corr, u)]
+        rows = batch_rows(d, above, seed)
+        index, offset = rng.integers(-2 * d, 2 * d, rows), rng.uniform(-7, 7, rows)
+        u = step_doubles(_grid_rows(d, index, offset), rng)[:, None, None]
+        singles = [_secure_trials(config, [i], [o], [x]) for i, o, x in zip(index, offset, u)]
+        assert _secure_trials(config, index, offset, u) == tuple(
+            [one[part][0] for one in singles] for part in range(3))

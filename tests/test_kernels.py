@@ -48,6 +48,7 @@ from qvote.ballots import (
     Scheme,
     SecureSecrets,
     Vote,
+    _grid_rows,
     _phase_basis_probs,
     _secrets_problem,
     cast_vote_db,
@@ -61,12 +62,9 @@ from qvote.cli import verdict
 from qvote.errors import ConfigurationError
 from qvote.protocols import (
     Transcript,
-    _cast,
     _pairing_outcomes,
     _secure_trials,
     _vote_patterns,
-    _yes_angle,
-    honest_thetas,
     run_db_vote,
     run_secure_vote,
     run_survey,
@@ -348,13 +346,19 @@ class TestKernelsMatchReferences:
     @given(secure_config(), st.data(), SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_secure_rows_against_scalar_rounds(self, config, data, seed):
-        rows = data.draw(st.lists(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
-                                           min_size=config.N, max_size=config.N),
-                                  min_size=1, max_size=6))
-        u = draws(children(seed, len(rows)), config.N + 1)[:, None]
-        tallies, outcomes, ps = _secure_trials(config, rows, u)
+        # Each (index, offset) row against a scalar round in which voter 0
+        # casts theta_no plus that phase and the others cast theta_no.
+        d = config.d
+        pairs = data.draw(st.lists(st.tuples(st.integers(-2 * d, 2 * d),
+                                             st.floats(-2 * np.pi, 2 * np.pi)),
+                                   min_size=1, max_size=6))
+        index, offset = np.array(pairs).T
+        u = draws(children(seed, len(pairs)), config.N + 1)[:, None]
+        tallies, outcomes, ps = _secure_trials(config, index.astype(int), offset, u)
         # r is what run_secure_vote logs: its own pick from the same doubles.
         got = [list(zip(*trial)) for trial in zip(outcomes, ps, _pairing_outcomes(config, u))]
+        rows = [[config.theta_no + 2 * np.pi * i / d + o] + [config.theta_no] * (config.N - 1)
+                for i, o in pairs]
         ref = [[reference.secure_round(config, thetas, g)]
                for thetas, g in zip(rows, children(seed, len(rows)))]
         assert got == ref
@@ -366,11 +370,12 @@ class TestKernelsMatchReferences:
         # One shared row is cast once for every trial; the reference repeats
         # it, one row per trial.
         trials, repetitions = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
-        row = data.draw(st.lists(st.floats(-2 * np.pi, 2 * np.pi),
-                                 min_size=config.N, max_size=config.N))
+        index = data.draw(st.integers(-2 * config.d, 2 * config.d))
+        offset = data.draw(st.floats(-2 * np.pi, 2 * np.pi))
         u = draws(children(seed, trials * repetitions), config.N + 1)
         u = u.reshape(trials, repetitions, config.N + 1)
-        assert _secure_trials(config, [row], u) == _secure_trials(config, [row] * trials, u)
+        assert (_secure_trials(config, index, offset, u)
+                == _secure_trials(config, [index] * trials, [offset] * trials, u))
 
     @given(swap_pool(), st.integers(1, 12), SEEDS)
     @settings(max_examples=200, deadline=None)
@@ -426,8 +431,8 @@ class TestKernelsMatchReferences:
 
     def test_zero_rows_give_no_rounds(self):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
-        assert _secure_trials(config, [], np.zeros((0, 3, 4))) == ([], [], [])
-        assert _secure_trials(config, [[0.1, 0.2, 0.3]], np.zeros((0, 3, 4))) == ([], [], [])
+        assert _secure_trials(config, [], [], np.zeros((0, 3, 4))) == ([], [], [])
+        assert _secure_trials(config, 1, 0.3, np.zeros((0, 3, 4))) == ([], [], [])
         assert _pairing_outcomes(config, np.zeros((0, 3, 4))) == []
 
 
@@ -489,7 +494,7 @@ class TestEdgeDoubles:
         for d in range(2, 200):
             for n in range(1, min(6, d - 1) + 1):
                 patterns = _vote_patterns(n)
-                rows = _cast(d, _yes_angle(d, patterns))
+                rows = _grid_rows(d, patterns.sum(axis=1), 0.0)
                 for u in EDGE_DOUBLES:
                     got = phase_readings(rows, np.full(len(rows), u))
                     misreads += int(np.count_nonzero(got != patterns.sum(axis=1)))
@@ -501,7 +506,7 @@ class TestEdgeDoubles:
         for d in range(2, 25):
             for n in range(1, min(3, d - 1) + 1):
                 amounts = np.array([a for a in product(range(d), repeat=n) if sum(a) < d])
-                rows = _cast(d, _yes_angle(d, amounts))
+                rows = _grid_rows(d, amounts.sum(axis=1), 0.0)
                 for u in EDGE_DOUBLES:
                     got = phase_readings(rows, np.full(len(rows), u))
                     misreads += int(np.count_nonzero(got != amounts.sum(axis=1)))
@@ -509,8 +514,8 @@ class TestEdgeDoubles:
 
     def test_secure_readout_of_every_accepted_pair(self):
         # Every pattern of every (l_y, l_n) BallotConfig accepts, for d <= 19,
-        # N <= 3 and delta 0.1; the two doubles are a trial's two repetitions,
-        # so the trial agrees on its tally only if both read it.
+        # N <= 3; the two doubles are a trial's two repetitions, so the trial
+        # agrees on its tally only if both read it.
         misreads = 0
         for d in range(2, 20):
             for n in range(1, min(3, d - 1) + 1):
@@ -522,8 +527,8 @@ class TestEdgeDoubles:
                     if _secrets_problem(d, n, l_y, l_n) is None:
                         config = BallotConfig(d, n, Scheme.SECURE,
                                               secrets=SecureSecrets(l_y, l_n, 0.1))
-                        rows = np.where(patterns == 1, config.theta_yes, config.theta_no)
-                        tallies, _, _ = _secure_trials(config, rows, u)
+                        tallies, _, _ = _secure_trials(config, np.multiply(yes, l_y - l_n),
+                                                       0.0, u)
                         misreads += sum(t != m for t, m in zip(tallies, yes))
         assert misreads == 0
 
@@ -558,18 +563,18 @@ class TestEdgeDoubles:
         # l_y - l_n = 2 shares the gcd 2 with d, so odd p are no tally. The
         # CDF runs over the d outcomes alone, so the last double reads
         # p = d - 1, a real outcome of the forged row.
+        # Two yes votes, one of them forged 0.03 off its grid step.
         config = BallotConfig(d, 3, Scheme.SECURE, secrets=SecureSecrets(2, 0, 0.2 / d))
-        row = [config.theta_yes + 0.03, config.theta_no, config.theta_yes]
-        compensation = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
-        cdf = _cdf(_phase_basis_probs(_cast(d, [row])[:, None] * compensation))
+        probs = _phase_basis_probs(_grid_rows(d, 4, 0.03))
+        cdf = _cdf(probs)
         assert cdf.shape[-1] == d
         steps = cdf[cdf < 1.0]
         doubles = [0.0, *steps, *np.nextafter(steps, 0.0), 1 - 2 ** -53]
         u = np.zeros((1, len(doubles), config.N + 1))
         u[0, :, -1] = doubles
-        [tally], [outcomes], [ps] = _secure_trials(config, [row], u)
-        ref = [reference.secure_round(config, row, Scripted([0.0] * config.N + [x]))[:2]
-               for x in doubles]
+        [tally], [outcomes], [ps] = _secure_trials(config, 4, 0.03, u)
+        ref = [(reference.solve_tally(p, config), p)
+               for p in (reference.reading(probs, x) for x in doubles)]
         assert list(zip(outcomes, ps)) == ref
         gcd = 2 if d == 12 else 1
         assert ps[-1] == d - 1 and set(ps) == set(range(d)) and tally == CHEAT_DETECTED
@@ -617,8 +622,8 @@ def secure_case(draw):
 
 
 def engine_tally(d: int, exponents, u: float) -> int:
-    """What ``_cast`` and ``phase_readings`` read at ``u`` once voter i cast exponents[i]."""
-    return int(phase_readings(_cast(d, [_yes_angle(d, e) for e in exponents])[None], [u])[0])
+    """What ``phase_readings`` reads at ``u`` from the grid row of voter i casting exponents[i]."""
+    return int(phase_readings(_grid_rows(d, [sum(exponents)], 0.0), [u])[0])
 
 
 class TestHonestRoundsAreClosedForm:
@@ -626,10 +631,9 @@ class TestHonestRoundsAreClosedForm:
 
     Where ``TestEdgeDoubles`` shows the engine exact (DB d <= 199, N <= 6;
     SURVEY d <= 24, N <= 3, the sizes multi-voting takes here too; SECURE
-    d <= 19, N <= 3), the closed form must read what ``_cast`` and
+    d <= 19, N <= 3), the closed form must read what ``_grid_rows`` and
     ``phase_readings`` (SECURE: ``_secure_trials``) read from the same
-    doubles. At d = 1009 the engine misreads an honest SECURE row, and the
-    closed form does not.
+    doubles. At d = 1009 both read every honest SECURE row at 0.0.
     """
 
     @given(phase_case(199, 6), DOUBLES)
@@ -668,19 +672,19 @@ class TestHonestRoundsAreClosedForm:
     def test_secure_reads_as_the_engine(self, case):
         config, votes, rows = case
         result = run_secure_vote(config, votes, Children(rows), repetitions=len(rows))
-        thetas = honest_thetas(config, [Vote.parse(v) for v in votes])
-        [m], [outcomes], [ps] = _secure_trials(config, [thetas], [rows])
+        yes = sum(Vote.parse(v) is Vote.YES for v in votes)
+        index = yes * (config.secrets.l_y - config.secrets.l_n)
+        [m], [outcomes], [ps] = _secure_trials(config, index, 0.0, [rows])
         assert (result.m, result.outcomes, result.p) == (m, outcomes, ps)
 
     def test_honest_runs_never_reach_the_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an honest round called the correlated engine")
 
-        for module, name in ((protocols, "_cast"), (protocols, "_secure_trials"),
-                             (protocols, "secure_tally"), (ballots, "phase_readings"),
-                             (ballots, "secure_tally")):
+        for module, name in ((ballots, "_grid_rows"), (protocols, "_grid_rows"),
+                             (protocols, "_secure_trials"), (ballots, "phase_readings"),
+                             (protocols, "phase_readings")):
             monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(protocols, "phase_readings", refuse, raising=False)
         rng = np.random.default_rng(1)
         db = BallotConfig(11, 6, Scheme.DB)
         assert run_db_vote(db, "YNYYNY", rng, Transcript("db", 1)).m == 4
@@ -693,12 +697,14 @@ class TestHonestRoundsAreClosedForm:
         assert (result.m, result.p) == (10, [120] * 3)
 
     def test_secure_d1009_reads_its_tally_at_the_edges(self):
-        # The engine read outcomes [10, 11, 11], so CHEAT_DETECTED: at 0.0 the
-        # residue on p = 10 stands above RESIDUE_FLOOR.
+        # Float-angle rows read outcomes [10, 11, 11], so CHEAT_DETECTED: at
+        # 0.0 their residue on p = 10 stood above RESIDUE_FLOOR.
         config = BallotConfig(1009, 20, Scheme.SECURE, secrets=SecureSecrets(400, 399, 0.0))
         rows = [[0.5] * 20 + [u] for u in (0.0, 1 - 2 ** -53, 0.3)]
         result = run_secure_vote(config, "Y" * 11 + "N" * 9, Children(rows))
         assert (result.m, result.outcomes, result.p) == (11, [11] * 3, [11] * 3)
+        # l_y - l_n = 1, so the engine's grid index is the yes count.
+        assert _secure_trials(config, 11, 0.0, [rows]) == ([11], [[11] * 3], [[11] * 3])
 
     @pytest.mark.parametrize("d", [1009, 2003])
     def test_secure_reads_every_yes_count_at_zero(self, d):
@@ -709,6 +715,25 @@ class TestHonestRoundsAreClosedForm:
                                      Children([[0.0] * 21] * 3))
             misreads += (result.m, result.p) != (yes, [yes] * 3)
         assert misreads == 0
+
+    @pytest.mark.parametrize("d", [1009, 2003])
+    def test_engine_reads_every_yes_count_at_zero(self, d):
+        # l_y - l_n = 1, so the grid index of y yes votes is y.
+        config = BallotConfig(d, 20, Scheme.SECURE, secrets=SecureSecrets(400, 399, 0.0))
+        tallies, _, _ = _secure_trials(config, np.arange(21), 0.0, np.zeros((21, 1, 21)))
+        assert tallies == list(range(21))
+
+    @pytest.mark.parametrize("d", [1009, 2003, 4001])
+    def test_grid_rows_leave_no_weight_on_ruled_out_outcomes(self, d):
+        # Float-angle rows left up to 6.1e-24 at d = 1009, N = 20, above
+        # RESIDUE_FLOOR; a grid row leaves only the FFT's ~1e-32.
+        worst = 0.0
+        for start in range(0, d, 256):
+            index = np.arange(start, min(d, start + 256))
+            probs = _phase_basis_probs(_grid_rows(d, index, 0.0))
+            probs[np.arange(len(index)), index] = 0.0
+            worst = max(worst, float(probs.max()))
+        assert worst < 1e-27
 
 
 def dense_db_state(d: int, pattern) -> PureState:

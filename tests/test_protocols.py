@@ -13,6 +13,8 @@ from qvote.ballots import (
     SecureSecrets,
     Vote,
     cast_vote_db,
+    _grid_rows,
+    _roots,
     decode_db,
     prepare_db_ballot,
     voting_qudit_state,
@@ -29,7 +31,6 @@ from qvote.protocols import (
     DiningResult,
     RunResult,
     Transcript,
-    _cast,
     _pairing_outcomes,
     _secure_trials,
     classical_dining,
@@ -46,6 +47,7 @@ from qvote import protocols
 from qvote import rng as rngmod
 
 import reference
+from conftest import batch_rows
 
 
 def weight(votes):
@@ -130,7 +132,7 @@ class TestRunSecureVote:
     def test_non_finite_angle_rejected(self, bad):
         config = BallotConfig(11, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
         pairs = [(bad, config.theta_no)] + [(config.theta_yes, config.theta_no)] * 2
-        with pytest.raises(ConfigurationError, match="not normalized"):
+        with pytest.raises(ConfigurationError, match="voting angles must be finite"):
             mismatched_voting_states(config, pairs, "YNY", rngmod.stream(6, 1))
 
     def test_no_false_cheat_detection_across_1000_seeds(self):
@@ -146,10 +148,10 @@ class TestRunSecureVote:
         assert result.p == [(3 * 3) % 13] * 3
 
 
-# (m, p) readings as secure_tally returns them at d = 11: tallies, and p
-# that are no multiple of l_y - l_n, the last outcome d - 1 among them.
-# The tally index d is CHEAT_DETECTED; every p is an outcome in 0..d-1.
-SCRIPTED_D = 11
+# (m, p) readings at d = 12 with l_y - l_n = 2: tallies, and odd p, which
+# no tally reads, the last outcome d - 1 among them. The tally index d is
+# CHEAT_DETECTED; every p is an outcome in 0..d-1.
+SCRIPTED_D = 12
 SCRIPTED_READINGS = [(2, 4), (1, 2), (0, 0), (SCRIPTED_D, 3), (SCRIPTED_D, SCRIPTED_D - 1)]
 
 
@@ -169,24 +171,23 @@ class TestSecureTrialsSlicing:
             reading.map(lambda r: [r] * repetitions)
             | st.lists(reading, min_size=repetitions, max_size=repetitions),
             max_size=5))
-        config = BallotConfig(SCRIPTED_D, 3, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.2))
+        config = BallotConfig(SCRIPTED_D, 3, Scheme.SECURE, secrets=SecureSecrets(2, 0, 0.2))
         trials = len(script)
-        rows = [[0.1, 0.2, 0.3]] if shared else [[0.1 * t, 0.2, -0.3] for t in range(trials)]
+        index, offset = (1, 0.3) if shared else (np.arange(trials), 0.1 * np.arange(trials))
         u = np.random.default_rng(trials).random((trials, repetitions, config.N + 1))
         calls = []
 
-        def scripted_tally(corr_rows, tally_config, tally_u):
-            calls.append((corr_rows.shape, tally_config, np.array(tally_u)))
-            readings = np.array(script, dtype=int).reshape(trials, repetitions, 2)
-            return readings[..., 0], readings[..., 1]
+        def scripted_readings(corr_rows, read_u):
+            calls.append((corr_rows.shape, np.array(read_u)))
+            return np.array(script, dtype=int).reshape(trials, repetitions, 2)[..., 1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocols, "secure_tally", scripted_tally)
-            tallies, outcomes, ps = _secure_trials(config, rows, u)
+            mp.setattr(protocols, "phase_readings", scripted_readings)
+            tallies, outcomes, ps = _secure_trials(config, index, offset, u)
 
-        [(shape, tally_config, tally_u)] = calls
-        assert shape == (len(rows), 1, config.d) and tally_config is config
-        assert np.array_equal(tally_u, u[..., config.N])
+        [(shape, read_u)] = calls
+        assert shape == (1 if shared else trials, 1, config.d)
+        assert np.array_equal(read_u, u[..., config.N])
         assert outcomes == [[scripted_label(m, CHEAT_DETECTED) for m, _ in trial]
                             for trial in script]
         assert ps == [[p for _, p in trial] for trial in script]
@@ -265,12 +266,11 @@ class TestCorrelatedMatchesDense:
         d, n = dn
         votes = data.draw(st.lists(st.sampled_from([Vote.YES, Vote.NO]),
                                    min_size=n, max_size=n))
-        thetas = [2 * np.pi * (int(v is Vote.YES) % d) / d for v in votes]
         state = prepare_db_ballot(d, n)
         for i in range(n + 1):
             if i:
                 state = cast_vote_db(state, i - 1, votes[i - 1])
-            compact = CorrelatedState(d, n, _cast(d, thetas[:i])).to_pure()
+            compact = CorrelatedState(d, n, _grid_rows(d, weight(votes[:i]), 0.0)).to_pure()
             assert compact.dims == state.dims
             assert np.max(np.abs(compact.amps - state.amps)) <= 1e-12
         result = run_db_vote(BallotConfig(d, n, Scheme.DB), votes, rngmod.stream(seed, 1))
@@ -311,11 +311,11 @@ class TestCorrelatedMatchesDense:
                                    min_size=n, max_size=n))
         extra = data.draw(st.none() | st.tuples(st.integers(0, n - 1),
                                                 st.floats(-np.pi, np.pi)))
-        thetas = [config.theta_yes if v is Vote.YES else config.theta_no for v in votes]
-        if extra is not None:
-            thetas[extra[0]] += extra[1]
+        # Measured against the no-phase, the yes votes step the grid index and
+        # the extra phase is the row's offset.
+        index = weight(votes) * (config.secrets.l_y - config.secrets.l_n)
         u = np.random.default_rng(seed).random((1, 1, n + 1))
-        _, [[m]], [[p]] = _secure_trials(config, [thetas], u)
+        _, [[m]], [[p]] = _secure_trials(config, index, 0.0 if extra is None else extra[1], u)
         [[rs]] = _pairing_outcomes(config, u)
 
         # Dense reference: every pairing outcome r also multiplies the
@@ -343,20 +343,24 @@ class TestCorrelatedMatchesDense:
         assert run_survey(config, amounts, rngmod.stream(5, 1)).m == 10
 
 
+NO_SHRINK = settings(max_examples=8, deadline=None,
+                     phases=[Phase.explicit, Phase.reuse, Phase.generate])
+
+
 class TestCastBatch:
-    @given(st.integers(2, 16), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=8, deadline=None,
-              phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    def test_rows_equal_their_one_row_casts(self, d, n, seed):
-        # Above 16384 complex elements numpy may run ``c * phase`` in place
-        # as phase times c, whose bits can differ on SIMD builds. A failing
-        # seed shrinks to nothing simpler, and shrinking batches of thousands
-        # of rows takes minutes, so the first failure is reported.
-        rows = 16384 // d + 1 + seed % 64
-        thetas = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, (rows, n))
-        batch = _cast(d, thetas)
-        singles = np.array([_cast(d, row) for row in thetas])
-        assert np.array_equal(batch.view(np.uint64), singles.view(np.uint64))
+    # A failing seed shrinks to nothing simpler, and shrinking batches of
+    # thousands of rows takes minutes, so the first failure is reported.
+    @NO_SHRINK
+    @given(st.integers(2, 16), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_their_one_row_casts(self, d, above, seed):
+        # Per-row pairs, one index every offset shares (the forgery's shape)
+        # and one offset every index shares (check_privacy's).
+        rng = np.random.default_rng(seed)
+        rows = batch_rows(d, above, seed)
+        index, offset = rng.integers(-3 * d, 3 * d, rows), rng.uniform(-2 * np.pi, 2 * np.pi, rows)
+        for i, o in ((index, offset), (index[:1], offset), (index, offset[:1])):
+            singles = np.array([_grid_rows(d, a, b) for a, b in np.broadcast(i, o)])
+            assert _same_bits(_grid_rows(d, i, o), singles)
 
 
 def _same_bits(a, b):
@@ -364,54 +368,98 @@ def _same_bits(a, b):
 
 
 def test_yes_angle_arrays_have_the_scalar_bits():
-    # ``check_privacy`` casts array angles, the engine tests one int at a time.
+    # ``check_privacy`` builds rows from arrays of yes counts, the engine
+    # tests from one int at a time.
     for d in (*range(2, 40), 101, 1009):
         exponents = np.arange(2 * d + 1)
-        scalars = np.array([protocols._yes_angle(d, int(e)) for e in exponents])
-        assert _same_bits(protocols._yes_angle(d, exponents), scalars)
+        scalars = np.array([_grid_rows(d, int(e), 0.0) for e in exponents])
+        assert _same_bits(_grid_rows(d, exponents, 0.0), scalars)
+
+
+@st.composite
+def forged_round(draw):
+    """An accepted SECURE config with d <= 64, its votes, and a forged (voter, offset) or None."""
+    d = draw(st.integers(2, 64))
+    n = draw(st.integers(1, min(5, d - 1)))
+    l_n = draw(st.integers(0, d - 1))
+    l_y = draw(st.sampled_from([l for l in range(d) if l != l_n and abs(l - l_n) * n < d]))
+    delta = draw(st.floats(0, 2 * np.pi / d, exclude_max=True))
+    config = BallotConfig(d, n, Scheme.SECURE, secrets=SecureSecrets(l_y, l_n, delta))
+    votes = draw(st.lists(st.sampled_from([Vote.YES, Vote.NO]), min_size=n, max_size=n))
+    forged = draw(st.none() | st.tuples(st.integers(0, n - 1), st.floats(-np.pi, np.pi)))
+    return config, votes, forged
 
 
 class TestCastMatchesReference:
-    """``_cast``, one phase row per distinct angle, against ``reference.cast``, one per voter.
+    """``_grid_rows`` against ``reference.cast``, one exp per voter, and against its own table.
 
-    Angles come from a small table, so they repeat within and across rows,
-    as honest and forged rows do. Shrinking is off, as in TestCastBatch.
+    Shrinking is off, as in TestCastBatch.
     """
 
-    NO_SHRINK = settings(max_examples=8, deadline=None,
-                         phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    TABLE = st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=4)
+    @given(forged_round())
+    @settings(max_examples=200, deadline=None)
+    def test_grid_rows_equal_the_compensated_cast(self, case):
+        # The voters' angles, a forger's Delta + eps included, less the no-phase
+        # e^{ik N theta_n}: the grid row at (yes count + forged) (l_y - l_n), offset eps.
+        config, votes, forged = case
+        d, dl = config.d, config.secrets.l_y - config.secrets.l_n
+        thetas = reference.honest_thetas(config, votes)
+        index, offset = weight(votes) * dl, 0.0
+        if forged is not None:
+            thetas[forged[0]] += 2 * np.pi * dl / d + forged[1]
+            index, offset = index + dl, forged[1]
+        compensation = np.exp(-1j * np.arange(d) * config.N * config.theta_no)
+        want = reference.cast(d, thetas) * compensation
+        assert np.max(np.abs(_grid_rows(d, index, offset) - want)) <= 1e-12
 
     @NO_SHRINK
-    @given(st.integers(2, 16), st.integers(1, 5), TABLE, st.booleans(),
-           st.integers(0, 2 ** 32 - 1))
-    def test_repeated_angles_match_bit_for_bit(self, d, n, table, above, seed):
-        # Rows on either side of 16384 complex elements, where numpy starts
-        # eliding temporaries, given strided, contiguous and as one row.
+    @given(st.integers(2, 16), st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1,
+                                        max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_repeated_angles_match_bit_for_bit(self, d, table, above, seed):
+        # (index, offset) pairs from a small table repeat within and across
+        # rows, as honest and forged rows do. Given strided, contiguous and as
+        # one pair, on either side of 16384 complex elements, each row keeps
+        # the bits of its one-pair build.
         rng = np.random.default_rng(seed)
-        rows = 16384 // d + 1 + seed % 64 if above else 1 + seed % (16384 // d)
-        wide = np.array([0.0, -0.0, *table])[rng.integers(len(table) + 2, size=(rows, 2 * n))]
-        strided = wide[:, ::2]
-        for thetas in (strided, np.ascontiguousarray(strided), strided[0]):
-            assert _same_bits(_cast(d, thetas), reference.cast(d, thetas))
+        rows = batch_rows(d, above, seed)
+        indices, offsets = rng.integers(-2 * d, 2 * d, 3), np.array([0.0, -0.0, *table])
+        wide_index = indices[rng.integers(len(indices), size=2 * rows)]
+        wide_offset = offsets[rng.integers(len(offsets), size=2 * rows)]
+        index, offset = wide_index[::2], wide_offset[::2]
+        singles = np.array([_grid_rows(d, i, o) for i, o in zip(index, offset)])
+        for i, o in ((index, offset), (np.ascontiguousarray(index), np.ascontiguousarray(offset))):
+            assert _same_bits(_grid_rows(d, i, o), singles)
+        assert _same_bits(_grid_rows(d, index[0], offset[0]), singles[0])
 
     def test_row_with_both_zeros(self):
-        for thetas in ([0.0, -0.0, 0.0, 0.3], [[-0.0, 0.0], [0.0, -0.0]]):
-            assert _same_bits(_cast(7, thetas), reference.cast(7, thetas))
+        # At offset 0.0 or -0.0 a row is its table entries over sqrt(d), bit for bit.
+        for d in (2, 7, 1009):
+            for index in (0, 1, d - 1, 3 * d + 2, -5):
+                want = _roots(d)[index * np.arange(d) % d] / np.sqrt(d)
+                for offset in (0.0, -0.0, [0.0, -0.0]):
+                    rows = _grid_rows(d, index, offset)
+                    assert all(_same_bits(row, want) for row in rows.reshape(-1, d))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @NO_SHRINK
-    @given(st.integers(1, 16), st.integers(1, 5), TABLE, st.integers(0, 2 ** 32 - 1),
+    @given(st.integers(2, 16), st.data(), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([np.nan, np.inf, -np.inf]))
-    def test_non_finite_angle_anywhere_raises(self, d, n, table, seed, bad):
+    def test_non_finite_angle_anywhere_raises(self, d, data, seed, bad):
+        # A non-finite yes or no angle of any voter, cast or not, is refused
+        # before any trial; the reference cast refuses a cast one by its norm.
+        n = data.draw(st.integers(1, d - 1))
+        config = BallotConfig(d, n, Scheme.SECURE, secrets=SecureSecrets(1, 0, 0.1 / d))
+        votes = data.draw(st.lists(st.sampled_from("YN"), min_size=n, max_size=n))
         rng = np.random.default_rng(seed)
-        thetas = np.array(table)[rng.integers(len(table), size=(1 + seed % 8, n))]
-        row = rng.integers(len(thetas))
-        thetas[row, rng.integers(n)] = bad
-        for cast in (_cast, reference.cast):
-            for rows in (thetas, thetas[row]):
-                with pytest.raises(ConfigurationError):
-                    cast(d, rows)
+        pairs = rng.uniform(-4 * np.pi, 4 * np.pi, (n, 2))
+        voter, slot = rng.integers(n), rng.integers(2)
+        pairs[voter, slot] = bad
+        with pytest.raises(ConfigurationError, match="voting angles must be finite"):
+            mismatched_voting_states(config, pairs.tolist(), votes, rngmod.stream(seed, 1))
+        cast = [pair[0 if v == "Y" else 1] for pair, v in zip(pairs, votes)]
+        if slot == (0 if votes[voter] == "Y" else 1):
+            with pytest.raises(ConfigurationError, match="not normalized"):
+                reference.cast(d, cast)
 
 
 class TestOutcomePermutationInvariance:

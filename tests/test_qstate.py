@@ -24,9 +24,9 @@ from qvote.qstate import (
 )
 from qvote.ballots import (
     _correlated_overlaps,
+    _grid_rows,
     voting_qudit_state,
 )
-from qvote.protocols import _cast
 
 from conftest import random_state, random_unitary
 from reference import inner, phase_vote_unitary, shift_unitary
@@ -429,7 +429,7 @@ class TestCorrelatedState:
 
     def test_site_phase_matches_dense_apply(self):
         d, theta = 4, 0.83
-        via_compact = CorrelatedState(d, 3, _cast(d, [theta])).to_pure()
+        via_compact = CorrelatedState(d, 3, _grid_rows(d, 0, theta)).to_pure()
         u = LocalUnitary(d, np.diag(np.exp(1j * theta * np.arange(d))))
         via_dense = apply_local(CorrelatedState.uniform(d, 3).to_pure(), 2, u)
         np.testing.assert_allclose(via_compact.amps, via_dense.amps, atol=1e-12)

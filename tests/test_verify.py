@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qvote.ballots import BallotConfig, Scheme, Vote, cast_vote_db, prepare_db_ballot
 from qvote.errors import ConfigurationError
 from qvote.qstate import CorrelatedState, PureState, reduced_density
-from qvote import protocols, verify
+from qvote import ballots, protocols, verify
 from qvote.protocols import run_tb_vote
 from qvote.verify import (
     AnsatzResult,
@@ -55,14 +55,15 @@ class TestCheckPrivacy:
     def test_wrong_db_vote_operator_fails(self, monkeypatch):
         # Half the yes angle: equal tallies still agree, but neighbouring
         # tallies are no longer orthogonal.
-        monkeypatch.setattr(verify, "_yes_angle", lambda d, e: np.pi * (e % d) / d)
+        monkeypatch.setattr(verify, "_grid_rows",
+                            lambda d, index, offset: ballots._grid_rows(d, 0, np.pi * index / d))
         report = check_privacy("DB", 5, 3)
         assert report.passed is False
         assert report.worst_cross_tally_overlap > 0.1
 
     def test_wrong_tb_vote_operator_fails(self, monkeypatch):
         # A yes vote that leaves the travelling qudit where it was.
-        monkeypatch.setattr(verify, "_tb_shift", lambda d, yes: 0 * yes[0])
+        monkeypatch.setattr(verify, "_yes_count", lambda d, yes: 0 * yes[0])
         report = check_privacy("TB", 5, 3)
         assert report.passed is False
         assert report.worst_cross_tally_overlap == pytest.approx(1, abs=1e-12)
@@ -70,8 +71,8 @@ class TestCheckPrivacy:
     def test_tb_shift_that_drops_a_voter_fails(self, monkeypatch):
         # The run's shift ignores voter 0: equal tallies land on different
         # shifts, and voter 0's lone yes reads as tally 0.
-        real = protocols._tb_shift
-        monkeypatch.setattr(verify, "_tb_shift", lambda d, yes: real(d, yes[1:]))
+        real = protocols._yes_count
+        monkeypatch.setattr(verify, "_yes_count", lambda d, yes: real(d, yes[1:]))
         report = check_privacy("TB", 5, 3)
         assert report.passed is False
         assert report.worst_same_tally_deviation == pytest.approx(1, abs=1e-12)
@@ -103,15 +104,12 @@ class TestCheckPrivacy:
         for bits in product([0, 1], repeat=3):
             votes = ["Y" if b else "N" for b in bits]
             assert (run_tb_vote(config, votes, np.random.default_rng(0)).m
-                    == protocols._tb_shift(5, bits))
+                    == protocols._yes_count(5, bits))
 
     def test_voter_dependent_cast_fails(self, monkeypatch):
-        # Every voter casts voter 0's angle, so equal tallies differ.
-        def cast(d, thetas):
-            thetas = np.asarray(thetas)
-            return protocols._cast(d, np.repeat(thetas[..., :1], thetas.shape[-1], axis=-1))
-
-        monkeypatch.setattr(verify, "_cast", cast)
+        # Every voter casts voter 0's vote, so equal tallies differ.
+        real = protocols._yes_count
+        monkeypatch.setattr(verify, "_yes_count", lambda d, yes: real(d, [yes[0]] * len(yes)))
         report = check_privacy("DB", 5, 4)
         assert report.passed is False
         assert report.worst_same_tally_deviation > 0.1
